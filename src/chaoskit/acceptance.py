@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from .tensors import (
 )
 
 __all__ = ["Check", "CriterionResult", "CRITERION_NAMES", "run_criterion",
-           "run_criteria", "format_criterion"]
+           "run_criteria", "format_criterion", "parallel_map"]
 
 
 @dataclass(frozen=True)
@@ -386,22 +387,27 @@ def run_criterion(number: int, seed: int) -> CriterionResult:
     return _RUNNERS[number](seed)
 
 
-def run_criteria(numbers, seed: int, threads: int = 1):
-    """Run the given criteria, possibly concurrently, in numeric order.
+def parallel_map(worker, count: int, threads: int) -> list:
+    """[worker(0), ..., worker(count - 1)] on up to threads threads.
 
-    Results are keyed by criterion number before assembly, so the output
-    does not depend on completion order.
+    Results are assembled by index, so their order never depends on
+    thread timing; reading every result re-raises a worker's exception.
     """
+    if threads <= 1 or count <= 1:
+        return [worker(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futs = [pool.submit(worker, i) for i in range(count)]
+        return [f.result() for f in futs]
+
+
+def run_criteria(numbers, seed: int, threads: int = 1):
+    """Run the given criteria, possibly concurrently, in numeric order."""
     numbers = sorted(set(int(n) for n in numbers))
     for n in numbers:
         if n not in _RUNNERS:
             raise ValueError(f"no criterion {n}")
-    if threads <= 1 or len(numbers) <= 1:
-        return [run_criterion(n, seed) for n in numbers]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = {n: pool.submit(run_criterion, n, seed) for n in numbers}
-        return [futs[n].result() for n in numbers]
+    return parallel_map(lambda i: run_criterion(numbers[i], seed),
+                        len(numbers), threads)
 
 
 def format_criterion(res: CriterionResult) -> str:

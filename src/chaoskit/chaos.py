@@ -44,6 +44,10 @@ __all__ = [
     "excess_kurtosis_exact",
     "contraction_profile",
     "sample_integral",
+    "HSOperator",
+    "hs_operator",
+    "cumulant",
+    "char_function",
     "sample_integral2_spectral",
 ]
 
@@ -246,41 +250,101 @@ def contraction_profile(f: SymTensor) -> tuple:
     return tuple(math.sqrt(contraction_norm_sq(f, p)) for p in range(1, n))
 
 
-def sample_integral(f: Tensor, n_samples: int, rng: np.random.Generator,
-                    block: int = 4096) -> np.ndarray:
-    """Monte Carlo draws of I_n(f) from fresh standard-normal coordinates.
+def _blocked_draws(evaluate, dim: int, n_samples: int,
+                   rng: np.random.Generator, block: int) -> np.ndarray:
+    """evaluate(xi) on fixed-size blocks of fresh (take, dim) normals.
 
-    Draws are generated in fixed-size blocks so the stream consumption,
-    and hence the output, does not depend on n_samples alignment.
+    Fixed blocks make the output independent of n_samples alignment.
     """
-    d = f.dim if f.dim is not None else 1
     out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        take = min(block, n_samples - done)
-        xi = rng.standard_normal((take, d))
-        out[done:done + take] = eval_integral(f, xi)
-        done += take
+    for start in range(0, n_samples, block):
+        take = min(block, n_samples - start)
+        out[start:start + take] = evaluate(rng.standard_normal((take, dim)))
     return out
 
 
-def sample_integral2_spectral(f: SymTensor, n_samples: int,
+def sample_integral(f: Tensor, n_samples: int, rng: np.random.Generator,
+                    block: int = 4096) -> np.ndarray:
+    """Monte Carlo draws of I_n(f) from fresh standard-normal coordinates."""
+    d = f.dim if f.dim is not None else 1
+    return _blocked_draws(lambda xi: eval_integral(f, xi), d, n_samples,
+                          rng, block)
+
+
+@dataclass(frozen=True)
+class HSOperator:
+    """Symmetric Hilbert-Schmidt operator view of an order-2 kernel."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def hs_operator(kernel) -> HSOperator:
+    """Wrap an order-2 kernel (SymTensor or square array) as an operator.
+
+    A SymTensor is exactly symmetric and read-only, so its own array is
+    used.  Otherwise asymmetry beyond 1e-10 relative is rejected; below
+    that the input is symmetrized, since eigensolvers assume it anyway.
+    """
+    a = kernel.coeffs if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    m = a
+    if not isinstance(kernel, SymTensor):
+        s = np.max(np.abs(a))
+        if s > 0 and np.max(np.abs(a - a.T)) > 1e-10 * s:
+            raise ValueError("matrix is not symmetric (beyond 1e-10 relative)")
+        m = 0.5 * (a + a.T)
+        m.flags.writeable = False
+    lam = np.linalg.eigvalsh(m)
+    lam.flags.writeable = False
+    return HSOperator(matrix=m, eigenvalues=lam)
+
+
+def cumulant(op: HSOperator, order: int) -> float:
+    """Cumulant of I_2 of the kernel: kappa_j = 2^{j-1} (j-1)! sum lambda^j.
+
+    kappa_1 = 0 (centered), kappa_2 is the variance 2 sum lambda^2.
+    """
+    j = int(order)
+    if j < 1 or j != order:
+        raise ValueError(f"cumulant order must be a positive integer, got {order}")
+    if j == 1:
+        return 0.0
+    return float(2 ** (j - 1) * math.factorial(j - 1) * np.sum(op.eigenvalues**j))
+
+
+def char_function(op: HSOperator, freq):
+    """E[exp(i u I_2)] = prod_k exp(-i u lam_k) / sqrt(1 - 2 i u lam_k).
+
+    Evaluated in log space; 1 - 2iul has positive real part so the
+    principal branch is the right one.  Vectorized over freq.
+    """
+    u = np.asarray(freq, dtype=float)
+    z = 1.0 - 2.0j * np.multiply.outer(u, op.eigenvalues)
+    logphi = np.sum(-1.0j * np.multiply.outer(u, op.eigenvalues) - 0.5 * np.log(z), axis=-1)
+    out = np.exp(logphi)
+    return complex(out) if np.isscalar(freq) or np.asarray(freq).ndim == 0 else out
+
+
+def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
                               rng: np.random.Generator,
                               block: int = 8192) -> np.ndarray:
     """Draws of an order-2 integral through its eigendecomposition.
 
     I_2(F) equals sum_k lambda_k (eta_k^2 - 1) in distribution with eta
     i.i.d. standard normal, which costs O(d) per draw instead of O(d^2)
-    and is the workhorse for the large sweep grids.
+    and is the workhorse for the large sweep grids.  f is the kernel or
+    its HSOperator, whose spectrum is then reused.
     """
-    if f.order != 2:
-        raise ValueError("spectral sampling is for order-2 kernels")
-    lam = np.linalg.eigvalsh(f.coeffs)
-    out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        take = min(block, n_samples - done)
-        eta = rng.standard_normal((take, lam.size))
-        out[done:done + take] = (eta * eta - 1.0) @ lam
-        done += take
-    return out
+    if not isinstance(f, HSOperator):
+        if f.order != 2:
+            raise ValueError("spectral sampling is for order-2 kernels")
+        f = hs_operator(f)
+    lam = f.eigenvalues
+    return _blocked_draws(lambda eta: (eta * eta - 1.0) @ lam, lam.size,
+                          n_samples, rng, block)

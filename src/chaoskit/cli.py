@@ -24,14 +24,14 @@ import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .acceptance import CRITERION_NAMES, format_criterion, run_criteria
+from .acceptance import (CRITERION_NAMES, format_criterion, parallel_map,
+                         run_criteria)
 from .chaos import sample_integral2_spectral
 from .diagnostics import (
     disjoint_pair_kernel,
@@ -131,15 +131,6 @@ def _config_echo(args, keys):
         v = getattr(args, k)
         echo[k] = list(v) if isinstance(v, tuple) else v
     return echo
-
-
-def _parallel(worker, count: int, threads: int):
-    """Index-keyed map so output order never depends on thread timing."""
-    if threads <= 1 or count <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(worker, i) for i in range(count)]
-        return [f.result() for f in futs]
 
 
 # ------------------------------------------------------------- families
@@ -280,7 +271,7 @@ def _run_sweep(command, args, echo_keys) -> int:
     if command == "sweep-fbm" and args.family == "fbm-power":
         # schedule points are 2b+2H+1; the beta column reports beta itself
         params = [f.beta for f in funcs]
-    rows = _parallel(
+    rows = parallel_map(
         lambda i: _sweep_row(command, args, i, params[i], funcs[i]),
         len(funcs), args.threads)
     config = _config_echo(args, echo_keys)
@@ -548,16 +539,10 @@ def main(argv=None) -> int:
         _apply_config_file(top, argv)
         args = top.parse_args(argv)
         code = args.run(args)
-    except UsageError as e:
-        print(f"error: usage: {e}", file=sys.stderr)
-        return 1
-    except DegenerateModelError as e:
+    except (DegenerateModelError, np.linalg.LinAlgError) as e:
         print(f"error: numerical: {e}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as e:
-        print(f"error: numerical: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as e:
+    except (UsageError, ValueError, TypeError, OSError) as e:
         print(f"error: usage: {e}", file=sys.stderr)
         return 1
     print(f"{args.command}: wall time {time.monotonic() - t0:.1f}s",

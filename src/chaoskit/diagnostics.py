@@ -11,7 +11,8 @@ draws.
 A single order-2 integral, by contrast, is never Gaussian (its fourth
 moment exceeds 3 unless the kernel vanishes), and the operator view
 makes that quantitative: cumulants and the characteristic function are
-explicit in the kernel's eigenvalues.
+explicit in the kernel's eigenvalues (chaos.hs_operator, re-exported
+here).  The report takes each order-2 row from that one spectrum.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ import numpy as np
 from scipy.special import ndtr
 
 from .chaos import (
-    excess_kurtosis_exact,
+    HSOperator,
+    char_function,
+    cumulant,
     fourth_moment_exact,
+    hs_operator,
     sample_integral,
     sample_integral2_spectral,
     second_moment_exact,
 )
 from .rng import stream
-from .tensors import SymTensor, Tensor, contraction_norm_sq, scale, sym
+from .tensors import SymTensor, contraction_norm_sq, scale, sym
 
 __all__ = [
     "KSResult",
@@ -135,63 +139,6 @@ def summarize(samples) -> SampleSummary:
 
 
 @dataclass(frozen=True)
-class HSOperator:
-    """Symmetric Hilbert-Schmidt operator view of an order-2 kernel."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def hs_operator(kernel) -> HSOperator:
-    """Wrap an order-2 kernel (SymTensor or square array) as an operator.
-
-    Asymmetry beyond 1e-10 relative is rejected; below that the input is
-    symmetrized, since eigensolvers assume it anyway.
-    """
-    a = kernel.coeffs if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    s = np.max(np.abs(a))
-    if s > 0 and np.max(np.abs(a - a.T)) > 1e-10 * s:
-        raise ValueError("matrix is not symmetric (beyond 1e-10 relative)")
-    m = 0.5 * (a + a.T)
-    m.flags.writeable = False
-    lam = np.linalg.eigvalsh(m)
-    lam.flags.writeable = False
-    return HSOperator(matrix=m, eigenvalues=lam)
-
-
-def cumulant(op: HSOperator, order: int) -> float:
-    """Cumulant of I_2 of the kernel: kappa_j = 2^{j-1} (j-1)! sum lambda^j.
-
-    kappa_1 = 0 (centered), kappa_2 is the variance 2 sum lambda^2.
-    """
-    j = int(order)
-    if j < 1 or j != order:
-        raise ValueError(f"cumulant order must be a positive integer, got {order}")
-    if j == 1:
-        return 0.0
-    return float(2 ** (j - 1) * math.factorial(j - 1) * np.sum(op.eigenvalues**j))
-
-
-def char_function(op: HSOperator, freq):
-    """E[exp(i u I_2)] = prod_k exp(-i u lam_k) / sqrt(1 - 2 i u lam_k).
-
-    Evaluated in log space; 1 - 2iul has positive real part so the
-    principal branch is the right one.  Vectorized over freq.
-    """
-    u = np.asarray(freq, dtype=float)
-    z = 1.0 - 2.0j * np.multiply.outer(u, op.eigenvalues)
-    logphi = np.sum(-1.0j * np.multiply.outer(u, op.eigenvalues) - 0.5 * np.log(z), axis=-1)
-    out = np.exp(logphi)
-    return complex(out) if np.isscalar(freq) or np.asarray(freq).ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class KernelSequence:
     """A rule for producing order-n kernels along a finite schedule."""
 
@@ -272,19 +219,24 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
             degenerate = True
         g = scale(f, 1.0 / math.sqrt(v)) if (normalize and v > 0) else f
         rng = stream(seed, f"limit-report:{i}:{lab}")
-        if g.order == 2:
-            draws = sample_integral2_spectral(g, samples, rng)
-        else:
-            draws = sample_integral(g, samples, rng)
         m2 = second_moment_exact(g)
+        if g.order == 2:
+            # one spectrum: ||g (x)_1 g||^2 = sum lambda^4 = kappa_4 / 48
+            op = hs_operator(g)
+            contractions = (float(np.sum(op.eigenvalues**4)),)
+            m4 = 3.0 * m2 * m2 + 48.0 * contractions[0]
+            draws = sample_integral2_spectral(op, samples, rng)
+        else:
+            m4 = fourth_moment_exact(g)
+            contractions = tuple(contraction_norm_sq(g, p) for p in range(1, g.order))
+            draws = sample_integral(g, samples, rng)
         rows.append(KernelDiagnostics(
             label=str(lab),
             order=g.order,
             variance=m2,
-            fourth_moment=fourth_moment_exact(g),
-            excess_kurtosis=excess_kurtosis_exact(g) if m2 > 0 else math.nan,
-            contraction_norms_sq=tuple(
-                contraction_norm_sq(g, p) for p in range(1, g.order)),
+            fourth_moment=m4,
+            excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan,
+            contraction_norms_sq=contractions,
             ks=ks_against_std_normal(draws),
         ))
     if degenerate:

@@ -294,7 +294,7 @@ def _check_collocation(c: np.ndarray, d: int) -> None:
     if c.shape != (d, d):
         raise ValueError(f"collocation matrix has shape {c.shape}, expected {(d, d)}")
     if not np.all(np.isfinite(c)):
-        raise ValueError("collocation matrix has non-finite entries")
+        raise np.linalg.LinAlgError("collocation matrix has non-finite entries")
     scale = np.max(np.abs(c))
     if scale > 0 and np.max(np.abs(c - c.T)) > 1e-12 * scale:
         raise ValueError("kernel is not symmetric on the grid (beyond 1e-12 relative)")
@@ -312,7 +312,8 @@ def embed_kernel2(emb: GridEmbedding, kernel) -> SymTensor:
     I_2(M)(xi) reproduces the centered functional on the grid.
     """
     if emb.dim > _MAX_EMBED_DIM:
-        raise ValueError(f"embedding dimension {emb.dim} too large for a dense kernel")
+        raise np.linalg.LinAlgError(
+            f"embedding dimension {emb.dim} too large for a dense kernel")
     mids = emb.midpoints
     per_axis = isinstance(kernel, (list, tuple))
     if per_axis and len(kernel) != emb.ndim:

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chaos import eval_integral, sample_integral2_spectral
+from .chaos import cumulant, eval_integral, hs_operator, sample_integral2_spectral
 from .embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
@@ -34,15 +35,13 @@ from .embeddings import (
     build_embedding,
     embed_kernel2,
 )
-from .tensors import SymTensor, contraction_norm_sq, norm_sq
+from .tensors import SymTensor
 
 __all__ = [
     "FbmPowerVariation",
     "FbmSingularVariation",
     "SheetPowerVariation",
     "SheetSingularVariation",
-    "mean_exact",
-    "normalization",
     "chaos_kernel",
     "embed",
     "embed_on_grid",
@@ -224,21 +223,10 @@ def _check_family(func):
         raise TypeError(f"unknown functional family {type(func).__name__}")
 
 
-def mean_exact(func) -> float:
-    _check_family(func)
-    return func.mean_exact()
-
-
-def normalization(func) -> float:
-    """Factor multiplying the centered value in the normalized statistic."""
-    _check_family(func)
-    return func.normalization()
-
-
 def chaos_kernel(func, emb: GridEmbedding) -> SymTensor:
     """Order-2 kernel of F - E F in the embedding's coordinates."""
     _check_family(func)
-    if type(emb.model) is not type(func.model()) or emb.model != func.model():
+    if emb.model != func.model():
         raise ValueError(
             f"embedding is for {emb.model}, functional needs {func.model()}"
         )
@@ -272,24 +260,27 @@ class EmbeddedFunctional:
         """
         return self.scale * eval_integral(self.kernel, xi)
 
+    @cached_property
+    def operator(self):
+        """The kernel's HSOperator: every method below reads its one spectrum."""
+        return hs_operator(self.kernel)
+
     def variance_exact(self) -> float:
-        return 2.0 * norm_sq(self.kernel) * self.scale**2
+        return cumulant(self.operator, 2) * self.scale**2
 
     def excess_kurtosis_exact(self) -> float:
-        h2 = norm_sq(self.kernel)
-        h4 = contraction_norm_sq(self.kernel, 1)
-        return 48.0 * h4 / (2.0 * h2) ** 2
+        return cumulant(self.operator, 4) / cumulant(self.operator, 2) ** 2
 
     def kurtosis_exact(self) -> float:
         return 3.0 + self.excess_kurtosis_exact()
 
     def contraction_ratio(self) -> float:
         """||f (x)_1 f||^2 / ||f||^4, the scale-free fourth-moment certificate."""
-        h2 = norm_sq(self.kernel)
-        return contraction_norm_sq(self.kernel, 1) / (h2 * h2)
+        lam = self.operator.eigenvalues
+        return float(np.sum(lam**4) / np.sum(lam**2) ** 2)
 
     def sample_statistic(self, n_samples: int, rng) -> np.ndarray:
-        return self.scale * sample_integral2_spectral(self.kernel, n_samples, rng)
+        return self.scale * sample_integral2_spectral(self.operator, n_samples, rng)
 
 
 def embed(func, emb: GridEmbedding) -> EmbeddedFunctional:
@@ -319,7 +310,7 @@ def direct_evaluate(func, path: PathSample):
     value per draw in the sample.
     """
     _check_family(func)
-    if type(path.model) is not type(func.model()) or path.model != func.model():
+    if path.model != func.model():
         raise ValueError(f"path is from {path.model}, functional needs {func.model()}")
     nodes = np.asarray(path.nodes, dtype=float)
     mids = 0.5 * (nodes[:-1] + nodes[1:])

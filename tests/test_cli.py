@@ -228,6 +228,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: usage:"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    # dense kernel capacity: a 1024^2-cell sheet is a 1048576-dim embedding
+    ["diagnose", "--family", "sheet-power", "--dims", "2", "--cells", "1024"],
+    # a 2^-1000 cutoff overflows the tail-power collocation
+    ["diagnose", "--family", "fbm-power", "--cells", "16", "--octaves", "1000"],
+])
+def test_numerical_failures_exit_two(argv, capsys, tmp_path):
+    rc = cli.main(argv + ["--samples", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: numerical:")
+
+
 def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     def _boom(args):
         raise DegenerateModelError("covariance not positive definite",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chaoskit.chaos import (
+    excess_kurtosis_exact,
     fourth_moment_exact,
     sample_integral2_spectral,
     second_moment_exact,
@@ -20,12 +21,14 @@ from chaoskit.diagnostics import (
     paired_product_kernel,
     summarize,
 )
+from chaoskit.functionals import FbmPowerVariation, embed_on_grid
 from chaoskit.rng import stream
 from chaoskit.tensors import (
     SymTensor,
     basis_tensor,
     contraction_norm_sq,
     norm_sq,
+    scale,
     sym,
     symmetrize,
     tensor,
@@ -260,6 +263,20 @@ def test_report_degenerate_variance_undecided():
     z = sym(np.zeros((2, 2)))
     report = gaussian_limit_report([z, z], samples=200, seed=0)
     assert report.verdict == "undecided"
+    assert all(math.isnan(row.excess_kurtosis) for row in report)
+
+
+def test_report_order2_rows_match_tensor_route():
+    kernels = [embed_on_grid(FbmPowerVariation(0.75, b), 64).kernel
+               for b in (-0.3, 0.5)]
+    report = gaussian_limit_report(kernels, samples=200, seed=0)
+    for f, row in zip(kernels, report):
+        g = scale(f, 1.0 / math.sqrt(second_moment_exact(f)))
+        assert row.fourth_moment == pytest.approx(fourth_moment_exact(g), rel=1e-12)
+        assert row.excess_kurtosis == pytest.approx(excess_kurtosis_exact(g),
+                                                    rel=1e-12)
+        assert row.contraction_norms_sq == pytest.approx(
+            (contraction_norm_sq(g, 1),), rel=1e-12)
 
 
 def test_report_excess_nonnegative_invariant():

@@ -193,6 +193,32 @@ def test_embedded_moments_consistent_with_chaos_route():
         excess_kurtosis_exact(g), rel=1e-12)
 
 
+def test_embedded_functional_decomposes_its_kernel_once(monkeypatch):
+    import chaoskit.tensors as tensors
+
+    ef = embed_on_grid(FbmPowerVariation(0.75, -0.3), 48)
+    calls = {"eigvalsh": 0, "contract": 0}
+    eigvalsh, contract = np.linalg.eigvalsh, tensors.contract
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_contract(*args, **kwargs):
+        calls["contract"] += 1
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(tensors, "contract", counting_contract)
+    ef.variance_exact()
+    ef.excess_kurtosis_exact()
+    ef.kurtosis_exact()
+    ef.contraction_ratio()
+    ef.sample_statistic(100, stream(7, "func:once:a"))
+    ef.sample_statistic(100, stream(7, "func:once:b"))
+    assert calls == {"eigvalsh": 1, "contract": 0}
+
+
 def test_sample_statistic_matches_statistic_of_stream():
     ef = embed_on_grid(FbmPowerVariation(0.75, 0.0), 32)
     a = ef.sample_statistic(1000, stream(7, "func:sample"))
