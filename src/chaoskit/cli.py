@@ -58,8 +58,24 @@ _BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
 _EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
 
-_SYNTHETIC = ("clt-pairs", "constant-cross", "rank-one")
-_FUNCTIONAL = ("fbm-power", "fbm-singular", "sheet-power", "sheet-singular")
+# family -> kernel; k is the pair count of clt-pairs, ignored by the others
+_SYNTHETIC = {
+    "clt-pairs": disjoint_pair_kernel,
+    "constant-cross": lambda k: paired_product_kernel(),
+    "rank-one": lambda k: SymTensor(np.array([[1.0 / math.sqrt(2.0)]])),
+}
+# family -> (default schedule, functional at parameter p: beta for the
+# power families, eps for the singular ones)
+_FUNCTIONALS = {
+    "fbm-power": (_BETA_SCHEDULE,
+                  lambda a, p: FbmPowerVariation(a.hurst, p)),
+    "fbm-singular": (_EPS_SCHEDULE,
+                     lambda a, p: FbmSingularVariation(a.hurst, p)),
+    "sheet-power": (_SHEET_SCHEDULE,
+                    lambda a, p: SheetPowerVariation((p,) * a.dims)),
+    "sheet-singular": (_EPS_SCHEDULE,
+                       lambda a, p: SheetSingularVariation(a.dims, p)),
+}
 
 
 class UsageError(Exception):
@@ -136,29 +152,16 @@ def _config_echo(args, keys):
 # ------------------------------------------------------------- families
 
 
-def _rank_one_kernel() -> SymTensor:
-    return SymTensor(np.array([[1.0 / math.sqrt(2.0)]]))
+def _functional(args, p):
+    return _FUNCTIONALS[args.family][1](args, p)
 
 
-def _functional_schedule(args):
-    """Instantiate the functional family along its schedule."""
-    fam = args.family
-    if fam == "fbm-power":
-        xs = args.schedule or _BETA_SCHEDULE
-        funcs = [FbmPowerVariation(args.hurst, (x - 2.0 * args.hurst - 1.0) / 2.0)
-                 for x in xs]
-    elif fam == "fbm-singular":
-        xs = args.schedule or _EPS_SCHEDULE
-        funcs = [FbmSingularVariation(args.hurst, e) for e in xs]
-    elif fam == "sheet-power":
-        xs = args.schedule or _SHEET_SCHEDULE
-        funcs = [SheetPowerVariation((b,) * args.dims) for b in xs]
-    elif fam == "sheet-singular":
-        xs = args.schedule or _EPS_SCHEDULE
-        funcs = [SheetSingularVariation(args.dims, e) for e in xs]
-    else:
-        raise UsageError(f"unknown family {fam!r}")
-    return list(xs), funcs
+def _schedule(args):
+    """Schedule points as given, and the family parameter at each."""
+    xs = list(args.schedule or _FUNCTIONALS[args.family][0])
+    if args.family == "fbm-power":  # points are 2b+2H+1
+        return xs, [(x - 2.0 * args.hurst - 1.0) / 2.0 for x in xs]
+    return xs, xs
 
 
 # ------------------------------------------------------------- commands
@@ -166,26 +169,21 @@ def _functional_schedule(args):
 
 def _cmd_diagnose(args) -> int:
     fam = args.family
-    if fam in _SYNTHETIC:
-        if fam == "clt-pairs":
-            sched = [int(k) for k in (args.schedule or (4, 16, 64, 256))]
-            if any(k < 1 for k in sched):
-                raise UsageError("clt-pairs schedule entries must be >= 1")
-            kernels = [disjoint_pair_kernel(k) for k in sched]
-            labels = [str(k) for k in sched]
-        else:
-            count = len(args.schedule) if args.schedule else 4
-            base = (paired_product_kernel() if fam == "constant-cross"
-                    else _rank_one_kernel())
-            kernels = [base] * count
-            labels = [str(i + 1) for i in range(count)]
-    elif fam in _FUNCTIONAL:
-        xs, funcs = _functional_schedule(args)
-        kernels = [embed_on_grid(f, args.cells, args.grid, args.octaves).kernel
-                   for f in funcs]
+    if fam in _FUNCTIONALS:
+        xs, params = _schedule(args)
+        kernels = [embed_on_grid(_functional(args, p), args.cells, args.grid,
+                                 args.octaves).kernel for p in params]
         labels = [repr(float(x)) for x in xs]
-    else:
-        raise UsageError(f"unknown family {fam!r}")
+    elif fam == "clt-pairs":
+        sched = [int(k) for k in (args.schedule or (4, 16, 64, 256))]
+        if any(k < 1 for k in sched):
+            raise UsageError("clt-pairs schedule entries must be >= 1")
+        kernels = [disjoint_pair_kernel(k) for k in sched]
+        labels = [str(k) for k in sched]
+    else:  # a constant kernel; the schedule sets only the repeat count
+        count = len(args.schedule) if args.schedule else 4
+        kernels = [_SYNTHETIC[fam](None)] * count
+        labels = [str(i + 1) for i in range(count)]
 
     report = gaussian_limit_report(kernels, labels, samples=args.samples,
                                    seed=args.seed)
@@ -265,12 +263,9 @@ def _sweep_row(command, args, index, x, func):
 
 
 def _run_sweep(command, args, echo_keys) -> int:
-    xs, funcs = _functional_schedule(args)
+    xs, params = _schedule(args)  # the beta column reports beta itself
     args.schedule = tuple(float(x) for x in xs)  # echo the resolved schedule
-    params = xs
-    if command == "sweep-fbm" and args.family == "fbm-power":
-        # schedule points are 2b+2H+1; the beta column reports beta itself
-        params = [f.beta for f in funcs]
+    funcs = [_functional(args, p) for p in params]
     rows = parallel_map(
         lambda i: _sweep_row(command, args, i, params[i], funcs[i]),
         len(funcs), args.threads)
@@ -298,10 +293,7 @@ def _cmd_sweep_sheet(args) -> int:
     if args.family not in ("sheet-power", "sheet-singular"):
         raise UsageError(f"sweep-sheet family must be sheet-power or "
                          f"sheet-singular, got {args.family!r}")
-    if args.family == "sheet-power":
-        args.schedule = args.beta or _SHEET_SCHEDULE
-    else:
-        args.schedule = args.eps or _EPS_SCHEDULE
+    args.schedule = args.beta if args.family == "sheet-power" else args.eps
     return _run_sweep("sweep-sheet", args,
                       ("family", "dims", "schedule", "samples", "seed",
                        "cells", "grid", "octaves"))
@@ -311,26 +303,12 @@ def _cmd_sample(args) -> int:
     fam = args.family
     rng = stream(args.seed, f"sample:{fam}")
     if fam in _SYNTHETIC:
-        if fam == "clt-pairs":
-            kernel = disjoint_pair_kernel(args.k)
-        elif fam == "constant-cross":
-            kernel = paired_product_kernel()
-        else:
-            kernel = _rank_one_kernel()
-        draws = sample_integral2_spectral(kernel, args.samples, rng)
-    elif fam in _FUNCTIONAL:
-        if fam == "fbm-power":
-            func = FbmPowerVariation(args.hurst, args.beta)
-        elif fam == "fbm-singular":
-            func = FbmSingularVariation(args.hurst, args.eps)
-        elif fam == "sheet-power":
-            func = SheetPowerVariation((args.beta,) * args.dims)
-        else:
-            func = SheetSingularVariation(args.dims, args.eps)
+        draws = sample_integral2_spectral(_SYNTHETIC[fam](args.k), args.samples,
+                                          rng)
+    else:
+        func = _functional(args, args.beta if fam.endswith("power") else args.eps)
         ef = embed_on_grid(func, args.cells, args.grid, args.octaves)
         draws = ef.sample_statistic(args.samples, rng)
-    else:
-        raise UsageError(f"unknown family {fam!r}")
 
     su = summarize(draws)
     ks = ks_against_std_normal(draws)
@@ -439,7 +417,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("diagnose", help="Gaussian-limit trend report for a "
                        "built-in kernel family")
     p.add_argument("--family", default="clt-pairs",
-                   choices=_SYNTHETIC + _FUNCTIONAL)
+                   choices=(*_SYNTHETIC, *_FUNCTIONALS))
     p.add_argument("--schedule", type=_float_list, default=None,
                    help="comma-separated schedule (k values, 2b+2H+1 values, "
                         "eps values, or per-axis beta, by family); constant "
@@ -473,7 +451,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="raw Monte Carlo draws of one "
                        "built-in statistic")
     p.add_argument("--family", default="constant-cross",
-                   choices=_SYNTHETIC + _FUNCTIONAL)
+                   choices=(*_SYNTHETIC, *_FUNCTIONALS))
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--k", type=int, default=64,

@@ -3,10 +3,10 @@
 An embedding turns a covariance model restricted to a partition of
 [0, 1] (or [0, 1]^n) into a finite orthonormal system: the increment
 Gram matrix is factored as L L' and the columns of L express the
-increments through i.i.d. standard normals.  Kernels of quadratic
-functionals are then collocated on cell midpoints and conjugated into
-the same coordinates, so paths and chaos elements can be evaluated on
-shared draws.
+increments through i.i.d. standard normals.  The tail-mass kernels of
+weighted quadratic functionals are assembled in the same coordinates
+from their per-axis weights, in factored form M = B'B, so paths and
+chaos elements can be evaluated on shared draws.
 
 fBm Gram entries come from double differences of the covariance
 R_H(s, t) = (s^{2H} + t^{2H} - |t - s|^{2H}) / 2; the singular kernel
@@ -290,57 +290,60 @@ def build_embedding(model, cells: int, grid: str = "uniform",
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
-def _check_collocation(c: np.ndarray, d: int) -> None:
-    if c.shape != (d, d):
-        raise ValueError(f"collocation matrix has shape {c.shape}, expected {(d, d)}")
-    if not np.all(np.isfinite(c)):
-        raise np.linalg.LinAlgError("collocation matrix has non-finite entries")
-    scale = np.max(np.abs(c))
-    if scale > 0 and np.max(np.abs(c - c.T)) > 1e-12 * scale:
-        raise ValueError("kernel is not symmetric on the grid (beyond 1e-12 relative)")
+def _sqrt_tail_steps(lo: np.ndarray, hi: np.ndarray, expo: float) -> np.ndarray:
+    """sqrt of the mass of u^(2 expo) on [lo, hi], for 0 < lo <= hi.
+
+    Formed in log space as lo^(p/2) * sqrt(expm1(p log(hi/lo)) / p),
+    p = 2 expo + 1 (log(hi/lo) at the removable p = 0), so a step stays
+    representable when hi^p and lo^p are not.
+    """
+    p = 2.0 * expo + 1.0
+    x = np.log(hi / lo)
+    if p == 0.0:
+        return np.sqrt(x)
+    return lo ** (0.5 * p) * np.sqrt(np.expm1(p * x) / p)
 
 
-def embed_kernel2(emb: GridEmbedding, kernel) -> SymTensor:
-    """Represent a quadratic-functional kernel in embedding coordinates.
+def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
+    """Order-2 tail-mass kernel of a weighted quadratic functional.
 
-    kernel is either a single callable k(x, y) (vectorized; for the sheet
-    x and y carry a trailing ndim axis) or a sequence of per-axis
-    callables whose product is the kernel.  It is collocated on cell
-    midpoints, then conjugated: M = L' C L for path models, and
-    M = diag(sqrt volumes) C diag(sqrt volumes) for the sheet.  The
-    result is the order-2 kernel of the embedded chaos part, i.e.
-    I_2(M)(xi) reproduces the centered functional on the grid.
+    weights holds one (expo, cutoff) pair per axis: the weight
+    u^(2 expo) on [cutoff, 1].  Its tail mass g(x) = integral of the
+    weight over [max(x, cutoff), 1], collocated on cell midpoints m_i, is
+    semiseparable: C = sum_l step_l 1_{<=l} 1_{<=l}', where step_l is the
+    weight's mass between the clipped midpoints m_l and m_{l+1} (with
+    m_cells = 1).  So the conjugated kernel R'CR, with R the Cholesky
+    factor for fBm or diag(sqrt widths) per sheet axis, is B'B with
+    B = sqrt(step)[:, None] * cumsum(R, axis=0) and PSD by construction.
+    Cells below a cutoff have step 0 and drop out of B.  The sheet kernel
+    is the Kronecker product of its per-axis factors.  The result is the
+    order-2 kernel of the embedded chaos part, i.e. I_2(M)(xi) reproduces
+    the centered functional on the grid.
+
+    Raises numpy.linalg.LinAlgError when the dense kernel would be too
+    large, or when ||M||_F^4 is outside double range: every exact
+    order-2 moment is a power sum of the spectrum bounded by it.
     """
     if emb.dim > _MAX_EMBED_DIM:
         raise np.linalg.LinAlgError(
             f"embedding dimension {emb.dim} too large for a dense kernel")
-    mids = emb.midpoints
-    per_axis = isinstance(kernel, (list, tuple))
-    if per_axis and len(kernel) != emb.ndim:
-        raise ValueError(f"got {len(kernel)} axis kernels for {emb.ndim} axes")
-    if emb.chol is not None:
-        k = kernel[0] if per_axis else kernel
-        c = np.asarray(k(mids[:, None], mids[None, :]), dtype=float)
-        _check_collocation(c, emb.cells)
-        m = emb.chol.T @ c @ emb.chol
-        return SymTensor(0.5 * (m + m.T))
-    # sheet: diagonal conjugation; per-axis kernels keep factored exactness
-    if per_axis:
-        s = np.sqrt(emb.widths)
+    if len(weights) != emb.ndim:
+        raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
+    root = emb.chol if emb.chol is not None else np.diag(np.sqrt(emb.widths))
+    with np.errstate(all="ignore"):
+        rows = np.cumsum(root, axis=0)
         mats = []
-        for k in kernel:
-            c = np.asarray(k(mids[:, None], mids[None, :]), dtype=float)
-            _check_collocation(c, emb.cells)
-            m = s[:, None] * c * s[None, :]
-            mats.append(0.5 * (m + m.T))
-        return SymTensor(reduce(np.kron, mats))
-    pts = np.stack(np.meshgrid(*([mids] * emb.ndim), indexing="ij"), axis=-1)
-    pts = pts.reshape(emb.dim, emb.ndim)
-    c = np.asarray(kernel(pts[:, None, :], pts[None, :, :]), dtype=float)
-    _check_collocation(c, emb.dim)
-    sv = emb.sqrt_volumes
-    m = sv[:, None] * c * sv[None, :]
-    return SymTensor(0.5 * (m + m.T))
+        for expo, cutoff in weights:
+            m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
+            root_steps = _sqrt_tail_steps(m[:-1], m[1:], expo)
+            live = root_steps != 0.0
+            b = root_steps[live, None] * rows[live]
+            mats.append(b.T @ b)  # a rank-k update, exactly symmetric
+        out = reduce(np.kron, mats)
+        if not np.isfinite(np.linalg.norm(out) ** 4):
+            raise np.linalg.LinAlgError(
+                "kernel is outside double range (||M||_F^4 is not finite)")
+    return SymTensor(out)
 
 
 @dataclass(frozen=True)

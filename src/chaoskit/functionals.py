@@ -6,11 +6,13 @@ kernel is the weight's tail mass,
 
     f(s, t) = integral of weight(u) over {u >= s, u >= t, u in domain},
 
-because X(u) collects exactly the increments before u.  The families
-here degenerate as a parameter approaches a boundary (weight mass
-escaping to the origin, or a cutoff vanishing), and the normalized
-fluctuation approaches a Gaussian limit; the toolkit's diagnostics
-quantify how fast.
+because X(u) collects exactly the increments before u.  Every weight
+is a product over axes of u^(2 expo) on [cutoff, 1]; a family's
+axis_weights() lists those (expo, cutoff) pairs, and both routes below
+read them.  The families degenerate as a parameter approaches a
+boundary (weight mass escaping to the origin, or a cutoff vanishing),
+and the normalized fluctuation approaches a Gaussian limit; the
+toolkit's diagnostics quantify how fast.
 
 Two evaluation routes share one source of randomness: direct midpoint
 quadrature of a sampled path, and evaluation of the embedded order-2
@@ -51,23 +53,6 @@ __all__ = [
 ]
 
 
-def _tail_power_kernel(expo: float, cutoff: float = 0.0):
-    """k(x, y) = integral of u**expo du from max(x, y, cutoff) to 1.
-
-    expo = -1 is the removable case (antiderivative log u).
-    """
-    a = expo + 1.0
-    if a == 0.0:
-        def k(x, y):
-            lo = np.maximum(np.maximum(x, y), cutoff)
-            return -np.log(lo)
-    else:
-        def k(x, y):
-            lo = np.maximum(np.maximum(x, y), cutoff)
-            return (1.0 - lo**a) / a
-    return k
-
-
 @dataclass(frozen=True)
 class FbmPowerVariation:
     """F = integral over [0,1] of t^(2 beta) X_t^2 dt, X fBm with index hurst.
@@ -97,11 +82,7 @@ class FbmPowerVariation:
     def normalization(self) -> float:
         return math.sqrt(2.0 * self.beta + 2.0 * self.hurst + 1.0)
 
-    def axis_kernels(self):
-        return [_tail_power_kernel(2.0 * self.beta)]
-
-    def _axis_weights(self):
-        # weight t^(2 beta) applied as (t^beta * value)^2, no cutoff
+    def axis_weights(self):
         return [(self.beta, 0.0)]
 
 
@@ -132,10 +113,7 @@ class FbmSingularVariation:
     def normalization(self) -> float:
         return 1.0 / math.sqrt(math.log(1.0 / self.eps))
 
-    def axis_kernels(self):
-        return [_tail_power_kernel(-2.0 * self.hurst - 1.0, self.eps)]
-
-    def _axis_weights(self):
+    def axis_weights(self):
         return [(-self.hurst - 0.5, self.eps)]
 
 
@@ -174,10 +152,7 @@ class SheetPowerVariation:
             out *= 2.0 * b + 2.0
         return math.sqrt(out)
 
-    def axis_kernels(self):
-        return [_tail_power_kernel(2.0 * b) for b in self.betas]
-
-    def _axis_weights(self):
+    def axis_weights(self):
         return [(b, 0.0) for b in self.betas]
 
 
@@ -207,10 +182,7 @@ class SheetSingularVariation:
     def normalization(self) -> float:
         return math.log(1.0 / self.eps) ** (-0.5 * self.ndim)
 
-    def axis_kernels(self):
-        return [_tail_power_kernel(-2.0, self.eps) for _ in range(self.ndim)]
-
-    def _axis_weights(self):
+    def axis_weights(self):
         return [(-1.0, self.eps) for _ in range(self.ndim)]
 
 
@@ -230,7 +202,7 @@ def chaos_kernel(func, emb: GridEmbedding) -> SymTensor:
         raise ValueError(
             f"embedding is for {emb.model}, functional needs {func.model()}"
         )
-    return embed_kernel2(emb, func.axis_kernels())
+    return embed_kernel2(emb, func.axis_weights())
 
 
 @dataclass(frozen=True)
@@ -328,7 +300,7 @@ def direct_evaluate(func, path: PathSample):
     # fold mid^e into the value before squaring; cells below a cutoff are
     # zeroed first so their mid^e (which may not be representable) is
     # never formed
-    for a, (expo, cutoff) in enumerate(func._axis_weights()):
+    for a, (expo, cutoff) in enumerate(func.axis_weights()):
         half = np.zeros(mids.size)
         live = mids >= cutoff if cutoff > 0.0 else np.ones(mids.size, dtype=bool)
         half[live] = mids[live] ** expo

@@ -231,13 +231,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     # dense kernel capacity: a 1024^2-cell sheet is a 1048576-dim embedding
     ["diagnose", "--family", "sheet-power", "--dims", "2", "--cells", "1024"],
-    # a 2^-1000 cutoff overflows the tail-power collocation
+    # a first cell of width 2^-1000 puts the fbm-power kernel out of range
     ["diagnose", "--family", "fbm-power", "--cells", "16", "--octaves", "1000"],
+    # a finite kernel near 1e286: its exact fourth moment is out of range
+    ["sweep-fbm", "--family", "fbm-power", "--schedule", "0.1", "--cells", "16",
+     "--octaves", "720"],
 ])
 def test_numerical_failures_exit_two(argv, capsys, tmp_path):
     rc = cli.main(argv + ["--samples", "100", "--out", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: numerical:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):

@@ -135,58 +135,84 @@ def test_sheet_gram_is_kron_of_axis_volumes():
     assert emb.dim == 64
 
 
+def _tail_mass_oracle(emb, expo, cutoff=0.0):
+    """Collocation C[i,j] = integral of u^(2 expo) over [max(m_i, m_j, cutoff), 1]."""
+    mids = emb.midpoints
+    lo = np.maximum(np.maximum(mids[:, None], mids[None, :]), cutoff)
+    p = 2.0 * expo + 1.0
+    return -np.log(lo) if p == 0.0 else (1.0 - lo**p) / p
+
+
+def _conjugated_oracle(emb, expo, cutoff=0.0):
+    c = _tail_mass_oracle(emb, expo, cutoff)
+    if emb.chol is not None:
+        return emb.chol.T @ c @ emb.chol
+    s = np.sqrt(emb.widths)
+    return s[:, None] * c * s[None, :]
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 def test_gram_matrix_size_guard():
     emb = build_embedding(BrownianSheet(2), 128)
     assert emb.dim == 16384
     with pytest.raises(ValueError):
         emb.gram_matrix()
     with pytest.raises(ValueError):
-        embed_kernel2(emb, lambda x, y: np.ones(np.broadcast(x, y).shape[:-1]))
+        embed_kernel2(emb, [(0.0, 0.0), (0.0, 0.0)])
 
 
-def test_embed_constant_kernel_on_bm():
-    d = 16
-    emb = build_embedding(brownian_motion(), d)
-    m = embed_kernel2(emb, lambda s, t: np.ones_like(s * t))
-    np.testing.assert_allclose(m.coeffs, np.full((d, d), 1.0 / d), atol=1e-14)
-    assert norm_sq(m) == pytest.approx(1.0)
+def test_embed_bm_uniform_matches_oracle():
+    emb = build_embedding(brownian_motion(), 16)
+    m = embed_kernel2(emb, [(0.0, 0.0)])
+    _assert_rel_close(m.coeffs, _conjugated_oracle(emb, 0.0))
 
 
-def test_embed_constant_kernel_on_fbm_d1():
+def test_embed_geometric_fbm_cutoff_matches_oracle():
+    # cells below the cutoff drop out of the factor but not of the kernel
+    emb = build_embedding(FractionalBrownianMotion(0.75), 64, "geometric")
+    m = embed_kernel2(emb, [(-1.25, 1e-3)])
+    _assert_rel_close(m.coeffs, _conjugated_oracle(emb, -1.25, 1e-3))
+
+
+def test_embed_removable_power_matches_oracle():
+    # 2 expo + 1 = 0: the tail mass is -log max(s, t)
+    emb = build_embedding(FractionalBrownianMotion(0.6), 32, "geometric", 16.0)
+    m = embed_kernel2(emb, [(-0.5, 0.0)])
+    _assert_rel_close(m.coeffs, _conjugated_oracle(emb, -0.5))
+
+
+def test_embed_fbm_d1_is_tail_mass():
     emb = build_embedding(FractionalBrownianMotion(0.7), 1)
-    m = embed_kernel2(emb, lambda s, t: np.ones_like(s * t))
-    np.testing.assert_allclose(m.coeffs, [[1.0]])
+    m = embed_kernel2(emb, [(1.0, 0.0)])
+    np.testing.assert_allclose(m.coeffs, [[(1.0 - 0.5**3) / 3.0]], rtol=1e-15)
 
 
 def test_embed_max_kernel_variance_refines_to_one():
-    # K(s,t) = s v t has 2 ||K||^2 = 1 in the continuum
+    # weight 1: K(s,t) = 1 - s v t has 2 ||K||^2 = 1/3 in the continuum
     gaps = []
     for d in (64, 256):
         emb = build_embedding(brownian_motion(), d)
-        m = embed_kernel2(emb, np.maximum)
-        gaps.append(abs(2.0 * norm_sq(m) - 1.0))
+        m = embed_kernel2(emb, [(0.0, 0.0)])
+        gaps.append(abs(6.0 * norm_sq(m) - 1.0))
     assert gaps[0] < 0.05
     assert gaps[1] < gaps[0]
-
-
-def test_embed_rejects_asymmetric_kernel():
-    emb = build_embedding(brownian_motion(), 8)
-    with pytest.raises(ValueError):
-        embed_kernel2(emb, lambda s, t: s + 0.0 * t)
 
 
 def test_embed_rejects_wrong_axis_count():
     emb = build_embedding(BrownianSheet(2), 8)
     with pytest.raises(ValueError):
-        embed_kernel2(emb, [np.maximum])
+        embed_kernel2(emb, [(0.0, 0.0)])
 
 
-def test_sheet_per_axis_matches_full_callable():
-    emb = build_embedding(BrownianSheet(2), 8)
-    m_axis = embed_kernel2(emb, [np.maximum, np.maximum])
-    full = lambda x, y: np.prod(np.maximum(x, y), axis=-1)
-    m_full = embed_kernel2(emb, full)
-    np.testing.assert_allclose(m_axis.coeffs, m_full.coeffs, atol=1e-12)
+def test_embed_sheet_is_kron_of_axes():
+    emb = build_embedding(BrownianSheet(2), 8, "geometric")
+    weights = [(-0.9, 0.0), (-1.0, 1e-2)]
+    m = embed_kernel2(emb, weights)
+    want = np.kron(*(_conjugated_oracle(emb, e, c) for e, c in weights))
+    _assert_rel_close(m.coeffs, want)
 
 
 def test_sample_path_fbm_marginal_variances():

@@ -15,6 +15,7 @@ from chaoskit.functionals import (
     FbmSingularVariation,
     SheetPowerVariation,
     SheetSingularVariation,
+    chaos_kernel,
     direct_evaluate,
     embed,
     embed_on_grid,
@@ -60,25 +61,40 @@ def test_sheet_power_parameter_domain():
 # ------------------------------------------------------- means / kernels
 
 
+def _kernel_oracle(emb, tail_mass):
+    """Collocate a per-axis tail mass on midpoints and conjugate it."""
+    mids = emb.midpoints
+    c = tail_mass(np.maximum(mids[:, None], mids[None, :]))
+    if emb.chol is not None:
+        return emb.chol.T @ c @ emb.chol
+    s = np.sqrt(emb.widths)
+    return s[:, None] * c * s[None, :]
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 def test_fbm_power_mean_and_kernel_at_half():
     # H = 1/2, beta = 0: mean 1/2 and K(s,t) = 1 - s v t
     f = FbmPowerVariation(0.5, 0.0)
     assert f.mean_exact() == pytest.approx(0.5)
     assert f.normalization() == pytest.approx(math.sqrt(2.0))
-    k = f.axis_kernels()[0]
-    s = np.array([0.2, 0.7, 0.4])
-    t = np.array([0.5, 0.1, 0.4])
-    np.testing.assert_allclose(k(s, t), 1.0 - np.maximum(s, t))
+    assert f.axis_weights() == [(0.0, 0.0)]
+    emb = build_embedding(f.model(), 32, "geometric")
+    _assert_rel_close(chaos_kernel(f, emb).coeffs,
+                      _kernel_oracle(emb, lambda x: 1.0 - x))
 
 
 def test_fbm_singular_mean_and_kernel():
-    f = FbmSingularVariation(0.5, math.exp(-1.0))
+    eps = math.exp(-1.0)
+    f = FbmSingularVariation(0.5, eps)
     assert f.mean_exact() == pytest.approx(1.0)
     # H = 1/2: K(s,t) = 1/(eps v s v t) - 1
-    k = f.axis_kernels()[0]
-    eps = math.exp(-1.0)
-    assert k(0.1, 0.2) == pytest.approx(1.0 / eps - 1.0)
-    assert k(0.9, 0.5) == pytest.approx(1.0 / 0.9 - 1.0)
+    assert f.axis_weights() == [(-1.0, eps)]
+    emb = build_embedding(f.model(), 32)
+    _assert_rel_close(chaos_kernel(f, emb).coeffs,
+                      _kernel_oracle(emb, lambda x: 1.0 / np.maximum(x, eps) - 1.0))
 
 
 def test_sheet_power_mean():
@@ -89,9 +105,11 @@ def test_sheet_power_mean():
 def test_sheet_singular_mean_and_kernel():
     f = SheetSingularVariation(2, 1e-2)
     assert f.mean_exact() == pytest.approx(math.log(100.0) ** 2)
-    k = f.axis_kernels()[0]
-    assert k(0.001, 0.005) == pytest.approx(100.0 - 1.0)
-    assert k(0.5, 0.25) == pytest.approx(1.0)
+    # per axis K(s,t) = 1/(eps v s v t) - 1
+    assert f.axis_weights() == [(-1.0, 1e-2)] * 2
+    emb = build_embedding(f.model(), 8, "geometric")
+    axis = _kernel_oracle(emb, lambda x: 1.0 / np.maximum(x, 1e-2) - 1.0)
+    _assert_rel_close(chaos_kernel(f, emb).coeffs, np.kron(axis, axis))
 
 
 # --------------------------------------------------------- direct route
