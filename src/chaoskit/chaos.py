@@ -273,7 +273,11 @@ def sample_integral(f: Tensor, n_samples: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class HSOperator:
-    """Symmetric Hilbert-Schmidt operator view of an order-2 kernel."""
+    """Symmetric Hilbert-Schmidt operator view of an order-2 kernel.
+
+    eigenvalues may omit structural zeros of matrix (size <= dim); power
+    sums, cumulants and draws read eigenvalues only.
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -337,9 +341,11 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
     """Draws of an order-2 integral through its eigendecomposition.
 
     I_2(F) equals sum_k lambda_k (eta_k^2 - 1) in distribution with eta
-    i.i.d. standard normal, which costs O(d) per draw instead of O(d^2)
-    and is the workhorse for the large sweep grids.  f is the kernel or
-    its HSOperator, whose spectrum is then reused.
+    i.i.d. standard normal, which costs eigenvalues.size normals per draw
+    instead of O(d^2) work and is the workhorse for the large sweep
+    grids.  f is the kernel or its HSOperator, whose spectrum is then
+    reused; an operator whose eigenvalues omit structural zeros (size
+    below dim) draws only for the eigenvalues it holds.
     """
     if not isinstance(f, HSOperator):
         if f.order != 2:

@@ -228,6 +228,9 @@ _SWEEP_COLUMNS = [
     ("excess_exact", "float", "exact excess kurtosis of the discretized statistic"),
     ("contraction_ratio", "float",
      "||f x_1 f||^2 / ||f||^4, the fourth-moment gap in contraction form"),
+    ("spectral_rank", "int",
+     "eigenvalues the sampler draws one normal each for: the product of "
+     "the live cells per axis"),
     ("mc_mean", "float", "Monte Carlo mean of the statistic"),
     ("mc_variance", "float", "Monte Carlo variance"),
     ("mc_skewness", "float", "Monte Carlo skewness"),
@@ -256,7 +259,7 @@ def _sweep_row(command, args, index, x, func):
             args.dims if args.family.startswith("sheet") else None,
             x if power else None, None if power else x,
             closed, ef.variance_exact(), ef.excess_kurtosis_exact(),
-            ef.contraction_ratio(),
+            ef.contraction_ratio(), ef.operator.eigenvalues.size,
             su.mean, su.variance, su.skewness, su.kurtosis,
             su.se_mean, su.se_variance, su.se_skewness, su.se_kurtosis,
             ks.statistic, ks.threshold, ks.passed)
@@ -272,8 +275,8 @@ def _run_sweep(command, args, echo_keys) -> int:
     config = _config_echo(args, echo_keys)
     results = {
         "rows": len(rows),
-        "final_mc_kurtosis": rows[-1][13],
-        "final_ks_pass": rows[-1][20],
+        "final_mc_kurtosis": rows[-1][14],
+        "final_ks_pass": rows[-1][21],
     }
     _emit(args.out, command, _SWEEP_COLUMNS, rows, config, results)
     print(f"{command}: {len(rows)} schedule points", file=sys.stderr)
@@ -281,18 +284,12 @@ def _run_sweep(command, args, echo_keys) -> int:
 
 
 def _cmd_sweep_fbm(args) -> int:
-    if args.family not in ("fbm-power", "fbm-singular"):
-        raise UsageError(f"sweep-fbm family must be fbm-power or fbm-singular, "
-                         f"got {args.family!r}")
     return _run_sweep("sweep-fbm", args,
                       ("family", "hurst", "schedule", "samples", "seed",
                        "cells", "grid", "octaves"))
 
 
 def _cmd_sweep_sheet(args) -> int:
-    if args.family not in ("sheet-power", "sheet-singular"):
-        raise UsageError(f"sweep-sheet family must be sheet-power or "
-                         f"sheet-singular, got {args.family!r}")
     args.schedule = args.beta if args.family == "sheet-power" else args.eps
     return _run_sweep("sweep-sheet", args,
                       ("family", "dims", "schedule", "samples", "seed",

@@ -39,6 +39,7 @@ __all__ = [
     "GridEmbedding",
     "build_embedding",
     "embed_kernel2",
+    "kernel2_spectrum",
     "sample_path",
     "PathSample",
     "DegenerateModelError",
@@ -304,8 +305,8 @@ def _sqrt_tail_steps(lo: np.ndarray, hi: np.ndarray, expo: float) -> np.ndarray:
     return lo ** (0.5 * p) * np.sqrt(np.expm1(p * x) / p)
 
 
-def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
-    """Order-2 tail-mass kernel of a weighted quadratic functional.
+def _kernel2_factors(emb: GridEmbedding, weights) -> list:
+    """Per-axis factors B_a of the order-2 tail-mass kernel M = kron_a B_a'B_a.
 
     weights holds one (expo, cutoff) pair per axis: the weight
     u^(2 expo) on [cutoff, 1].  Its tail mass g(x) = integral of the
@@ -314,11 +315,31 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     weight's mass between the clipped midpoints m_l and m_{l+1} (with
     m_cells = 1).  So the conjugated kernel R'CR, with R the Cholesky
     factor for fBm or diag(sqrt widths) per sheet axis, is B'B with
-    B = sqrt(step)[:, None] * cumsum(R, axis=0) and PSD by construction.
-    Cells below a cutoff have step 0 and drop out of B.  The sheet kernel
-    is the Kronecker product of its per-axis factors.  The result is the
-    order-2 kernel of the embedded chaos part, i.e. I_2(M)(xi) reproduces
-    the centered functional on the grid.
+    B = sqrt(step)[:, None] * cumsum(R, axis=0).  Cells below a cutoff
+    have step 0 and drop out: B_a has one row per live cell, which bounds
+    the rank of B_a'B_a by structure alone.
+    """
+    if len(weights) != emb.ndim:
+        raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
+    root = emb.chol if emb.chol is not None else np.diag(np.sqrt(emb.widths))
+    factors = []
+    with np.errstate(all="ignore"):
+        rows = np.cumsum(root, axis=0)
+        for expo, cutoff in weights:
+            m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
+            root_steps = _sqrt_tail_steps(m[:-1], m[1:], expo)
+            live = root_steps != 0.0
+            factors.append(root_steps[live, None] * rows[live])
+    return factors
+
+
+def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
+    """Order-2 tail-mass kernel of a weighted quadratic functional.
+
+    M = B'B per axis from _kernel2_factors, PSD by construction, and the
+    Kronecker product of the axes for the sheet.  The result is the
+    order-2 kernel of the embedded chaos part, i.e. I_2(M)(xi)
+    reproduces the centered functional on the grid.
 
     Raises numpy.linalg.LinAlgError when the dense kernel would be too
     large, or when ||M||_F^4 is outside double range: every exact
@@ -327,23 +348,29 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     if emb.dim > _MAX_EMBED_DIM:
         raise np.linalg.LinAlgError(
             f"embedding dimension {emb.dim} too large for a dense kernel")
-    if len(weights) != emb.ndim:
-        raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
-    root = emb.chol if emb.chol is not None else np.diag(np.sqrt(emb.widths))
+    factors = _kernel2_factors(emb, weights)
     with np.errstate(all="ignore"):
-        rows = np.cumsum(root, axis=0)
-        mats = []
-        for expo, cutoff in weights:
-            m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
-            root_steps = _sqrt_tail_steps(m[:-1], m[1:], expo)
-            live = root_steps != 0.0
-            b = root_steps[live, None] * rows[live]
-            mats.append(b.T @ b)  # a rank-k update, exactly symmetric
-        out = reduce(np.kron, mats)
+        # each b'b is a rank-k update, exactly symmetric
+        out = reduce(np.kron, [b.T @ b for b in factors])
         if not np.isfinite(np.linalg.norm(out) ** 4):
             raise np.linalg.LinAlgError(
                 "kernel is outside double range (||M||_F^4 is not finite)")
     return SymTensor(out)
+
+
+def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
+    """Eigenvalues of embed_kernel2(emb, weights) without structural zeros.
+
+    M = kron_a B_a'B_a, and the nonzero eigenvalues of B_a'B_a are those
+    of the small Gram B_a B_a' (k_a x k_a, one row per live cell), so
+    M's are the products of the per-axis Gram spectra: prod_a k_a values,
+    ascending and read-only.  The count comes from the live rows alone,
+    never from a cutoff on the eigenvalues.
+    """
+    grams = [np.linalg.eigvalsh(b @ b.T) for b in _kernel2_factors(emb, weights)]
+    lam = np.sort(reduce(np.multiply.outer, grams), axis=None)
+    lam.flags.writeable = False
+    return lam
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chaos import cumulant, eval_integral, hs_operator, sample_integral2_spectral
+from .chaos import HSOperator, cumulant, eval_integral, sample_integral2_spectral
 from .embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
@@ -36,6 +36,7 @@ from .embeddings import (
     PathSample,
     build_embedding,
     embed_kernel2,
+    kernel2_spectrum,
 )
 from .tensors import SymTensor
 
@@ -234,8 +235,14 @@ class EmbeddedFunctional:
 
     @cached_property
     def operator(self):
-        """The kernel's HSOperator: every method below reads its one spectrum."""
-        return hs_operator(self.kernel)
+        """The kernel's HSOperator: every method below reads its one spectrum.
+
+        The spectrum comes from the kernel's per-axis factors
+        (embeddings.kernel2_spectrum): the product over axes of the live
+        cells, not dim, eigenvalues, and a draw costs one normal each.
+        """
+        lam = kernel2_spectrum(self.embedding, self.functional.axis_weights())
+        return HSOperator(matrix=self.kernel.coeffs, eigenvalues=lam)
 
     def variance_exact(self) -> float:
         return cumulant(self.operator, 2) * self.scale**2

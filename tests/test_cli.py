@@ -118,6 +118,21 @@ def test_sweep_byte_identical_across_thread_counts(tmp_path):
     assert _bytes(d1, "sweep-fbm") == _bytes(d2, "sweep-fbm")
 
 
+def test_sweep_spectral_rank_column(tmp_path):
+    d1, d2 = tmp_path / "t1", tmp_path / "t2"
+    argv = ["sweep-fbm", "--family", "fbm-singular", "--cells", "64",
+            "--samples", "500", "--schedule", "1e-1,1e-2", "--seed", "5"]
+    assert cli.main(argv + ["--threads", "1", "--out", str(d1)]) == 0
+    assert cli.main(argv + ["--threads", "2", "--out", str(d2)]) == 0
+    assert _bytes(d1, "sweep-fbm") == _bytes(d2, "sweep-fbm")
+    ranks = [int(r["spectral_rank"]) for r in _rows(d1, "sweep-fbm")]
+    # fewer live cells than the 64 of the grid, more as eps falls
+    assert 0 < ranks[0] < ranks[1] < 64
+    schema = {c["name"]: c["type"]
+              for c in _schema(d1, "sweep-fbm")["columns"]}
+    assert schema["spectral_rank"] == "int"
+
+
 # ------------------------------------------------------------- commands
 
 

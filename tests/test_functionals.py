@@ -7,6 +7,7 @@ from chaoskit import reference
 from chaoskit.chaos import (
     excess_kurtosis_exact,
     fourth_moment_exact,
+    hs_operator,
     second_moment_exact,
 )
 from chaoskit.embeddings import BrownianSheet, PathSample, build_embedding, sample_path
@@ -235,6 +236,47 @@ def test_embedded_functional_decomposes_its_kernel_once(monkeypatch):
     ef.sample_statistic(100, stream(7, "func:once:a"))
     ef.sample_statistic(100, stream(7, "func:once:b"))
     assert calls == {"eigvalsh": 1, "contract": 0}
+
+
+@pytest.mark.parametrize("eps, rank", [(1e-1, 4), (1e-2, 8), (1e-3, 11),
+                                       (1e-4, 14)])
+def test_factored_spectrum_has_live_rank(eps, rank):
+    # criterion 8's grid: only the cells above eps carry a row of B
+    ef = embed_on_grid(FbmSingularVariation(0.75, eps), 512, "geometric", 511)
+    lam = ef.operator.eigenvalues
+    dense = hs_operator(ef.kernel).eigenvalues
+    assert lam.size == rank
+    assert ef.operator.dim == 512
+    for j in (2, 4):
+        assert np.sum(lam**j) == pytest.approx(np.sum(dense**j), rel=1e-12)
+
+
+def test_factored_sheet_spectrum_matches_dense_kron():
+    ef = embed_on_grid(SheetPowerVariation((-0.9, -0.9)), 16, "geometric", 8)
+    lam = ef.operator.eigenvalues
+    dense = hs_operator(ef.kernel).eigenvalues
+    assert lam.size == dense.size == 256
+    scale_ = np.max(np.abs(dense))
+    assert np.max(np.abs(np.sort(lam) - dense)) <= 1e-12 * scale_
+
+
+def test_sample_statistic_draws_one_normal_per_eigenvalue():
+    class Recording:
+        def __init__(self, gen):
+            self.gen, self.sizes = gen, []
+
+        def standard_normal(self, size):
+            self.sizes.append(size)
+            return self.gen.standard_normal(size)
+
+    ef = embed_on_grid(FbmSingularVariation(0.75, 1e-2), 64, "geometric")
+    rank = ef.operator.eigenvalues.size
+    assert rank < ef.embedding.dim
+    rng = Recording(stream(7, "func:rank"))
+    draws = ef.sample_statistic(10000, rng)
+    assert draws.shape == (10000,)
+    assert all(size[1] == rank for size in rng.sizes)
+    assert sum(math.prod(size) for size in rng.sizes) == 10000 * rank
 
 
 def test_sample_statistic_matches_statistic_of_stream():
