@@ -16,7 +16,6 @@ computes second and fourth moments in closed form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ from .tensors import (
 
 __all__ = [
     "hermite",
-    "hermite_table",
     "eval_integral",
     "ChaosElement",
     "eval_chaos_element",
@@ -60,18 +58,13 @@ def hermite(k: int, x):
     if k < 0 or k != int(k):
         raise ValueError("degree must be a nonnegative integer")
     x = np.asarray(x, dtype=float)
-    return hermite_table(int(k), x)[-1]
+    prev, he = np.zeros_like(x), np.ones_like(x)
+    for j in range(int(k)):
+        prev, he = he, x * he - j * prev
+    return he
 
 
-def hermite_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """He_0..He_kmax stacked along a new leading axis."""
-    out = np.empty((kmax + 1,) + x.shape)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = x
-    for k in range(1, kmax):
-        out[k + 1] = x * out[k] - k * out[k - 1]
-    return out
+_ROW_BLOCK = 1 << 20  # entries of the rows x d^(n-1) working array
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -81,14 +74,20 @@ def eval_integral(f: Tensor, xi) -> np.ndarray | float:
     ----------
     f : Tensor
         Kernel of order n.  Only the symmetric part contributes to the
-        integral, so a SymTensor is expected; plain tensors are accepted
-        and symmetrized implicitly for orders >= 3 (the n <= 2 paths are
-        already symmetric in effect).
+        integral; a plain Tensor of any order is symmetrized on entry.
     xi : array_like
         Shape (d,) or (N, d).  Returns a scalar or an (N,) array.
 
-    For n = 1 this is f . xi; for n = 2 it is xi'F xi - trace(F); higher
-    orders walk the sorted index tuples.
+    Every order goes through the Hermite expansion of a multiple integral
+
+        I_n(f)(x) = sum_{k=0}^{n//2} (-1)^k n! / (2^k k! (n-2k)!)
+                    <tr^k f, x^(x)(n-2k)>,
+
+    where tr^k f contracts k pairs of slots.  It is evaluated Horner-style:
+    contract x into one slot at a time and add the scaled k-fold trace
+    when n - 2k slots are left.  The cost is O(N d^n).  Rows go through in
+    fixed blocks, so the rows x d^(n-1) working array holds at most
+    _ROW_BLOCK entries (or one row, if d^(n-1) is larger) whatever N is.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
@@ -96,37 +95,31 @@ def eval_integral(f: Tensor, xi) -> np.ndarray | float:
         xi = xi[None, :]
     if xi.ndim != 2:
         raise ValueError("xi must have shape (d,) or (N, d)")
-    n = f.order
-    if n == 0:
-        out = np.full(xi.shape[0], f.coeffs[()])
-        return float(out[0]) if single else out
-    if f.dim != xi.shape[1]:
-        raise ValueError(f"kernel dimension {f.dim} vs coordinate dimension {xi.shape[1]}")
-    a = f.coeffs
-    if n == 1:
-        out = xi @ a
-    elif n == 2:
-        s = 0.5 * (a + a.T)
-        out = np.einsum("ni,ij,nj->n", xi, s, xi) - np.trace(s)
-    else:
-        if not isinstance(f, SymTensor):
-            f = symmetrize(f)
-            a = f.coeffs
-        d = f.dim
-        ht = hermite_table(n, xi)  # (n+1, N, d)
-        out = np.zeros(xi.shape[0])
-        for t in itertools.combinations_with_replacement(range(d), n):
-            c = a[t]
-            if c == 0.0:
-                continue
-            coords, mults = np.unique(t, return_counts=True)
-            w = c * math.factorial(n)
-            for m in mults:
-                w /= math.factorial(m)
-            term = ht[mults[0], :, coords[0]].copy()
-            for j in range(1, len(coords)):
-                term *= ht[mults[j], :, coords[j]]
-            out += w * term
+    n, d = f.order, xi.shape[1]
+    if n and f.dim != d:
+        raise ValueError(f"kernel dimension {f.dim} vs coordinate dimension {d}")
+    if not isinstance(f, SymTensor):
+        f = symmetrize(f)
+    # (-1)^k C(n, 2k) (2k-1)!! tr^k f as a row, keyed by its order n - 2k
+    traces, t = {}, f.coeffs
+    for k in range(n // 2 + 1):
+        c = (-1) ** k * math.comb(n, 2 * k) * math.prod(range(1, 2 * k, 2))
+        traces[n - 2 * k] = c * t.reshape(1, -1)
+        if t.ndim >= 2:
+            t = np.trace(t, axis1=-2, axis2=-1)
+    rows = max(1, _ROW_BLOCK // d ** max(n - 1, 0))
+    out = np.empty(xi.shape[0])
+    for start in range(0, xi.shape[0], rows):
+        x = xi[start:start + rows]
+        v = traces[n]
+        for m in range(n - 1, -1, -1):  # contract one slot: (rows, d^m)
+            if m == n - 1:  # f is shared by all rows: one matrix product
+                v = x @ v.reshape(d, -1)
+            else:
+                v = (v.reshape(len(x), -1, d) @ x[:, :, None])[:, :, 0]
+            if m in traces:
+                v += traces[m]
+        out[start:start + rows] = v[:, 0]
     return float(out[0]) if single else out
 
 

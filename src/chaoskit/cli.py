@@ -175,9 +175,10 @@ def _cmd_diagnose(args) -> int:
                                  args.octaves).kernel for p in params]
         labels = [repr(float(x)) for x in xs]
     elif fam == "clt-pairs":
-        sched = [int(k) for k in (args.schedule or (4, 16, 64, 256))]
-        if any(k < 1 for k in sched):
-            raise UsageError("clt-pairs schedule entries must be >= 1")
+        sched = args.schedule or (4, 16, 64, 256)
+        if any(k < 1 or not float(k).is_integer() for k in sched):
+            raise UsageError("clt-pairs schedule entries must be integers >= 1")
+        sched = [int(k) for k in sched]
         kernels = [disjoint_pair_kernel(k) for k in sched]
         labels = [str(k) for k in sched]
     else:  # a constant kernel; the schedule sets only the repeat count

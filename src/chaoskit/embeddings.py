@@ -125,7 +125,10 @@ def geometric_nodes(cells: int, octaves: float | None = None) -> np.ndarray:
     Interior nodes are log-uniform between 2^-octaves and 1, so
     consecutive cell widths shrink by the constant factor
     2^(octaves/(cells-1)) toward the origin; the default
-    octaves = cells - 1 makes that factor exactly 2.
+    octaves = cells - 1 makes that factor exactly 2.  Raises ValueError
+    when the nodes, as doubles, are not strictly increasing: below
+    2^-1074 they round to 0, and subnormal rounding can merge neighbors
+    (the default octaves reach that limit past 1075 cells).
     """
     if cells < 2:
         raise ValueError("a geometric grid needs at least two cells")
@@ -135,7 +138,11 @@ def geometric_nodes(cells: int, octaves: float | None = None) -> np.ndarray:
         raise ValueError(f"octaves must be positive, got {octaves}")
     i = np.arange(1, cells + 1, dtype=float)
     expo = -octaves * (1.0 - (i - 1.0) / (cells - 1.0))
-    return np.concatenate(([0.0], np.exp2(expo)))
+    nodes = np.concatenate(([0.0], np.exp2(expo)))
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ValueError(f"{cells} cells over {octaves:g} octaves leave "
+                         f"double range: the nodes are not strictly increasing")
+    return nodes
 
 
 def _pow_diff(big: np.ndarray, small: np.ndarray, p: float, gap) -> np.ndarray:
@@ -217,14 +224,15 @@ class GridEmbedding:
 
     For path models, chol is the lower Cholesky factor of the increment
     Gram matrix and increments = chol @ xi.  For the sheet the Gram
-    matrix is diagonal, chol is None and sqrt_volumes scales coordinates
-    directly.  dim is the number of standard-normal coordinates.
+    matrix is diagonal, chol is None and the square roots of the
+    cells^ndim cell volumes scale coordinates directly; they are formed
+    only where a path or the Gram matrix is, never stored.  dim is the
+    number of standard-normal coordinates.
     """
 
     model: object
     nodes: np.ndarray
     chol: np.ndarray | None
-    sqrt_volumes: np.ndarray | None
     jitter: float
 
     @property
@@ -254,7 +262,7 @@ class GridEmbedding:
             raise ValueError(f"gram matrix would be {self.dim}^2; refusing")
         if self.chol is not None:
             return self.chol @ self.chol.T
-        return np.diag(self.sqrt_volumes**2)
+        return np.diag(reduce(np.kron, [self.widths] * self.ndim))
 
 
 def build_embedding(model, cells: int, grid: str = "uniform",
@@ -273,10 +281,7 @@ def build_embedding(model, cells: int, grid: str = "uniform",
     else:
         raise ValueError(f"unknown grid kind {grid!r}")
     if isinstance(model, BrownianSheet):
-        w = np.diff(nodes)
-        vol = reduce(np.kron, [w] * model.ndim)
-        return GridEmbedding(model=model, nodes=nodes, chol=None,
-                             sqrt_volumes=np.sqrt(vol), jitter=0.0)
+        return GridEmbedding(model=model, nodes=nodes, chol=None, jitter=0.0)
     if isinstance(model, FractionalBrownianMotion):
         gram = _fbm_increment_gram(nodes, model.hurst)
         L, jitter = _cholesky_with_jitter(gram)
@@ -286,8 +291,7 @@ def build_embedding(model, cells: int, grid: str = "uniform",
                 f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance",
                 jitter_last=jitter,
             )
-        return GridEmbedding(model=model, nodes=nodes, chol=L,
-                             sqrt_volumes=None, jitter=jitter)
+        return GridEmbedding(model=model, nodes=nodes, chol=L, jitter=jitter)
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
@@ -410,7 +414,8 @@ def sample_path(emb: GridEmbedding, xi) -> PathSample:
         incr = xi @ emb.chol.T
         vals = np.concatenate([np.zeros((n, 1)), np.cumsum(incr, axis=1)], axis=1)
     else:
-        incr = (xi * emb.sqrt_volumes).reshape((n,) + (d,) * emb.ndim)
+        sqrt_volumes = np.sqrt(reduce(np.kron, [emb.widths] * emb.ndim))
+        incr = (xi * sqrt_volumes).reshape((n,) + (d,) * emb.ndim)
         vals = incr
         for ax in range(1, emb.ndim + 1):
             vals = np.cumsum(vals, axis=ax)

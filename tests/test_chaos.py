@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit import reference
+from chaoskit import chaos, reference
 from chaoskit.chaos import (
     ChaosElement,
     contraction_profile,
@@ -74,15 +74,37 @@ def test_eval_integral_accepts_single_point():
     assert eval_integral(f, np.array([1.0, 2.0])) == pytest.approx(2.0)
 
 
-def test_eval_integral_symmetrizes_higher_order_input():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eval_integral_symmetrizes_higher_order_input(n):
     rng = stream(5, "chaos:implicit")
-    raw = tensor(rng.standard_normal((2, 2, 2)))
+    raw = tensor(rng.standard_normal((2,) * n))
     xi = rng.standard_normal((10, 2))
-    np.testing.assert_allclose(eval_integral(raw, xi),
-                               eval_integral(symmetrize(raw), xi), rtol=1e-12)
+    got = eval_integral(raw, xi)
+    np.testing.assert_allclose(got, eval_integral(symmetrize(raw), xi),
+                               rtol=1e-12)
+    want = [reference.eval_polynomial(reference.integral_polynomial(raw), x)
+            for x in xi]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 4), (3, 2), (3, 4)])
+def test_eval_integral_row_blocks_join_seamlessly():
+    # order 4 at d = 6 goes through in blocks of _ROW_BLOCK // 6^3 rows
+    n, d = 4, 6
+    block = chaos._ROW_BLOCK // d ** (n - 1)
+    rng = stream(17, "chaos:blocks")
+    f = sym(rng.standard_normal((d,) * n))
+    xi = rng.standard_normal((2 * block + 3, d))
+    got = eval_integral(f, xi)
+    poly = reference.integral_polynomial(f)
+    for edge in (block, 2 * block):
+        rows = range(edge - 2, edge + 2)
+        want = [reference.eval_polynomial(poly, xi[i]) for i in rows]
+        np.testing.assert_allclose(got[edge - 2:edge + 2], want,
+                                   rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 4), (3, 2), (3, 4),
+                                 (4, 3), (5, 2)])
 def test_eval_integral_matches_polynomial_oracle(n, d):
     rng = stream(17, f"chaos:polyref:{n}:{d}")
     f = sym(rng.standard_normal((d,) * n))

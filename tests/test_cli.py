@@ -236,6 +236,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["diagnose", "--family", "clt-pairs", "--schedule", "0,4",
          "--out", str(tmp_path)],
         ["sample", "--samples", "oops", "--out", str(tmp_path)],
+        # 2^-2047 is below double range: the grid is rejected before any Gram
+        ["sweep-fbm", "--family", "fbm-singular", "--cells", "2048",
+         "--out", str(tmp_path)],
+        ["diagnose", "--family", "clt-pairs", "--schedule", "1.5,2.9",
+         "--out", str(tmp_path)],
     ]
     for argv in argvs:
         rc = cli.main(argv)
@@ -251,6 +256,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # a finite kernel near 1e286: its exact fourth moment is out of range
     ["sweep-fbm", "--family", "fbm-power", "--schedule", "0.1", "--cells", "16",
      "--octaves", "720"],
+    # a 256^3-cell sheet is refused by the kernel's size guard, and the
+    # embedding stores nothing of size cells^3 before it
+    ["sweep-sheet", "--dims", "3", "--cells", "256"],
 ])
 def test_numerical_failures_exit_two(argv, capsys, tmp_path):
     rc = cli.main(argv + ["--samples", "100", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_geometric_nodes_halve_toward_origin():
         geometric_nodes(1)
     with pytest.raises(ValueError):
         geometric_nodes(4, 0.0)
+
+
+@pytest.mark.parametrize("args", [(2048,), (1076,), (2000, 1074.0)])
+def test_geometric_nodes_reject_grids_past_double_range(args):
+    # 2^-1075 rounds to 0; at 1074 octaves subnormal rounding merges nodes
+    with pytest.raises(ValueError, match="strictly increasing"):
+        geometric_nodes(*args)
+
+
+@pytest.mark.parametrize("cells", [1024, 1075])
+def test_geometric_nodes_deepest_default_grids_stay_valid(cells):
+    nodes = geometric_nodes(cells)
+    assert nodes[1] == 2.0 ** -(cells - 1)
+    assert np.all(np.diff(nodes) > 0.0)
 
 
 def test_build_embedding_d1_is_identity():
@@ -153,6 +168,17 @@ def _conjugated_oracle(emb, expo, cutoff=0.0):
 
 def _assert_rel_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_sheet_embedding_stores_no_cell_volumes():
+    tracemalloc.start()
+    try:
+        emb = build_embedding(BrownianSheet(3), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emb.dim == 64**3
+    assert peak < 64**3 * 8 / 100
 
 
 def test_gram_matrix_size_guard():
