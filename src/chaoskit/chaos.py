@@ -266,40 +266,36 @@ def sample_integral(f: Tensor, n_samples: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class HSOperator:
-    """Symmetric Hilbert-Schmidt operator view of an order-2 kernel.
+    """Symmetric Hilbert-Schmidt operator on R^dim, held as its spectrum.
 
-    eigenvalues may omit structural zeros of matrix (size <= dim); power
-    sums, cumulants and draws read eigenvalues only.
+    It carries no matrix: power sums, cumulants and draws read
+    eigenvalues only.  eigenvalues may omit structural zeros
+    (size <= dim).  hs_operator builds one from a dense kernel; an
+    embedded functional's comes from embeddings.kernel2_spectrum.
     """
 
-    matrix: np.ndarray
+    dim: int
     eigenvalues: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def hs_operator(kernel) -> HSOperator:
-    """Wrap an order-2 kernel (SymTensor or square array) as an operator.
+    """The spectrum of an order-2 kernel (SymTensor or square array).
 
-    A SymTensor is exactly symmetric and read-only, so its own array is
-    used.  Otherwise asymmetry beyond 1e-10 relative is rejected; below
-    that the input is symmetrized, since eigensolvers assume it anyway.
+    One dense eigvalsh.  A SymTensor is exactly symmetric; for other
+    input, asymmetry beyond 1e-10 relative is rejected, and below that
+    the input is symmetrized, since eigensolvers assume it anyway.
     """
     a = kernel.coeffs if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
-    m = a
     if not isinstance(kernel, SymTensor):
         s = np.max(np.abs(a))
         if s > 0 and np.max(np.abs(a - a.T)) > 1e-10 * s:
             raise ValueError("matrix is not symmetric (beyond 1e-10 relative)")
-        m = 0.5 * (a + a.T)
-        m.flags.writeable = False
-    lam = np.linalg.eigvalsh(m)
+        a = 0.5 * (a + a.T)
+    lam = np.linalg.eigvalsh(a)
     lam.flags.writeable = False
-    return HSOperator(matrix=m, eigenvalues=lam)
+    return HSOperator(dim=a.shape[0], eigenvalues=lam)
 
 
 def cumulant(op: HSOperator, order: int) -> float:

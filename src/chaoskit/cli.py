@@ -172,7 +172,7 @@ def _cmd_diagnose(args) -> int:
     if fam in _FUNCTIONALS:
         xs, params = _schedule(args)
         kernels = [embed_on_grid(_functional(args, p), args.cells, args.grid,
-                                 args.octaves).kernel for p in params]
+                                 args.octaves).operator for p in params]
         labels = [repr(float(x)) for x in xs]
     elif fam == "clt-pairs":
         sched = args.schedule or (4, 16, 64, 256)

@@ -189,9 +189,12 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
                           seed: int = 0, normalize: bool = True) -> SequenceReport:
     """Per-kernel moment/contraction/KS diagnostics plus a trend verdict.
 
-    kernels is a KernelSequence or an iterable of SymTensor.  They are
-    rescaled to unit variance (normalize=True) so the three views are
-    comparable across the sequence.  Verdict "consistent" means the
+    kernels is a KernelSequence or an iterable of SymTensor and, for
+    order 2, HSOperator: every order-2 row is read from one spectrum,
+    hs_operator's for a dense kernel, so an embedded functional's
+    operator needs no dense kernel at all.  They are rescaled to unit
+    variance (normalize=True) so the three views are comparable across
+    the sequence.  Verdict "consistent" means the
     excess kurtosis and every squared contraction norm fell to at most
     half their first-row values (or are negligible) and the last kernel
     passes the KS test; "inconsistent" otherwise; "undecided" when some
@@ -214,25 +217,30 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
     rows = []
     degenerate = False
     for i, (f, lab) in enumerate(zip(kernels, labels)):
-        v = second_moment_exact(f)
+        rng = stream(seed, f"limit-report:{i}:{lab}")
+        if isinstance(f, HSOperator) or f.order == 2:
+            # one spectrum: m2 = 2 sum mu^2, ||g (x)_1 g||^2 = sum mu^4 = kappa_4 / 48
+            op = f if isinstance(f, HSOperator) else hs_operator(f)
+            order, lam = 2, op.eigenvalues
+            v = 2.0 * float(np.sum(lam**2))
+            if normalize and v > 0:
+                lam = lam / math.sqrt(v)
+            m2 = 2.0 * float(np.sum(lam**2))
+            contractions = (float(np.sum(lam**4)),)
+            m4 = 3.0 * m2 * m2 + 48.0 * contractions[0]
+            draws = sample_integral2_spectral(HSOperator(op.dim, lam), samples, rng)
+        else:
+            order, v = f.order, second_moment_exact(f)
+            g = scale(f, 1.0 / math.sqrt(v)) if (normalize and v > 0) else f
+            m2 = second_moment_exact(g)
+            m4 = fourth_moment_exact(g)
+            contractions = tuple(contraction_norm_sq(g, p) for p in range(1, order))
+            draws = sample_integral(g, samples, rng)
         if not (1e-12 < v < 1e12):
             degenerate = True
-        g = scale(f, 1.0 / math.sqrt(v)) if (normalize and v > 0) else f
-        rng = stream(seed, f"limit-report:{i}:{lab}")
-        m2 = second_moment_exact(g)
-        if g.order == 2:
-            # one spectrum: ||g (x)_1 g||^2 = sum lambda^4 = kappa_4 / 48
-            op = hs_operator(g)
-            contractions = (float(np.sum(op.eigenvalues**4)),)
-            m4 = 3.0 * m2 * m2 + 48.0 * contractions[0]
-            draws = sample_integral2_spectral(op, samples, rng)
-        else:
-            m4 = fourth_moment_exact(g)
-            contractions = tuple(contraction_norm_sq(g, p) for p in range(1, g.order))
-            draws = sample_integral(g, samples, rng)
         rows.append(KernelDiagnostics(
             label=str(lab),
-            order=g.order,
+            order=order,
             variance=m2,
             fourth_moment=m4,
             excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan,

@@ -3,10 +3,16 @@
 An embedding turns a covariance model restricted to a partition of
 [0, 1] (or [0, 1]^n) into a finite orthonormal system: the increment
 Gram matrix is factored as L L' and the columns of L express the
-increments through i.i.d. standard normals.  The tail-mass kernels of
-weighted quadratic functionals are assembled in the same coordinates
-from their per-axis weights, in factored form M = B'B, so paths and
-chaos elements can be evaluated on shared draws.
+increments through i.i.d. standard normals.  The factor is built only
+when coordinates are asked for (paths, the Gram matrix, dense kernels).
+The tail-mass kernels of weighted quadratic functionals are assembled in
+the same coordinates from their per-axis weights, in factored form
+M = B'B, so paths and chaos elements can be evaluated on shared draws.
+
+The exact spectrum of such a kernel needs no coordinates at all: the
+small per-axis Gram B B' is the path covariance at the cells' right
+nodes, weighted by the tail steps, and kernel2_spectrum takes it in
+closed form, with no increment Gram, Cholesky factor or jitter.
 
 fBm Gram entries come from double differences of the covariance
 R_H(s, t) = (s^{2H} + t^{2H} - |t - s|^{2H}) / 2; the singular kernel
@@ -22,9 +28,8 @@ resolve functionals whose weight concentrates at 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -223,17 +228,40 @@ class GridEmbedding:
     """Finite orthonormal coordinates for a model on a grid.
 
     For path models, chol is the lower Cholesky factor of the increment
-    Gram matrix and increments = chol @ xi.  For the sheet the Gram
-    matrix is diagonal, chol is None and the square roots of the
-    cells^ndim cell volumes scale coordinates directly; they are formed
-    only where a path or the Gram matrix is, never stored.  dim is the
-    number of standard-normal coordinates.
+    Gram matrix and increments = chol @ xi.  The factor, its jitter and
+    its residual check are one cached computation that runs on first use
+    of chol or jitter (sample_path, gram_matrix, embed_kernel2), so a
+    degenerate Gram raises DegenerateModelError there, not when the grid
+    is built.  For the sheet the Gram matrix is diagonal, chol is None
+    and the square roots of the cells^ndim cell volumes scale coordinates
+    directly; they are formed only where a path or the Gram matrix is,
+    never stored.  dim is the number of standard-normal coordinates.
     """
 
     model: object
     nodes: np.ndarray
-    chol: np.ndarray | None
-    jitter: float
+
+    @cached_property
+    def _factor(self):
+        if isinstance(self.model, BrownianSheet):
+            return None, 0.0
+        gram = _fbm_increment_gram(self.nodes, self.model.hurst)
+        L, jitter = _cholesky_with_jitter(gram)
+        resid = np.max(np.abs(gram - L @ L.T))
+        if resid > 1e-10 * max(1.0, np.max(np.abs(gram))):
+            raise DegenerateModelError(
+                f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance",
+                jitter_last=jitter,
+            )
+        return L, jitter
+
+    @property
+    def chol(self) -> np.ndarray | None:
+        return self._factor[0]
+
+    @property
+    def jitter(self) -> float:
+        return self._factor[1]
 
     @property
     def ndim(self) -> int:
@@ -267,7 +295,7 @@ class GridEmbedding:
 
 def build_embedding(model, cells: int, grid: str = "uniform",
                     octaves: float | None = None) -> GridEmbedding:
-    """Partition [0,1] (per axis) and factor the model's increment Gram.
+    """Partition [0,1] (per axis) for the model; the factor comes on use.
 
     grid is "uniform" or "geometric"; octaves only applies to geometric
     grids and defaults to cells - 1 (width ratio 2 between neighbors).
@@ -280,61 +308,66 @@ def build_embedding(model, cells: int, grid: str = "uniform",
         nodes = geometric_nodes(cells, octaves)
     else:
         raise ValueError(f"unknown grid kind {grid!r}")
-    if isinstance(model, BrownianSheet):
-        return GridEmbedding(model=model, nodes=nodes, chol=None, jitter=0.0)
-    if isinstance(model, FractionalBrownianMotion):
-        gram = _fbm_increment_gram(nodes, model.hurst)
-        L, jitter = _cholesky_with_jitter(gram)
-        resid = np.max(np.abs(gram - L @ L.T))
-        if resid > 1e-10 * max(1.0, np.max(np.abs(gram))):
-            raise DegenerateModelError(
-                f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance",
-                jitter_last=jitter,
-            )
-        return GridEmbedding(model=model, nodes=nodes, chol=L, jitter=jitter)
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    if not isinstance(model, (BrownianSheet, FractionalBrownianMotion)):
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    return GridEmbedding(model=model, nodes=nodes)
 
 
-def _sqrt_tail_steps(lo: np.ndarray, hi: np.ndarray, expo: float) -> np.ndarray:
-    """sqrt of the mass of u^(2 expo) on [lo, hi], for 0 < lo <= hi.
+def _tail_steps(emb: GridEmbedding, weights) -> list:
+    """Per axis, the live cells and their square-root steps as (live, lo, p, g).
 
-    Formed in log space as lo^(p/2) * sqrt(expm1(p log(hi/lo)) / p),
-    p = 2 expo + 1 (log(hi/lo) at the removable p = 0), so a step stays
-    representable when hi^p and lo^p are not.
+    weights holds one (expo, cutoff) pair per axis: the weight
+    u^(2 expo) on [cutoff, 1].  step_i is its mass between the clipped
+    midpoints lo_i = max(m_i, cutoff) and hi_i (the next one, or 1), and
+    sqrt(step_i) = lo_i^(p/2) g_i with p = 2 expo + 1 and
+    g_i = sqrt(expm1(p log(hi/lo)) / p) (sqrt(log(hi/lo)) at the
+    removable p = 0), so a step stays representable when hi^p and lo^p
+    are not.  A cell is live when its step is nonzero; lo and g are
+    returned for the live cells only, and the power lo^(p/2) is left to
+    the caller, which may fold it into another one.
     """
-    p = 2.0 * expo + 1.0
-    x = np.log(hi / lo)
-    if p == 0.0:
-        return np.sqrt(x)
-    return lo ** (0.5 * p) * np.sqrt(np.expm1(p * x) / p)
+    if len(weights) != emb.ndim:
+        raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
+    out = []
+    for expo, cutoff in weights:
+        m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
+        lo, p = m[:-1], 2.0 * expo + 1.0
+        x = np.log(m[1:] / lo)
+        g = np.sqrt(x) if p == 0.0 else np.sqrt(np.expm1(p * x) / p)
+        live = lo ** (0.5 * p) * g != 0.0
+        out.append((live, lo[live], p, g[live]))
+    return out
 
 
 def _kernel2_factors(emb: GridEmbedding, weights) -> list:
     """Per-axis factors B_a of the order-2 tail-mass kernel M = kron_a B_a'B_a.
 
-    weights holds one (expo, cutoff) pair per axis: the weight
-    u^(2 expo) on [cutoff, 1].  Its tail mass g(x) = integral of the
-    weight over [max(x, cutoff), 1], collocated on cell midpoints m_i, is
-    semiseparable: C = sum_l step_l 1_{<=l} 1_{<=l}', where step_l is the
-    weight's mass between the clipped midpoints m_l and m_{l+1} (with
-    m_cells = 1).  So the conjugated kernel R'CR, with R the Cholesky
-    factor for fBm or diag(sqrt widths) per sheet axis, is B'B with
+    The tail mass g(x) = integral of the weight over [max(x, cutoff), 1],
+    collocated on cell midpoints m_i, is semiseparable:
+    C = sum_l step_l 1_{<=l} 1_{<=l}' (see _tail_steps).  So the
+    conjugated kernel R'CR, with R the Cholesky factor for fBm or
+    diag(sqrt widths) per sheet axis, is B'B with
     B = sqrt(step)[:, None] * cumsum(R, axis=0).  Cells below a cutoff
     have step 0 and drop out: B_a has one row per live cell, which bounds
     the rank of B_a'B_a by structure alone.
     """
-    if len(weights) != emb.ndim:
-        raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
-    root = emb.chol if emb.chol is not None else np.diag(np.sqrt(emb.widths))
     factors = []
     with np.errstate(all="ignore"):
+        steps = _tail_steps(emb, weights)
+        root = emb.chol if emb.chol is not None else np.diag(np.sqrt(emb.widths))
         rows = np.cumsum(root, axis=0)
-        for expo, cutoff in weights:
-            m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
-            root_steps = _sqrt_tail_steps(m[:-1], m[1:], expo)
-            live = root_steps != 0.0
-            factors.append(root_steps[live, None] * rows[live])
+        for live, lo, p, g in steps:
+            factors.append((lo ** (0.5 * p) * g)[:, None] * rows[live])
     return factors
+
+
+def _check_capacity(emb: GridEmbedding):
+    if emb.dim > _MAX_EMBED_DIM:
+        raise np.linalg.LinAlgError(
+            f"embedding dimension {emb.dim} too large for a dense kernel")
+
+
+_RANGE_ERROR = "kernel is outside double range (||M||_F^4 is not finite)"
 
 
 def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
@@ -349,30 +382,57 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     large, or when ||M||_F^4 is outside double range: every exact
     order-2 moment is a power sum of the spectrum bounded by it.
     """
-    if emb.dim > _MAX_EMBED_DIM:
-        raise np.linalg.LinAlgError(
-            f"embedding dimension {emb.dim} too large for a dense kernel")
+    _check_capacity(emb)
     factors = _kernel2_factors(emb, weights)
     with np.errstate(all="ignore"):
         # each b'b is a rank-k update, exactly symmetric
         out = reduce(np.kron, [b.T @ b for b in factors])
         if not np.isfinite(np.linalg.norm(out) ** 4):
-            raise np.linalg.LinAlgError(
-                "kernel is outside double range (||M||_F^4 is not finite)")
+            raise np.linalg.LinAlgError(_RANGE_ERROR)
     return SymTensor(out)
 
 
 def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     """Eigenvalues of embed_kernel2(emb, weights) without structural zeros.
 
-    M = kron_a B_a'B_a, and the nonzero eigenvalues of B_a'B_a are those
-    of the small Gram B_a B_a' (k_a x k_a, one row per live cell), so
-    M's are the products of the per-axis Gram spectra: prod_a k_a values,
-    ascending and read-only.  The count comes from the live rows alone,
-    never from a cutoff on the eigenvalues.
+    M = kron_a B_a'B_a (_kernel2_factors), and the nonzero eigenvalues of
+    B_a'B_a are those of the small Gram B_a B_a', one row per live cell
+    (nonzero step).  That Gram has a closed form: cumsum(R) cumsum(R)' is
+    the path covariance at the cells' right nodes t, so
+    B_a B_a' = diag(s) R_H(t_i, t_j) diag(s) with s the square-root
+    steps, and R_H(s, t) = min(s, t) on a sheet axis (H = 1/2).  Scaled
+    out, it is diag(a) P diag(a) with a_i = s_i t_i^H and P the fBm
+    correlation, which depends only on r = t_small / t_big:
+
+        P_ij = (r^H + r^(1-H) * (1 - (1 - r)^(2H)) / r) / 2,
+
+    in [0, 1] with diagonal 1, the last factor taken as
+    -expm1(2H log1p(-r)) / r so no entry cancels or overflows.  a is
+    formed as t^(H + p/2) (lo/t)^(p/2) g (see _tail_steps), whose
+    exponents are combined so it stays representable where s and t^H
+    alone are not.  No increment Gram, Cholesky factor or jitter is
+    formed.  M's eigenvalues are the products of the per-axis spectra:
+    prod_a k_a values, ascending and read-only.  The count comes from the
+    live rows alone, never from a cutoff on the eigenvalues.
+
+    Raises numpy.linalg.LinAlgError, as embed_kernel2 does, when the
+    embedding is too large for a dense kernel or (sum lambda^2)^2 =
+    ||M||_F^4 is outside double range.
     """
-    grams = [np.linalg.eigvalsh(b @ b.T) for b in _kernel2_factors(emb, weights)]
-    lam = np.sort(reduce(np.multiply.outer, grams), axis=None)
+    _check_capacity(emb)
+    h = emb.model.hurst if isinstance(emb.model, FractionalBrownianMotion) else 0.5
+    grams = []
+    with np.errstate(all="ignore"):
+        for live, lo, p, g in _tail_steps(emb, weights):
+            t = emb.nodes[1:][live]
+            a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
+            r = np.minimum.outer(t, t) / np.maximum.outer(t, t)
+            q = -np.expm1(2.0 * h * np.log1p(-r)) / r  # 1 - (1 - r)^(2H), over r
+            corr = 0.5 * (r**h + r ** (1.0 - h) * q)
+            grams.append(np.linalg.eigvalsh(a[:, None] * corr * a))
+        lam = np.sort(reduce(np.multiply.outer, grams), axis=None)
+        if not np.isfinite(np.sum(lam * lam) ** 2):
+            raise np.linalg.LinAlgError(_RANGE_ERROR)
     lam.flags.writeable = False
     return lam
 

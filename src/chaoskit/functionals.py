@@ -196,30 +196,41 @@ def _check_family(func):
         raise TypeError(f"unknown functional family {type(func).__name__}")
 
 
-def chaos_kernel(func, emb: GridEmbedding) -> SymTensor:
-    """Order-2 kernel of F - E F in the embedding's coordinates."""
+def _check_embedding(func, emb: GridEmbedding):
     _check_family(func)
     if emb.model != func.model():
         raise ValueError(
             f"embedding is for {emb.model}, functional needs {func.model()}"
         )
+
+
+def chaos_kernel(func, emb: GridEmbedding) -> SymTensor:
+    """Order-2 kernel of F - E F in the embedding's coordinates."""
+    _check_embedding(func, emb)
     return embed_kernel2(emb, func.axis_weights())
 
 
 @dataclass(frozen=True)
 class EmbeddedFunctional:
-    """A functional frozen onto a grid: kernel, mean and normalization.
+    """A functional frozen onto a grid: mean, normalization, kernel, spectrum.
 
     All exact quantities below are moments of the discretized statistic
     normalization * I_2(kernel), not of the continuum limit; the
-    difference is the object under study.
+    difference is the object under study.  They and the draws read the
+    closed-form spectrum (operator); the dense kernel and the embedding's
+    Cholesky factor are built only when coordinates are asked for
+    (value, statistic, kernel).
     """
 
     functional: object
     embedding: GridEmbedding
-    kernel: SymTensor
     mean: float
     scale: float
+
+    @cached_property
+    def kernel(self) -> SymTensor:
+        """The dense order-2 kernel (chaos_kernel), built on first use."""
+        return chaos_kernel(self.functional, self.embedding)
 
     def value(self, xi):
         """Discretized F at coordinates xi (mean + chaos part)."""
@@ -237,12 +248,13 @@ class EmbeddedFunctional:
     def operator(self):
         """The kernel's HSOperator: every method below reads its one spectrum.
 
-        The spectrum comes from the kernel's per-axis factors
-        (embeddings.kernel2_spectrum): the product over axes of the live
-        cells, not dim, eigenvalues, and a draw costs one normal each.
+        The spectrum is embeddings.kernel2_spectrum's closed form: the
+        product over axes of the live cells, not dim, eigenvalues, and a
+        draw costs one normal each.  Neither the kernel nor a Cholesky
+        factor is built for it.
         """
         lam = kernel2_spectrum(self.embedding, self.functional.axis_weights())
-        return HSOperator(matrix=self.kernel.coeffs, eigenvalues=lam)
+        return HSOperator(dim=self.embedding.dim, eigenvalues=lam)
 
     def variance_exact(self) -> float:
         return cumulant(self.operator, 2) * self.scale**2
@@ -263,11 +275,10 @@ class EmbeddedFunctional:
 
 
 def embed(func, emb: GridEmbedding) -> EmbeddedFunctional:
-    _check_family(func)
+    _check_embedding(func, emb)
     return EmbeddedFunctional(
         functional=func,
         embedding=emb,
-        kernel=chaos_kernel(func, emb),
         mean=func.mean_exact(),
         scale=func.normalization(),
     )

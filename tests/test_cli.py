@@ -18,6 +18,8 @@ import pytest
 import chaoskit.cli as cli
 from chaoskit.acceptance import Check, CriterionResult
 from chaoskit.embeddings import DegenerateModelError
+from chaoskit.functionals import FbmPowerVariation, embed_on_grid
+from chaoskit.tensors import norm_sq
 
 
 def _rows(out, command):
@@ -251,11 +253,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     # dense kernel capacity: a 1024^2-cell sheet is a 1048576-dim embedding
     ["diagnose", "--family", "sheet-power", "--dims", "2", "--cells", "1024"],
-    # a first cell of width 2^-1000 puts the fbm-power kernel out of range
-    ["diagnose", "--family", "fbm-power", "--cells", "16", "--octaves", "1000"],
-    # a finite kernel near 1e286: its exact fourth moment is out of range
-    ["sweep-fbm", "--family", "fbm-power", "--schedule", "0.1", "--cells", "16",
-     "--octaves", "720"],
+    # the same guard met by the sampler, before any draw
+    ["sample", "--family", "sheet-power", "--dims", "2", "--cells", "1024"],
+    # and by an fbm sweep: 16384 cells on one axis exceed the dense cap
+    ["sweep-fbm", "--cells", "16384", "--grid", "uniform"],
     # a 256^3-cell sheet is refused by the kernel's size guard, and the
     # embedding stores nothing of size cells^3 before it
     ["sweep-sheet", "--dims", "3", "--cells", "256"],
@@ -267,6 +268,35 @@ def test_numerical_failures_exit_two(argv, capsys, tmp_path):
     assert err.startswith("error: numerical:")
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
+    # first cells of width 2^-1000 and 2^-720: increment variances that
+    # underflow once needed a Cholesky jitter that put the kernel out of
+    # double range; the closed-form spectrum needs no factor
+    argv = ["diagnose", "--family", "fbm-power", "--cells", "16",
+            "--octaves", "1000", "--samples", "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    for row, x in zip(_rows(tmp_path, "diagnose"), cli._BETA_SCHEDULE):
+        func = FbmPowerVariation(0.75, (x - 2.5) / 2.0)
+        ef = embed_on_grid(func, 16, "geometric", 1000.0)
+        assert float(row["excess_kurtosis"]) == pytest.approx(
+            ef.excess_kurtosis_exact(), rel=1e-12)
+
+    argv = ["sweep-fbm", "--family", "fbm-power", "--schedule", "0.1",
+            "--cells", "16", "--octaves", "720", "--samples", "100",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "error" not in capsys.readouterr().err
+    (row,) = _rows(tmp_path, "sweep-fbm")
+    variance = float(row["variance_exact"])
+    assert variance == pytest.approx(0.2750366, rel=1e-6)
+    # 716 octaves, the deepest grid the Cholesky route factors without
+    # jitter: cells below 2^-716 change the variance by about 1e-4
+    ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 16, "geometric", 716.0)
+    dense = 2.0 * ef.scale**2 * norm_sq(ef.kernel)
+    assert dense == pytest.approx(0.2750712, rel=1e-6)
+    assert variance == pytest.approx(dense, rel=2e-4)
 
 
 def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):

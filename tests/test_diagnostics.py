@@ -158,7 +158,9 @@ def test_hs_operator_symmetry_tolerance():
     tiny = base.copy()
     tiny[0, 1] += 1e-13  # below 1e-10 relative: symmetrized and accepted
     op = hs_operator(tensor(tiny))
-    np.testing.assert_allclose(op.matrix, op.matrix.T)
+    assert op.dim == 2
+    np.testing.assert_array_equal(op.eigenvalues,
+                                  np.linalg.eigvalsh(0.5 * (tiny + tiny.T)))
     bad = base.copy()
     bad[0, 1] += 1e-3
     with pytest.raises(ValueError):
@@ -267,9 +269,19 @@ def test_report_degenerate_variance_undecided():
 
 
 def test_report_order2_rows_match_tensor_route():
-    kernels = [embed_on_grid(FbmPowerVariation(0.75, b), 64).kernel
-               for b in (-0.3, 0.5)]
+    efs = [embed_on_grid(FbmPowerVariation(0.75, b), 64) for b in (-0.3, 0.5)]
+    kernels = [ef.kernel for ef in efs]
     report = gaussian_limit_report(kernels, samples=200, seed=0)
+    # the embedded functionals' closed-form operators give the same rows
+    from_ops = gaussian_limit_report([ef.operator for ef in efs], samples=200,
+                                     seed=0)
+    assert from_ops.verdict == report.verdict
+    for a, b in zip(report, from_ops):
+        assert (b.order, b.ks.n_samples) == (a.order, a.ks.n_samples)
+        assert b.variance == pytest.approx(a.variance, rel=1e-12)
+        assert b.fourth_moment == pytest.approx(a.fourth_moment, rel=1e-12)
+        assert b.contraction_norms_sq == pytest.approx(a.contraction_norms_sq,
+                                                       rel=1e-12)
     for f, row in zip(kernels, report):
         g = scale(f, 1.0 / math.sqrt(second_moment_exact(f)))
         assert row.fourth_moment == pytest.approx(fourth_moment_exact(g), rel=1e-12)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chaoskit.chaos import hs_operator
 from chaoskit.embeddings import (
     BrownianSheet,
     DegenerateModelError,
@@ -12,6 +13,7 @@ from chaoskit.embeddings import (
     build_embedding,
     embed_kernel2,
     geometric_nodes,
+    kernel2_spectrum,
     sample_path,
     uniform_nodes,
 )
@@ -239,6 +241,53 @@ def test_embed_sheet_is_kron_of_axes():
     m = embed_kernel2(emb, weights)
     want = np.kron(*(_conjugated_oracle(emb, e, c) for e, c in weights))
     _assert_rel_close(m.coeffs, want)
+
+
+def _assert_spectrum_matches_dense(emb, weights):
+    """kernel2_spectrum's closed form against the Cholesky route."""
+    lam = kernel2_spectrum(emb, weights)
+    dense = hs_operator(embed_kernel2(emb, weights)).eigenvalues
+    live = [np.sum(np.append(emb.midpoints[1:], 1.0) > cutoff)
+            for _, cutoff in weights]
+    assert lam.size == math.prod(live)
+    assert np.all(np.diff(lam) >= 0.0)
+    for j in (2, 4):
+        assert np.sum(lam**j) == pytest.approx(np.sum(dense**j), rel=1e-12)
+    return lam
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.55, 0.75, 0.9])
+@pytest.mark.parametrize("cells, grid", [(64, "uniform"), (256, "uniform"),
+                                         (128, "geometric"), (256, "geometric")])
+def test_closed_form_spectrum_matches_cholesky_route_fbm(hurst, cells, grid):
+    # fbm-power at 2b + 2H + 1 = 0.1, near its Gaussian limit
+    emb = build_embedding(FractionalBrownianMotion(hurst), cells, grid)
+    _assert_spectrum_matches_dense(emb, [((0.1 - 2.0 * hurst - 1.0) / 2.0, 0.0)])
+
+
+@pytest.mark.parametrize("eps, rank", [(1e-1, 4), (1e-2, 8), (1e-3, 11),
+                                       (1e-4, 14)])
+def test_closed_form_spectrum_matches_cholesky_route_singular(eps, rank):
+    # criterion 8's grid, fbm-singular weight t^(-2H-1) above eps
+    emb = build_embedding(FractionalBrownianMotion(0.75), 512, "geometric", 511.0)
+    lam = _assert_spectrum_matches_dense(emb, [(-1.25, eps)])
+    assert lam.size == rank
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("weight", [(-0.9, 0.0), (-0.995, 0.0), (-1.0, 1e-1),
+                                    (-1.0, 1e-3)])
+def test_closed_form_spectrum_matches_cholesky_route_sheet(dims, weight):
+    # sheet-power (cutoff 0) and sheet-singular (expo -1 above eps)
+    emb = build_embedding(BrownianSheet(dims), 32, "geometric")
+    _assert_spectrum_matches_dense(emb, [weight] * dims)
+
+
+def test_closed_form_spectrum_keeps_the_size_guard():
+    emb = build_embedding(BrownianSheet(2), 1024, "geometric", 512.0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="embedding dimension 1048576 too large"):
+        kernel2_spectrum(emb, [(-0.9, 0.0)] * 2)
 
 
 def test_sample_path_fbm_marginal_variances():

@@ -279,6 +279,58 @@ def test_sample_statistic_draws_one_normal_per_eigenvalue():
     assert sum(math.prod(size) for size in rng.sizes) == 10000 * rank
 
 
+@pytest.mark.parametrize("func, cells", [
+    (FbmPowerVariation(0.75, -1.2), 1024),
+    (FbmSingularVariation(0.75, 1e-3), 512),
+    (SheetPowerVariation((-0.9, -0.9)), 32),
+    (SheetSingularVariation(2, 1e-2), 32),
+])
+def test_exact_moments_and_draws_build_no_coordinates(func, cells, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact moments and draws need no Cholesky factor")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    ef = embed_on_grid(func, cells, "geometric")
+    assert ef.variance_exact() > 0.0
+    assert ef.excess_kurtosis_exact() > 0.0
+    assert ef.contraction_ratio() > 0.0
+    assert ef.sample_statistic(100, stream(7, "func:nocoord")).shape == (100,)
+    assert "kernel" not in vars(ef)
+
+
+def test_diagnose_takes_one_eigvalsh_per_point(monkeypatch, tmp_path):
+    import chaoskit.cli as cli
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagnose needs no Cholesky factor")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    # one small Gram per point, one row per live cell
+    for family, cells, ranks in (("fbm-singular", 1024, (4, 8, 11, 14)),
+                                 ("fbm-power", 64, (64,) * 4)):
+        calls.clear()
+        argv = ["diagnose", "--family", family, "--cells", str(cells),
+                "--samples", "100", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == [(k, k) for k in ranks]
+
+
+def test_fbm_power_default_depth_matches_half_depth():
+    # 1024 cells over the default 1023 octaves: the cells below 2^-511
+    # add less than double resolution to the 512-cell, 511-octave value
+    ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 1024, "geometric")
+    assert ef.excess_kurtosis_exact() == pytest.approx(5.953317720308796,
+                                                       rel=1e-12)
+
+
 def test_sample_statistic_matches_statistic_of_stream():
     ef = embed_on_grid(FbmPowerVariation(0.75, 0.0), 32)
     a = ef.sample_statistic(1000, stream(7, "func:sample"))
