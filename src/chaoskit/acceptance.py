@@ -318,8 +318,8 @@ def criterion_9(seed: int) -> CriterionResult:
     cells = 256
     emb = build_embedding(FbmPowerVariation(hurst, 1.0).model(), cells)
     xi = stream(seed, "c9").standard_normal((4000, cells))
-    # terminal value squared: B(1)^2 = 1 + I_2(v v') with v = L' 1
-    v = emb.chol.T @ np.ones(cells)
+    # terminal value squared: B(1)^2 = 1 + I_2(v v'), v the last factor row
+    v = emb.factor[-1]
     endpoint_kernel = SymTensor(np.outer(v, v))
     gaps = []
     for beta in (1.0, 4.0, 16.0):

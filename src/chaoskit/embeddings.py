@@ -1,31 +1,27 @@
 """Grid embeddings of fractional Brownian motion and the Brownian sheet.
 
 An embedding turns a covariance model restricted to a partition of
-[0, 1] (or [0, 1]^n) into a finite orthonormal system: the increment
-Gram matrix is factored as L L' and the columns of L express the
-increments through i.i.d. standard normals.  The factor is built only
-when coordinates are asked for (paths, the Gram matrix, dense kernels).
-The tail-mass kernels of weighted quadratic functionals are assembled in
-the same coordinates from their per-axis weights, in factored form
-M = B'B, so paths and chaos elements can be evaluated on shared draws.
+[0, 1] (or [0, 1]^n) into a finite orthonormal system: per axis, the
+covariance of the path at the cells' right nodes t is factored as F F'
+with F lower triangular, so node values are F @ xi for i.i.d. standard
+normals xi.  For fBm that covariance is diag(t^H) P diag(t^H), with P
+the closed-form correlation of _fbm_correlation, and F = t^H L with
+L L' = P; a sheet axis has the exact Brownian factor sqrt(w_j), j <= i.
+The factor is built only when coordinates are asked for (paths, the
+Gram matrix, dense kernels).  The tail-mass kernels of weighted
+quadratic functionals are assembled in the same coordinates from their
+per-axis weights, in factored form M = B'B, so paths and chaos elements
+can be evaluated on shared draws.
 
 The exact spectrum of such a kernel needs no coordinates at all: the
-small per-axis Gram B B' is the path covariance at the cells' right
-nodes, weighted by the tail steps, and kernel2_spectrum takes it in
-closed form, with no increment Gram, Cholesky factor or jitter.
-
-fBm Gram entries come from double differences of the covariance
-R_H(s, t) = (s^{2H} + t^{2H} - |t - s|^{2H}) / 2; the singular kernel
-derivative is never used.  The double difference is rearranged before
-evaluation because the naive four-point sum loses every significant
-digit on strongly graded grids (entries ~1e-18 against absolute
-rounding ~1e-16 kill the Cholesky).  See _pow_diff.
+small per-axis Gram B B' is the same node covariance restricted to the
+live cells, weighted by the tail steps, and kernel2_spectrum takes it
+from P directly, with no Cholesky factor or jitter.
 
 Uniform grids are the default; geometric grids (cell widths shrinking
 by a constant factor toward the origin, factor 2 at the default depth)
 resolve functionals whose weight concentrates at 0.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -56,7 +52,7 @@ _MAX_EMBED_DIM = 8192
 
 
 class DegenerateModelError(RuntimeError):
-    """Raised when an increment Gram matrix cannot be factored.
+    """Raised when a node correlation matrix cannot be factored.
 
     Carries the jitter level at which factorization was abandoned so
     callers can report how ill-conditioned the model/grid pair is.
@@ -150,49 +146,22 @@ def geometric_nodes(cells: int, octaves: float | None = None) -> np.ndarray:
     return nodes
 
 
-def _pow_diff(big: np.ndarray, small: np.ndarray, p: float, gap) -> np.ndarray:
-    """big**p - small**p for big = small + gap, small >= 0, gap > 0.
+def _fbm_correlation(t: np.ndarray, h: float) -> np.ndarray:
+    """Correlation P_ij of fBm at nodes t > 0, for Hurst index h.
 
-    Written as small**p * expm1(p * log1p(gap/small)) so the result keeps
-    full relative accuracy when gap << small; direct subtraction there
-    returns rounding noise of the order of eps * big**p.
+    P depends only on r = t_small / t_big:
+
+        P_ij = (r^H + r^(1-H) * (1 - (1 - r)^(2H)) / r) / 2,
+
+    in [0, 1] with diagonal 1, the last factor taken as
+    -expm1(2H log1p(-r)) / r so no entry cancels or overflows; the
+    covariance is diag(t^H) P diag(t^H).  H = 1/2 gives sqrt(r), the
+    Brownian correlation of a sheet axis.
     """
-    big = np.asarray(big, dtype=float)
-    small = np.asarray(small, dtype=float)
-    big, small, gap = np.broadcast_arrays(big, small, np.asarray(gap, dtype=float))
-    out = np.empty(big.shape)
-    z = small == 0.0
-    out[z] = big[z] ** p
-    nz = ~z
-    out[nz] = small[nz] ** p * np.expm1(p * np.log1p(gap[nz] / small[nz]))
-    return out
-
-
-def _fbm_increment_gram(nodes: np.ndarray, hurst: float) -> np.ndarray:
-    """Covariance of fBm increments over the cells of a partition.
-
-    For cells [a, b] and [c, d] with b <= c the four-point double
-    difference of R_H collapses to
-
-        ((d-a)^p - (d-b)^p - (c-a)^p + (c-b)^p) / 2,   p = 2H,
-
-    two paired differences with the common exact gap b - a, which is what
-    _pow_diff needs.  Diagonal entries are width^p exactly.
-    """
-    p = 2.0 * hurst
-    t = np.asarray(nodes, dtype=float)
-    d = t.size - 1
-    w = np.diff(t)
-    gram = np.empty((d, d))
-    for i in range(d):
-        gram[i, i] = w[i] ** p
-        js = np.arange(i + 1, d)
-        if js.size:
-            hi = _pow_diff(t[js + 1] - t[i], t[js + 1] - t[i + 1], p, w[i])
-            lo = _pow_diff(t[js] - t[i], t[js] - t[i + 1], p, w[i])
-            gram[i, js] = 0.5 * (hi - lo)
-            gram[js, i] = gram[i, js]
-    return gram
+    with np.errstate(all="ignore"):
+        r = np.minimum.outer(t, t) / np.maximum.outer(t, t)
+        q = -np.expm1(2.0 * h * np.log1p(-r)) / r  # 1 - (1 - r)^(2H), over r
+        return 0.5 * (r**h + r ** (1.0 - h) * q)
 
 
 def _cholesky_with_jitter(gram: np.ndarray):
@@ -216,7 +185,7 @@ def _cholesky_with_jitter(gram: np.ndarray):
         except np.linalg.LinAlgError:
             eps *= 2.0
     raise DegenerateModelError(
-        f"increment Gram matrix is not positive definite within jitter "
+        f"node correlation matrix is not positive definite within jitter "
         f"{1e-10 * base:.3e} (d={d}); refine the grid or move the model "
         f"away from the degenerate regime",
         jitter_last=1e-10 * base,
@@ -227,15 +196,20 @@ def _cholesky_with_jitter(gram: np.ndarray):
 class GridEmbedding:
     """Finite orthonormal coordinates for a model on a grid.
 
-    For path models, chol is the lower Cholesky factor of the increment
-    Gram matrix and increments = chol @ xi.  The factor, its jitter and
-    its residual check are one cached computation that runs on first use
-    of chol or jitter (sample_path, gram_matrix, embed_kernel2), so a
-    degenerate Gram raises DegenerateModelError there, not when the grid
-    is built.  For the sheet the Gram matrix is diagonal, chol is None
-    and the square roots of the cells^ndim cell volumes scale coordinates
-    directly; they are formed only where a path or the Gram matrix is,
-    never stored.  dim is the number of standard-normal coordinates.
+    factor is the lower (cells x cells) F with F F' the covariance of
+    one axis at the right nodes nodes[1:], so node values along an axis
+    are F @ xi: for fBm F = t^H L with L L' = _fbm_correlation(t, H),
+    for a sheet axis the exact Brownian factor F_ij = sqrt(w_j), j <= i,
+    with no Cholesky.  F holds node values, not increments; its row
+    differences are the increment factor.  The factor, its jitter and
+    the residual check of L L' against P are one cached computation that
+    runs on first use of factor or jitter (sample_path, gram_matrix,
+    embed_kernel2), so a degenerate correlation raises
+    DegenerateModelError there, not when the grid is built.  Both the
+    jitter and the residual bound are relative to each node's variance.
+    The sheet's cells^ndim cell volumes are formed only where a path or
+    the Gram matrix is, never stored.  dim is the number of
+    standard-normal coordinates.
     """
 
     model: object
@@ -243,20 +217,21 @@ class GridEmbedding:
 
     @cached_property
     def _factor(self):
+        t = self.nodes[1:]
         if isinstance(self.model, BrownianSheet):
-            return None, 0.0
-        gram = _fbm_increment_gram(self.nodes, self.model.hurst)
-        L, jitter = _cholesky_with_jitter(gram)
-        resid = np.max(np.abs(gram - L @ L.T))
-        if resid > 1e-10 * max(1.0, np.max(np.abs(gram))):
+            return np.tril(np.broadcast_to(np.sqrt(self.widths), (t.size,) * 2)), 0.0
+        corr = _fbm_correlation(t, self.model.hurst)
+        L, jitter = _cholesky_with_jitter(corr)
+        resid = np.max(np.abs(corr - L @ L.T))
+        if resid > 1e-10:  # P has a unit diagonal
             raise DegenerateModelError(
                 f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance",
                 jitter_last=jitter,
             )
-        return L, jitter
+        return t[:, None] ** self.model.hurst * L, jitter
 
     @property
-    def chol(self) -> np.ndarray | None:
+    def factor(self) -> np.ndarray:
         return self._factor[0]
 
     @property
@@ -285,12 +260,16 @@ class GridEmbedding:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     def gram_matrix(self) -> np.ndarray:
-        """Materialize the (dim x dim) increment Gram matrix."""
+        """Materialize the (dim x dim) increment Gram matrix.
+
+        Per axis it is dF dF' with dF the row differences of factor
+        (diag(sqrt widths) exactly on a sheet axis), and the Kronecker
+        product over the axes.
+        """
         if self.dim > _MAX_EMBED_DIM:
             raise ValueError(f"gram matrix would be {self.dim}^2; refusing")
-        if self.chol is not None:
-            return self.chol @ self.chol.T
-        return np.diag(reduce(np.kron, [self.widths] * self.ndim))
+        step = np.diff(self.factor, axis=0, prepend=0.0)
+        return reduce(np.kron, [step @ step.T] * self.ndim)
 
 
 def build_embedding(model, cells: int, grid: str = "uniform",
@@ -339,28 +318,6 @@ def _tail_steps(emb: GridEmbedding, weights) -> list:
     return out
 
 
-def _kernel2_factors(emb: GridEmbedding, weights) -> list:
-    """Per-axis factors B_a of the order-2 tail-mass kernel M = kron_a B_a'B_a.
-
-    The tail mass g(x) = integral of the weight over [max(x, cutoff), 1],
-    collocated on cell midpoints m_i, is semiseparable:
-    C = sum_l step_l 1_{<=l} 1_{<=l}' (see _tail_steps).  So the
-    conjugated kernel R'CR, with R the Cholesky factor for fBm or
-    diag(sqrt widths) per sheet axis, is B'B with
-    B = sqrt(step)[:, None] * cumsum(R, axis=0).  Cells below a cutoff
-    have step 0 and drop out: B_a has one row per live cell, which bounds
-    the rank of B_a'B_a by structure alone.
-    """
-    factors = []
-    with np.errstate(all="ignore"):
-        steps = _tail_steps(emb, weights)
-        root = emb.chol if emb.chol is not None else np.diag(np.sqrt(emb.widths))
-        rows = np.cumsum(root, axis=0)
-        for live, lo, p, g in steps:
-            factors.append((lo ** (0.5 * p) * g)[:, None] * rows[live])
-    return factors
-
-
 def _check_capacity(emb: GridEmbedding):
     if emb.dim > _MAX_EMBED_DIM:
         raise np.linalg.LinAlgError(
@@ -373,18 +330,25 @@ _RANGE_ERROR = "kernel is outside double range (||M||_F^4 is not finite)"
 def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     """Order-2 tail-mass kernel of a weighted quadratic functional.
 
-    M = B'B per axis from _kernel2_factors, PSD by construction, and the
-    Kronecker product of the axes for the sheet.  The result is the
-    order-2 kernel of the embedded chaos part, i.e. I_2(M)(xi)
-    reproduces the centered functional on the grid.
+    The tail mass g(x) = integral of the weight over [max(x, cutoff), 1],
+    collocated on cell midpoints m_i, is semiseparable:
+    C = sum_l step_l 1_{<=l} 1_{<=l}' (see _tail_steps).  Conjugated by
+    the increment factor dF, whose partial sums are the node factor F,
+    it is M = B'B per axis with B = sqrt(step)[:, None] * F[live], PSD by
+    construction, and the Kronecker product of the axes for the sheet.
+    Cells below a cutoff have step 0 and drop out, which bounds the rank
+    of B'B by structure alone.  The result is the order-2 kernel of the
+    embedded chaos part, i.e. I_2(M)(xi) reproduces the centered
+    functional on the grid.
 
     Raises numpy.linalg.LinAlgError when the dense kernel would be too
     large, or when ||M||_F^4 is outside double range: every exact
     order-2 moment is a power sum of the spectrum bounded by it.
     """
     _check_capacity(emb)
-    factors = _kernel2_factors(emb, weights)
     with np.errstate(all="ignore"):
+        factors = [(lo ** (0.5 * p) * g)[:, None] * emb.factor[live]
+                   for live, lo, p, g in _tail_steps(emb, weights)]
         # each b'b is a rank-k update, exactly symmetric
         out = reduce(np.kron, [b.T @ b for b in factors])
         if not np.isfinite(np.linalg.norm(out) ** 4):
@@ -395,22 +359,14 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
 def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     """Eigenvalues of embed_kernel2(emb, weights) without structural zeros.
 
-    M = kron_a B_a'B_a (_kernel2_factors), and the nonzero eigenvalues of
+    M = kron_a B_a'B_a (embed_kernel2), and the nonzero eigenvalues of
     B_a'B_a are those of the small Gram B_a B_a', one row per live cell
-    (nonzero step).  That Gram has a closed form: cumsum(R) cumsum(R)' is
-    the path covariance at the cells' right nodes t, so
-    B_a B_a' = diag(s) R_H(t_i, t_j) diag(s) with s the square-root
-    steps, and R_H(s, t) = min(s, t) on a sheet axis (H = 1/2).  Scaled
-    out, it is diag(a) P diag(a) with a_i = s_i t_i^H and P the fBm
-    correlation, which depends only on r = t_small / t_big:
-
-        P_ij = (r^H + r^(1-H) * (1 - (1 - r)^(2H)) / r) / 2,
-
-    in [0, 1] with diagonal 1, the last factor taken as
-    -expm1(2H log1p(-r)) / r so no entry cancels or overflows.  a is
-    formed as t^(H + p/2) (lo/t)^(p/2) g (see _tail_steps), whose
-    exponents are combined so it stays representable where s and t^H
-    alone are not.  No increment Gram, Cholesky factor or jitter is
+    (nonzero step).  F F' is the path covariance at the cells' right
+    nodes t, so B_a B_a' = diag(a) P diag(a) with P = _fbm_correlation
+    at the live t (H = 1/2 on a sheet axis) and a_i = s_i t_i^H, s the
+    square-root steps.  a is formed as t^(H + p/2) (lo/t)^(p/2) g (see
+    _tail_steps), whose exponents are combined so it stays representable
+    where s and t^H alone are not.  No Cholesky factor or jitter is
     formed.  M's eigenvalues are the products of the per-axis spectra:
     prod_a k_a values, ascending and read-only.  The count comes from the
     live rows alone, never from a cutoff on the eigenvalues.
@@ -426,10 +382,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
         for live, lo, p, g in _tail_steps(emb, weights):
             t = emb.nodes[1:][live]
             a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
-            r = np.minimum.outer(t, t) / np.maximum.outer(t, t)
-            q = -np.expm1(2.0 * h * np.log1p(-r)) / r  # 1 - (1 - r)^(2H), over r
-            corr = 0.5 * (r**h + r ** (1.0 - h) * q)
-            grams.append(np.linalg.eigvalsh(a[:, None] * corr * a))
+            grams.append(np.linalg.eigvalsh(a[:, None] * _fbm_correlation(t, h) * a))
         lam = np.sort(reduce(np.multiply.outer, grams), axis=None)
         if not np.isfinite(np.sum(lam * lam) ** 2):
             raise np.linalg.LinAlgError(_RANGE_ERROR)
@@ -460,7 +413,9 @@ def sample_path(emb: GridEmbedding, xi) -> PathSample:
 
     xi has shape (dim,) or (N, dim).  The same xi fed to an embedded
     kernel's chaos evaluation refers to the same realization, which is
-    what couples direct quadrature and chaos routes.
+    what couples direct quadrature and chaos routes.  fBm node values are
+    xi F' (GridEmbedding.factor); a sheet's are partial sums, axis by
+    axis, of its increments sqrt(cell volume) * xi.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
@@ -470,13 +425,11 @@ def sample_path(emb: GridEmbedding, xi) -> PathSample:
         raise ValueError(f"xi must have shape (N, {emb.dim})")
     n = xi.shape[0]
     d = emb.cells
-    if emb.chol is not None:
-        incr = xi @ emb.chol.T
-        vals = np.concatenate([np.zeros((n, 1)), np.cumsum(incr, axis=1)], axis=1)
+    if isinstance(emb.model, FractionalBrownianMotion):
+        vals = np.concatenate([np.zeros((n, 1)), xi @ emb.factor.T], axis=1)
     else:
         sqrt_volumes = np.sqrt(reduce(np.kron, [emb.widths] * emb.ndim))
-        incr = (xi * sqrt_volumes).reshape((n,) + (d,) * emb.ndim)
-        vals = incr
+        vals = (xi * sqrt_volumes).reshape((n,) + (d,) * emb.ndim)
         for ax in range(1, emb.ndim + 1):
             vals = np.cumsum(vals, axis=ax)
             pad = [(0, 0)] * vals.ndim

@@ -273,7 +273,8 @@ def test_numerical_failures_exit_two(argv, capsys, tmp_path):
 def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
     # first cells of width 2^-1000 and 2^-720: increment variances that
     # underflow once needed a Cholesky jitter that put the kernel out of
-    # double range; the closed-form spectrum needs no factor
+    # double range; the closed-form spectrum needs no factor, and the
+    # node factor judges each row against its own variance
     argv = ["diagnose", "--family", "fbm-power", "--cells", "16",
             "--octaves", "1000", "--samples", "100", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
@@ -291,8 +292,11 @@ def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
     (row,) = _rows(tmp_path, "sweep-fbm")
     variance = float(row["variance_exact"])
     assert variance == pytest.approx(0.2750366, rel=1e-6)
-    # 716 octaves, the deepest grid the Cholesky route factors without
-    # jitter: cells below 2^-716 change the variance by about 1e-4
+    # the dense route through the node factor gives the same value
+    ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 16, "geometric", 720.0)
+    assert 2.0 * ef.scale**2 * norm_sq(ef.kernel) == pytest.approx(
+        0.2750366, rel=1e-6)
+    # at 716 octaves: cells below 2^-716 change the variance by about 1e-4
     ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 16, "geometric", 716.0)
     dense = 2.0 * ef.scale**2 * norm_sq(ef.kernel)
     assert dense == pytest.approx(0.2750712, rel=1e-6)

@@ -89,7 +89,7 @@ def test_geometric_nodes_deepest_default_grids_stay_valid(cells):
 
 def test_build_embedding_d1_is_identity():
     emb = build_embedding(FractionalBrownianMotion(0.6), 1)
-    np.testing.assert_allclose(emb.chol, [[1.0]])
+    np.testing.assert_allclose(emb.factor, [[1.0]])
     np.testing.assert_allclose(emb.gram_matrix(), [[1.0]])
 
 
@@ -113,7 +113,11 @@ def test_bm_increments_are_independent():
 def test_fbm_gram_factors_on_uniform_grids(hurst, cells):
     emb = build_embedding(FractionalBrownianMotion(hurst), cells)
     gram = emb.gram_matrix()
-    resid = np.max(np.abs(gram - emb.chol @ emb.chol.T))
+    # increment covariance: four-point double difference of R_H
+    t = emb.nodes
+    cov = emb.model.covariance(t[:, None], t[None, :])
+    want = cov[1:, 1:] - cov[1:, :-1] - cov[:-1, 1:] + cov[:-1, :-1]
+    resid = np.max(np.abs(gram - want))
     assert resid <= 1e-10 * max(1.0, np.max(np.abs(gram)))
     # total variance of the endpoint is sum of all gram entries = 1
     assert gram.sum() == pytest.approx(1.0, rel=1e-8)
@@ -122,15 +126,46 @@ def test_fbm_gram_factors_on_uniform_grids(hurst, cells):
 def test_fbm_gram_factors_on_deep_geometric_grid():
     emb = build_embedding(FractionalBrownianMotion(0.75), 512, "geometric",
                           511.0)
-    assert np.all(np.isfinite(emb.chol))
+    assert np.all(np.isfinite(emb.factor))
     assert emb.gram_matrix().sum() == pytest.approx(1.0, rel=1e-8)
 
 
-def test_jitter_ladder_engages_on_near_singular_grid():
+def test_near_singular_deep_grid_factors_without_jitter():
+    # H = 0.99 over 1023 octaves: the node correlation has a unit
+    # diagonal, so no row is judged against a variance it does not have
     emb = build_embedding(FractionalBrownianMotion(0.99), 1024, "geometric",
                           1023.0)
-    assert emb.jitter > 0.0
-    assert np.all(np.isfinite(emb.chol))
+    assert emb.jitter == 0.0
+    # divide before squaring: (t_1^H)^2 underflows
+    rows = emb.factor / emb.nodes[1:, None] ** 0.99
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0.0,
+                               atol=1e-12)
+
+
+def test_jitter_ladder_recovers_a_singular_matrix():
+    from chaoskit.embeddings import _cholesky_with_jitter
+
+    L, jitter = _cholesky_with_jitter(np.ones((2, 2)))
+    assert jitter > 0.0
+    assert np.all(np.isfinite(L))
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.5, 0.75, 0.99])
+@pytest.mark.parametrize("cells, grid, octaves", [(16, "uniform", None),
+                                                  (256, "uniform", None),
+                                                  (32, "geometric", 16.0)])
+def test_factor_reproduces_the_naive_covariance(hurst, cells, grid, octaves):
+    # shallow grids only: the naive formula cancels on deep ones, and
+    # its own rounding, a few ulps of the largest term max(s, t)^(2H),
+    # is added to the bound
+    model = FractionalBrownianMotion(hurst)
+    emb = build_embedding(model, cells, grid, octaves)
+    t = emb.nodes[1:]
+    got = emb.factor @ emb.factor.T
+    want = model.covariance(t[:, None], t[None, :])
+    bound = (1e-12 * np.outer(t**hurst, t**hurst)
+             + 4.0 * np.finfo(float).eps * np.maximum.outer(t, t) ** (2 * hurst))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_indefinite_matrix_raises_degenerate():
@@ -148,7 +183,10 @@ def test_sheet_gram_is_kron_of_axis_volumes():
     np.testing.assert_allclose(emb.gram_matrix(),
                                np.kron(one.gram_matrix(), one.gram_matrix()),
                                atol=1e-12)
-    assert emb.chol is None
+    # the exact Brownian factor sqrt(w_j), j <= i, shared by both axes
+    brownian = np.tril(np.ones((8, 8))) * np.sqrt(emb.widths)
+    np.testing.assert_array_equal(emb.factor, brownian)
+    assert emb.jitter == 0.0
     assert emb.dim == 64
 
 
@@ -162,10 +200,8 @@ def _tail_mass_oracle(emb, expo, cutoff=0.0):
 
 def _conjugated_oracle(emb, expo, cutoff=0.0):
     c = _tail_mass_oracle(emb, expo, cutoff)
-    if emb.chol is not None:
-        return emb.chol.T @ c @ emb.chol
-    s = np.sqrt(emb.widths)
-    return s[:, None] * c * s[None, :]
+    incr = np.diff(emb.factor, axis=0, prepend=0.0)
+    return incr.T @ c @ incr
 
 
 def _assert_rel_close(got, want, rtol=1e-12):
@@ -244,7 +280,7 @@ def test_embed_sheet_is_kron_of_axes():
 
 
 def _assert_spectrum_matches_dense(emb, weights):
-    """kernel2_spectrum's closed form against the Cholesky route."""
+    """kernel2_spectrum's closed form against the dense kernel's."""
     lam = kernel2_spectrum(emb, weights)
     dense = hs_operator(embed_kernel2(emb, weights)).eigenvalues
     live = [np.sum(np.append(emb.midpoints[1:], 1.0) > cutoff)

@@ -66,10 +66,8 @@ def _kernel_oracle(emb, tail_mass):
     """Collocate a per-axis tail mass on midpoints and conjugate it."""
     mids = emb.midpoints
     c = tail_mass(np.maximum(mids[:, None], mids[None, :]))
-    if emb.chol is not None:
-        return emb.chol.T @ c @ emb.chol
-    s = np.sqrt(emb.widths)
-    return s[:, None] * c * s[None, :]
+    incr = np.diff(emb.factor, axis=0, prepend=0.0)
+    return incr.T @ c @ incr
 
 
 def _assert_rel_close(got, want, rtol=1e-12):
@@ -329,6 +327,16 @@ def test_fbm_power_default_depth_matches_half_depth():
     ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 1024, "geometric")
     assert ef.excess_kurtosis_exact() == pytest.approx(5.953317720308796,
                                                        rel=1e-12)
+
+
+def test_fbm_power_default_depth_dense_kernel_matches_operator():
+    # the coordinate route on the same 1024-cell, 1023-octave grid: the
+    # node factor needs no jitter, so the dense kernel stays in range
+    ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 1024, "geometric")
+    dense = hs_operator(ef.kernel).eigenvalues
+    lam = ef.operator.eigenvalues
+    for j in (2, 4):
+        assert np.sum(dense**j) == pytest.approx(np.sum(lam**j), rel=1e-12)
 
 
 def test_sample_statistic_matches_statistic_of_stream():
