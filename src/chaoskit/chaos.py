@@ -195,31 +195,25 @@ def second_moment_exact(f: SymTensor) -> float:
 
 
 def fourth_moment_exact(f: SymTensor) -> float:
-    """E[I_n(f)^4], exactly.
+    """E[I_n(f)^4], exactly, from contraction norms (Nualart-Peccati 2005):
 
-    General order: squaring I_n(f) with the product formula and applying
-    the second-moment rule to each resulting order gives
+        3 (n!)^2 ||f||^4 + sum_{p=1}^{n-1} (n! C(n,p))^2
+            (||f (x)_p f||^2 + C(2n-2p, n-p) ||symmetrize(f (x)_p f)||^2).
 
-        E[I_n(f)^4] = sum_{p=0}^{n} (p! C(n,p)^2)^2 (2n-2p)!
-                      ||symmetrize(f (x)_p f)||^2.
-
-    Order 2 avoids materializing order-4 intermediates: with F the
-    kernel matrix, E = 12||F||^4 + 48 trace(F^4).
+    The product formula's order-2n term ||symmetrize(f (x) f)||^2 is
+    C(2n,n)^-1 sum_r C(n,r)^2 ||f (x)_r f||^2 (count the permutations of
+    2n slots by how many cross between the blocks of n), so no tensor
+    above order 2n - 2 is formed.  n = 2 gives 12||F||^4 + 48 trace(F^4).
     """
     n = f.order
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return 3.0 * norm_sq(f) ** 2
-    if n == 2:
-        h2 = norm_sq(f)
-        h4 = norm_sq(contract(f, f, 1))  # trace(F^4) for symmetric F
-        return 12.0 * h2 * h2 + 48.0 * h4
-    total = 0.0
-    for p in range(n + 1):
-        c = math.factorial(p) * math.comb(n, p) ** 2
-        w = c * c * math.factorial(2 * n - 2 * p)
-        total += w * norm_sq(symmetrize(contract(f, f, p)))
+    nf = math.factorial(n)
+    total = 3 * nf**2 * norm_sq(f) ** 2
+    for p in range(1, n):
+        g = contract(f, f, p)
+        cross = math.comb(2 * n - 2 * p, n - p) * norm_sq(symmetrize(g))
+        total += (nf * math.comb(n, p)) ** 2 * (norm_sq(g) + cross)
     return total
 
 

@@ -67,7 +67,8 @@ class DegenerateModelError(RuntimeError):
 class FractionalBrownianMotion:
     """Centered Gaussian path model on [0, 1] with stationary increments.
 
-    covariance(s, t) = (s^{2H} + t^{2H} - |t-s|^{2H}) / 2.  hurst = 1/2
+    covariance(s, t) = (s^{2H} + t^{2H} - |t-s|^{2H}) / 2, evaluated
+    without cancellation as s^H t^H times _fbm_correlation.  hurst = 1/2
     recovers standard Brownian motion (independent increments).
     """
 
@@ -84,8 +85,9 @@ class FractionalBrownianMotion:
     def covariance(self, s, t):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
-        p = 2.0 * self.hurst
-        return 0.5 * (s**p + t**p - np.abs(t - s) ** p)
+        h = self.hurst
+        cov = s**h * t**h * _fbm_correlation(s, t, h)  # nan where s or t is 0
+        return np.where((s == 0.0) | (t == 0.0), 0.0, cov)[()]
 
 
 def brownian_motion() -> FractionalBrownianMotion:
@@ -146,20 +148,20 @@ def geometric_nodes(cells: int, octaves: float | None = None) -> np.ndarray:
     return nodes
 
 
-def _fbm_correlation(t: np.ndarray, h: float) -> np.ndarray:
-    """Correlation P_ij of fBm at nodes t > 0, for Hurst index h.
+def _fbm_correlation(s, t, h: float) -> np.ndarray:
+    """Correlation P of fBm between times s, t > 0 (broadcast), Hurst index h.
 
-    P depends only on r = t_small / t_big:
+    P depends only on r = min(s, t) / max(s, t):
 
-        P_ij = (r^H + r^(1-H) * (1 - (1 - r)^(2H)) / r) / 2,
+        P = (r^H + r^(1-H) * (1 - (1 - r)^(2H)) / r) / 2,
 
-    in [0, 1] with diagonal 1, the last factor taken as
+    in [0, 1] and 1 at s = t, the last factor taken as
     -expm1(2H log1p(-r)) / r so no entry cancels or overflows; the
-    covariance is diag(t^H) P diag(t^H).  H = 1/2 gives sqrt(r), the
-    Brownian correlation of a sheet axis.
+    covariance is s^H t^H P.  H = 1/2 gives sqrt(r), the Brownian
+    correlation of a sheet axis.
     """
     with np.errstate(all="ignore"):
-        r = np.minimum.outer(t, t) / np.maximum.outer(t, t)
+        r = np.minimum(s, t) / np.maximum(s, t)
         q = -np.expm1(2.0 * h * np.log1p(-r)) / r  # 1 - (1 - r)^(2H), over r
         return 0.5 * (r**h + r ** (1.0 - h) * q)
 
@@ -198,7 +200,7 @@ class GridEmbedding:
 
     factor is the lower (cells x cells) F with F F' the covariance of
     one axis at the right nodes nodes[1:], so node values along an axis
-    are F @ xi: for fBm F = t^H L with L L' = _fbm_correlation(t, H),
+    are F @ xi: for fBm F = t^H L with L L' = P at the nodes t,
     for a sheet axis the exact Brownian factor F_ij = sqrt(w_j), j <= i,
     with no Cholesky.  F holds node values, not increments; its row
     differences are the increment factor.  The factor, its jitter and
@@ -220,7 +222,7 @@ class GridEmbedding:
         t = self.nodes[1:]
         if isinstance(self.model, BrownianSheet):
             return np.tril(np.broadcast_to(np.sqrt(self.widths), (t.size,) * 2)), 0.0
-        corr = _fbm_correlation(t, self.model.hurst)
+        corr = _fbm_correlation(t[:, None], t, self.model.hurst)
         L, jitter = _cholesky_with_jitter(corr)
         resid = np.max(np.abs(corr - L @ L.T))
         if resid > 1e-10:  # P has a unit diagonal
@@ -382,7 +384,8 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
         for live, lo, p, g in _tail_steps(emb, weights):
             t = emb.nodes[1:][live]
             a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
-            grams.append(np.linalg.eigvalsh(a[:, None] * _fbm_correlation(t, h) * a))
+            corr = _fbm_correlation(t[:, None], t, h)
+            grams.append(np.linalg.eigvalsh(a[:, None] * corr * a))
         lam = np.sort(reduce(np.multiply.outer, grams), axis=None)
         if not np.isfinite(np.sum(lam * lam) ** 2):
             raise np.linalg.LinAlgError(_RANGE_ERROR)

@@ -141,8 +141,8 @@ def symmetrize(t: Tensor) -> SymTensor:
         # cheap path; (a + a.T)/2 is bitwise symmetric because each pair of
         # mirror entries comes from the same two summands
         return SymTensor(0.5 * (a + a.T))
-    # group entries by their multiset of indices and average within groups
-    idx = np.indices(a.shape).reshape(n, -1)
+    # average within multisets of indices, held as bytes for d <= 256
+    idx = np.indices(a.shape, dtype=np.min_scalar_type(a.shape[0] - 1)).reshape(n, -1)
     key = np.ravel_multi_index(tuple(np.sort(idx, axis=0)), a.shape)
     sums = np.bincount(key, weights=a.ravel(), minlength=a.size)
     counts = np.bincount(key, minlength=a.size)

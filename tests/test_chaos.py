@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from chaoskit.chaos import (
     second_moment_exact,
 )
 from chaoskit.rng import stream
-from chaoskit.tensors import SymTensor, basis_tensor, sym, symmetrize, tensor
+from chaoskit.tensors import (
+    SymTensor,
+    basis_tensor,
+    contract,
+    norm_sq,
+    sym,
+    symmetrize,
+    tensor,
+)
 
 
 def test_hermite_low_orders():
@@ -184,7 +193,7 @@ def test_fourth_moment_frozen_values():
     assert fourth_moment_exact(cross) == pytest.approx(9.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_moments_match_bruteforce_oracle(n):
     rng = stream(29, f"chaos:moments:{n}")
     for d in (1, 2, 3):
@@ -193,6 +202,39 @@ def test_moments_match_bruteforce_oracle(n):
             reference.moment_bruteforce(f, 2), rel=1e-10)
         assert fourth_moment_exact(f) == pytest.approx(
             reference.moment_bruteforce(f, 4), rel=1e-10)
+
+
+def _fourth_moment_by_symmetrizing_every_term(f):
+    # the product-formula expansion with every term symmetrized, p = 0
+    # included: the order-2n route the contraction-norm sum replaces
+    n = f.order
+    total = 0.0
+    for p in range(n + 1):
+        c = math.factorial(p) * math.comb(n, p) ** 2
+        h = symmetrize(contract(f, f, p))
+        total += c * c * math.factorial(2 * n - 2 * p) * norm_sq(h)
+    return total
+
+
+@pytest.mark.parametrize("n, d", [(3, 4), (3, 8), (3, 12),
+                                  (4, 2), (4, 4), (4, 6)])
+def test_fourth_moment_matches_the_symmetrized_expansion(n, d):
+    f = sym(stream(31, f"chaos:fourth:{n}:{d}").standard_normal((d,) * n))
+    assert fourth_moment_exact(f) == pytest.approx(
+        _fourth_moment_by_symmetrizing_every_term(f), rel=1e-12)
+
+
+def test_fourth_moment_forms_no_order_2n_tensor():
+    # one order-6 array at d = 12 is 12**6 * 8 bytes = 23.9 MB; the
+    # largest term left is an order-4 symmetrize
+    f = sym(stream(31, "chaos:fourth:memory").standard_normal((12,) * 3))
+    tracemalloc.start()
+    try:
+        fourth_moment_exact(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12**6 * 8 / 10
 
 
 def test_excess_kurtosis_nonnegative():

@@ -155,17 +155,31 @@ def test_jitter_ladder_recovers_a_singular_matrix():
                                                   (256, "uniform", None),
                                                   (32, "geometric", 16.0)])
 def test_factor_reproduces_the_naive_covariance(hurst, cells, grid, octaves):
-    # shallow grids only: the naive formula cancels on deep ones, and
-    # its own rounding, a few ulps of the largest term max(s, t)^(2H),
-    # is added to the bound
+    # covariance() does not cancel where s << t, so the bound is
+    # relative to s^H t^H alone
     model = FractionalBrownianMotion(hurst)
     emb = build_embedding(model, cells, grid, octaves)
     t = emb.nodes[1:]
     got = emb.factor @ emb.factor.T
     want = model.covariance(t[:, None], t[None, :])
-    bound = (1e-12 * np.outer(t**hurst, t**hurst)
-             + 4.0 * np.finfo(float).eps * np.maximum.outer(t, t) ** (2 * hurst))
-    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.outer(t**hurst, t**hurst))
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.5, 0.75, 0.99])
+def test_fbm_covariance_matches_40_digit_arithmetic(hurst):
+    # (s^2H + t^2H - |t-s|^2H)/2 in double cancels to 1.9e-12 relative
+    # at H = 0.99 on this grid
+    mpmath = pytest.importorskip("mpmath")
+    t = geometric_nodes(32, 16.0)
+    got = FractionalBrownianMotion(hurst).covariance(t[:, None], t[None, :])
+    with mpmath.workdps(40):
+        h2 = 2 * mpmath.mpf(hurst)
+        want = np.array([[float((mpmath.mpf(s) ** h2 + mpmath.mpf(u) ** h2
+                                 - abs(mpmath.mpf(u) - mpmath.mpf(s)) ** h2) / 2)
+                          for u in t] for s in t])
+    assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
+    scale = np.outer(t**hurst, t**hurst)
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale)
 
 
 def test_indefinite_matrix_raises_degenerate():
