@@ -65,6 +65,7 @@ def hermite(k: int, x):
 
 
 _ROW_BLOCK = 1 << 20  # entries of the rows x d^(n-1) working array
+_DRAW_BLOCK = 1 << 15  # entries of one block of spectral normals (256 KB)
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -205,16 +206,22 @@ def fourth_moment_exact(f: SymTensor) -> float:
     2n slots by how many cross between the blocks of n), so no tensor
     above order 2n - 2 is formed.  n = 2 gives 12||F||^4 + 48 trace(F^4).
     """
+    return _fourth_moment_and_contractions(f)[0]
+
+
+def _fourth_moment_and_contractions(f: SymTensor) -> tuple:
+    """E[I_n(f)^4] and ||f (x)_p f||^2 for p = 1..n-1, one contraction each."""
     n = f.order
     if n < 1:
         raise ValueError("order must be >= 1")
     nf = math.factorial(n)
-    total = 3 * nf**2 * norm_sq(f) ** 2
+    total, norms = 3 * nf**2 * norm_sq(f) ** 2, []
     for p in range(1, n):
         g = contract(f, f, p)
+        norms.append(norm_sq(g))
         cross = math.comb(2 * n - 2 * p, n - p) * norm_sq(symmetrize(g))
-        total += (nf * math.comb(n, p)) ** 2 * (norm_sq(g) + cross)
-    return total
+        total += (nf * math.comb(n, p)) ** 2 * (norms[-1] + cross)
+    return total, tuple(norms)
 
 
 def excess_kurtosis_exact(f: SymTensor) -> float:
@@ -239,9 +246,9 @@ def contraction_profile(f: SymTensor) -> tuple:
 
 def _blocked_draws(evaluate, dim: int, n_samples: int,
                    rng: np.random.Generator, block: int) -> np.ndarray:
-    """evaluate(xi) on fixed-size blocks of fresh (take, dim) normals.
+    """evaluate(xi) on blocks of at most `block` rows of fresh normals.
 
-    Fixed blocks make the output independent of n_samples alignment.
+    The fill is row-major, so draw i reads normals [i*dim, (i+1)*dim).
     """
     out = np.empty(n_samples)
     for start in range(0, n_samples, block):
@@ -319,8 +326,7 @@ def char_function(op: HSOperator, freq):
 
 
 def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
-                              rng: np.random.Generator,
-                              block: int = 8192) -> np.ndarray:
+                              rng: np.random.Generator) -> np.ndarray:
     """Draws of an order-2 integral through its eigendecomposition.
 
     I_2(F) equals sum_k lambda_k (eta_k^2 - 1) in distribution with eta
@@ -328,12 +334,17 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
     instead of O(d^2) work and is the workhorse for the large sweep
     grids.  f is the kernel or its HSOperator, whose spectrum is then
     reused; an operator whose eigenvalues omit structural zeros (size
-    below dim) draws only for the eigenvalues it holds.
+    below dim) draws only for the eigenvalues it holds.  Normals come in
+    blocks of about _DRAW_BLOCK entries, squared in place, so memory beyond
+    the output is bounded; the draws do not depend on the block size.
     """
     if not isinstance(f, HSOperator):
         if f.order != 2:
             raise ValueError("spectral sampling is for order-2 kernels")
         f = hs_operator(f)
     lam = f.eigenvalues
-    return _blocked_draws(lambda eta: (eta * eta - 1.0) @ lam, lam.size,
-                          n_samples, rng, block)
+    # eta^2 - 1 is formed in the fresh block.  Whole 64-row blocks keep the
+    # gemv row groups per BLAS thread, so no draw depends on the block ends
+    return _blocked_draws(
+        lambda eta: np.subtract(np.square(eta, out=eta), 1.0, out=eta) @ lam,
+        lam.size, n_samples, rng, max(64, _DRAW_BLOCK // max(lam.size, 1)) & -64)

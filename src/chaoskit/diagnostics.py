@@ -25,16 +25,16 @@ from scipy.special import ndtr
 
 from .chaos import (
     HSOperator,
+    _fourth_moment_and_contractions,
     char_function,
     cumulant,
-    fourth_moment_exact,
     hs_operator,
     sample_integral,
     sample_integral2_spectral,
     second_moment_exact,
 )
 from .rng import stream
-from .tensors import SymTensor, contraction_norm_sq, scale, sym
+from .tensors import SymTensor, scale, sym
 
 __all__ = [
     "KSResult",
@@ -111,24 +111,24 @@ def summarize(samples) -> SampleSummary:
     n = x.size
     if n < 8:
         raise ValueError("too few samples to summarize")
-    s1, s2, s3, s4 = (np.sum(x**k) for k in (1, 2, 3, 4))
+    powers = (x, x2 := x * x, x2 * x, x2 * x2)
+    sums = [np.sum(p) for p in powers]
 
     def stats_from_sums(t1, t2, t3, t4, m):
         mu = t1 / m
-        m2 = t2 / m - mu**2
-        m3 = t3 / m - 3.0 * mu * t2 / m + 2.0 * mu**3
-        m4 = t4 / m - 4.0 * mu * t3 / m + 6.0 * mu**2 * t2 / m - 3.0 * mu**4
+        mu2 = mu * mu
+        m2 = t2 / m - mu2
+        m3 = t3 / m - 3.0 * mu * t2 / m + 2.0 * mu * mu2
+        m4 = t4 / m - 4.0 * mu * t3 / m + 6.0 * mu2 * t2 / m - 3.0 * mu2 * mu2
         var = m2 * m / (m - 1)
-        skew = m3 / m2**1.5
-        kurt = m4 / m2**2
+        skew = m3 / (m2 * np.sqrt(m2))
+        kurt = m4 / (m2 * m2)
         return mu, var, skew, kurt
 
-    full = stats_from_sums(s1, s2, s3, s4, n)
-    loo = stats_from_sums(s1 - x, s2 - x**2, s3 - x**3, s4 - x**4, n - 1)
-    ses = []
-    for est, drops in zip(full, loo):
-        dev = drops - np.mean(drops)
-        ses.append(math.sqrt((n - 1) / n * float(np.sum(dev * dev))))
+    full = stats_from_sums(*sums, n)
+    loo = stats_from_sums(*(s - p for s, p in zip(sums, powers)), n - 1)
+    ses = [math.sqrt((n - 1) / n * float(np.sum(np.square(d - np.mean(d)))))
+           for d in loo]
     return SampleSummary(
         n=n,
         mean=float(full[0]), variance=float(full[1]),
@@ -233,8 +233,7 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
             order, v = f.order, second_moment_exact(f)
             g = scale(f, 1.0 / math.sqrt(v)) if (normalize and v > 0) else f
             m2 = second_moment_exact(g)
-            m4 = fourth_moment_exact(g)
-            contractions = tuple(contraction_norm_sq(g, p) for p in range(1, order))
+            m4, contractions = _fourth_moment_and_contractions(g)
             draws = sample_integral(g, samples, rng)
         if not (1e-12 < v < 1e12):
             degenerate = True

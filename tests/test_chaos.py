@@ -7,6 +7,7 @@ import pytest
 from chaoskit import chaos, reference
 from chaoskit.chaos import (
     ChaosElement,
+    HSOperator,
     contraction_profile,
     eval_chaos_element,
     eval_integral,
@@ -286,6 +287,39 @@ def test_spectral_sampler_agrees_in_distribution():
         se = math.hypot((a**power).std(ddof=1), (b**power).std(ddof=1))
         se /= math.sqrt(a.size)
         assert abs(ma - mb) <= 4.0 * se
+
+
+@pytest.mark.parametrize("rank", [1, 7, 512])
+def test_spectral_draws_do_not_depend_on_blocking(rank):
+    # blocks hold chaos._DRAW_BLOCK entries, so n = 1000 and n = 100000 cut
+    # the stream differently; the generator's row-major fill and whole
+    # 64-row blocks make every draw read, and reduce, the same normals
+    lam = stream(43, f"chaos:blocks:{rank}").standard_normal(rank)
+    op = HSOperator(rank, lam)
+    short = sample_integral2_spectral(op, 1000, stream(43, "chaos:draws"))
+    long = sample_integral2_spectral(op, 100000, stream(43, "chaos:draws"))
+    np.testing.assert_array_equal(short, long[:1000])
+    eta = stream(43, "chaos:draws").standard_normal((1000, rank))
+    np.testing.assert_array_equal(short, (eta * eta - 1.0) @ lam)
+
+
+def test_spectral_draws_of_rank_zero_operator_are_zero():
+    draws = sample_integral2_spectral(HSOperator(5, np.empty(0)), 1000,
+                                      stream(43, "chaos:rank0"))
+    np.testing.assert_array_equal(draws, np.zeros(1000))
+
+
+def test_spectral_sampler_memory_is_bounded():
+    # 1e5 draws at rank 512 read 51.2e6 normals (410 MB at once); beyond
+    # the 0.8 MB output only one 256 KB block, squared in place, is live
+    op = HSOperator(512, np.full(512, 1.0 / math.sqrt(1024.0)))
+    tracemalloc.start()
+    try:
+        sample_integral2_spectral(op, 100000, stream(47, "chaos:memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100000 * 8 + 4 * chaos._DRAW_BLOCK * 8
 
 
 def test_spectral_sampler_requires_order2():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import chaos, reference, tensors
 from chaoskit.chaos import (
     excess_kurtosis_exact,
     fourth_moment_exact,
@@ -114,6 +115,44 @@ def test_summarize_jackknife_matches_bruteforce():
         dev = reps[:, j] - reps[:, j].mean()
         want = math.sqrt((n - 1) / n * np.sum(dev * dev))
         assert got == pytest.approx(want, rel=1e-8)
+
+
+def _heavy_shifted(n, tag):
+    # 3 xi_1 xi_2 + 5: kurtosis 9, and the shift makes the raw power sums
+    # cancel in every central moment
+    rng = stream(2, tag)
+    return 3.0 * rng.standard_normal(n) * rng.standard_normal(n) + 5.0
+
+
+def test_summarize_heavy_tailed_shifted_matches_two_pass():
+    x = _heavy_shifted(100000, "diag:heavy")
+    su = summarize(x)
+    c = x - x.mean()
+    m2, m3, m4 = (np.mean(c**k) for k in (2, 3, 4))
+    assert su.mean == pytest.approx(x.mean(), rel=1e-9)
+    assert su.variance == pytest.approx(x.var(ddof=1), rel=1e-9)
+    assert su.skewness == pytest.approx(m3 / m2**1.5, rel=1e-9)
+    assert su.kurtosis == pytest.approx(m4 / m2**2, rel=1e-9)
+    assert abs(su.kurtosis - 9.0) < 1.5
+
+
+def test_summarize_heavy_tailed_jackknife_matches_bruteforce():
+    x = _heavy_shifted(200, "diag:heavy:jack")
+    su = summarize(x)
+
+    def stats(arr):
+        c = arr - arr.mean()
+        m2 = np.mean(c**2)
+        return (arr.mean(), arr.var(ddof=1),
+                np.mean(c**3) / m2**1.5, np.mean(c**4) / m2**2)
+
+    n = x.size
+    reps = np.array([stats(np.delete(x, i)) for i in range(n)])
+    for j, got in enumerate((su.se_mean, su.se_variance,
+                             su.se_skewness, su.se_kurtosis)):
+        dev = reps[:, j] - reps[:, j].mean()
+        want = math.sqrt((n - 1) / n * np.sum(dev * dev))
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 # ------------------------------------------------------- HS / cumulants
@@ -289,6 +328,31 @@ def test_report_order2_rows_match_tensor_route():
                                                     rel=1e-12)
         assert row.contraction_norms_sq == pytest.approx(
             (contraction_norm_sq(g, 1),), rel=1e-12)
+
+
+@pytest.mark.parametrize("order, d", [(3, 4), (3, 6), (4, 3)])
+def test_report_contracts_each_higher_order_kernel_once(order, d, monkeypatch):
+    rng = stream(23, f"diag:once:{order}:{d}")
+    kernels = [sym(rng.standard_normal((d,) * order)) for _ in range(2)]
+    calls = []
+    contract = tensors.contract
+
+    def counting_contract(f, g, p):
+        calls.append(p)
+        return contract(f, g, p)
+
+    monkeypatch.setattr(tensors, "contract", counting_contract)
+    monkeypatch.setattr(chaos, "contract", counting_contract)
+    report = gaussian_limit_report(kernels, samples=200, seed=0)
+    assert calls == list(range(1, order)) * len(kernels)
+    monkeypatch.undo()
+    for f, row in zip(kernels, report):
+        g = scale(f, 1.0 / math.sqrt(second_moment_exact(f)))
+        assert row.fourth_moment == fourth_moment_exact(g)
+        for p, got in enumerate(row.contraction_norms_sq, 1):
+            brute = norm_sq(reference.contraction_bruteforce(g, g, p))
+            assert got == pytest.approx(contraction_norm_sq(g, p), rel=1e-12)
+            assert got == pytest.approx(brute, rel=1e-12)
 
 
 def test_report_excess_nonnegative_invariant():
