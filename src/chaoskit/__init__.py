@@ -36,6 +36,10 @@ from .chaos import (
     excess_kurtosis_exact,
     contraction_profile,
     sample_integral,
+    HSOperator,
+    hs_operator,
+    cumulant,
+    char_function,
     sample_integral2_spectral,
 )
 from .embeddings import (
@@ -65,15 +69,10 @@ from .functionals import (
 from .diagnostics import (
     KSResult,
     SampleSummary,
-    HSOperator,
-    KernelSequence,
     KernelDiagnostics,
     SequenceReport,
     ks_against_std_normal,
     summarize,
-    hs_operator,
-    cumulant,
-    char_function,
     gaussian_limit_report,
     disjoint_pair_kernel,
     paired_product_kernel,
@@ -90,6 +89,7 @@ __all__ = [
     "ChaosElement", "hermite", "eval_integral", "eval_chaos_element",
     "product_formula", "second_moment_exact", "fourth_moment_exact",
     "excess_kurtosis_exact", "contraction_profile", "sample_integral",
+    "HSOperator", "hs_operator", "cumulant", "char_function",
     "sample_integral2_spectral",
     # embeddings
     "FractionalBrownianMotion", "BrownianSheet", "GridEmbedding",
@@ -101,11 +101,9 @@ __all__ = [
     "SheetSingularVariation", "EmbeddedFunctional", "embed", "embed_on_grid",
     "direct_evaluate", "sheet_power_variance_exact",
     # diagnostics
-    "KSResult", "SampleSummary", "HSOperator", "KernelSequence",
-    "KernelDiagnostics", "SequenceReport", "ks_against_std_normal",
-    "summarize", "hs_operator", "cumulant", "char_function",
-    "gaussian_limit_report", "disjoint_pair_kernel",
-    "paired_product_kernel",
+    "KSResult", "SampleSummary", "KernelDiagnostics", "SequenceReport",
+    "ks_against_std_normal", "summarize", "gaussian_limit_report",
+    "disjoint_pair_kernel", "paired_product_kernel",
     # rng
     "stream",
 ]

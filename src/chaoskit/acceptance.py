@@ -136,7 +136,7 @@ def criterion_2(seed: int) -> CriterionResult:
         n = int(rng.integers(1, 4))
         d = int(rng.integers(2, 5))
         f = sym(rng.standard_normal((d,) * n))
-        draws = sample_integral(f, 200000, stream(seed, f"c2:mc:{i}"), block=65536)
+        draws = sample_integral(f, 200000, stream(seed, f"c2:mc:{i}"))
         sq = draws * draws
         se = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
         gap = abs(float(np.mean(sq)) - second_moment_exact(f))

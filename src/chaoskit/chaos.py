@@ -66,6 +66,7 @@ def hermite(k: int, x):
 
 _ROW_BLOCK = 1 << 20  # entries of the rows x d^(n-1) working array
 _DRAW_BLOCK = 1 << 15  # entries of one block of spectral normals (256 KB)
+_SAMPLE_ROWS = 4096  # rows of normals per block in sample_integral
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -257,12 +258,12 @@ def _blocked_draws(evaluate, dim: int, n_samples: int,
     return out
 
 
-def sample_integral(f: Tensor, n_samples: int, rng: np.random.Generator,
-                    block: int = 4096) -> np.ndarray:
-    """Monte Carlo draws of I_n(f) from fresh standard-normal coordinates."""
+def sample_integral(f: Tensor, n_samples: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Draws of I_n(f) on fresh normals, in blocks of _SAMPLE_ROWS rows."""
     d = f.dim if f.dim is not None else 1
     return _blocked_draws(lambda xi: eval_integral(f, xi), d, n_samples,
-                          rng, block)
+                          rng, _SAMPLE_ROWS)
 
 
 @dataclass(frozen=True)
@@ -310,6 +311,18 @@ def cumulant(op: HSOperator, order: int) -> float:
     if j == 1:
         return 0.0
     return float(2 ** (j - 1) * math.factorial(j - 1) * np.sum(op.eigenvalues**j))
+
+
+def _unit_variance(op: HSOperator) -> tuple:
+    """(kappa_2, op at unit variance, its excess kappa_4/kappa_2^2 or NaN).
+
+    The one place an order-2 spectrum becomes exact columns: at unit
+    variance ||g (x)_1 g||^2 = excess/48 and E[I_2^4] = 3 + excess.
+    """
+    v = cumulant(op, 2)
+    unit = HSOperator(op.dim, op.eigenvalues / math.sqrt(v)) if v > 0 else op
+    k2 = cumulant(unit, 2)
+    return v, unit, cumulant(unit, 4) / (k2 * k2) if k2 > 0 else math.nan
 
 
 def char_function(op: HSOperator, freq):

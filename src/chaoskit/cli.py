@@ -469,11 +469,16 @@ def _build_parser() -> _Parser:
 
 def _apply_config_file(top: _Parser, argv):
     """Pre-scan for --config and fold the file in as subparser defaults."""
-    if "--config" not in argv:
+    # as argparse: --config PATH, --config=PATH or --conf PATH; last wins
+    for i in reversed(range(len(argv))):
+        name, eq, value = argv[i].partition("=")
+        if len(name) >= 4 and "--config".startswith(name):
+            break
+    else:
         return
-    if argv.index("--config") + 1 >= len(argv):
+    if not eq and i + 1 >= len(argv):
         raise UsageError("--config needs a file path")
-    path = Path(argv[argv.index("--config") + 1])
+    path = Path(value if eq else argv[i + 1])
     command = argv[0] if argv and not argv[0].startswith("-") else None
     sub_action = next(a for a in top._actions
                       if isinstance(a, argparse._SubParsersAction))

@@ -10,9 +10,9 @@ draws.
 
 A single order-2 integral, by contrast, is never Gaussian (its fourth
 moment exceeds 3 unless the kernel vanishes), and the operator view
-makes that quantitative: cumulants and the characteristic function are
-explicit in the kernel's eigenvalues (chaos.hs_operator, re-exported
-here).  The report takes each order-2 row from that one spectrum.
+makes that quantitative: cumulants are explicit in the kernel's
+eigenvalues (chaos.hs_operator).  The report takes each order-2 row from
+that one spectrum at unit variance, as the sweeps' exact columns do.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from scipy.special import ndtr
 from .chaos import (
     HSOperator,
     _fourth_moment_and_contractions,
-    char_function,
-    cumulant,
+    _unit_variance,
     hs_operator,
     sample_integral,
     sample_integral2_spectral,
@@ -41,11 +40,6 @@ __all__ = [
     "ks_against_std_normal",
     "SampleSummary",
     "summarize",
-    "HSOperator",
-    "hs_operator",
-    "cumulant",
-    "char_function",
-    "KernelSequence",
     "KernelDiagnostics",
     "SequenceReport",
     "gaussian_limit_report",
@@ -139,22 +133,6 @@ def summarize(samples) -> SampleSummary:
 
 
 @dataclass(frozen=True)
-class KernelSequence:
-    """A rule for producing order-n kernels along a finite schedule."""
-
-    generator: object
-    schedule: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple(self.schedule))
-        if not self.schedule:
-            raise ValueError("empty schedule")
-
-    def kernels(self):
-        return [self.generator(k) for k in self.schedule]
-
-
-@dataclass(frozen=True)
 class KernelDiagnostics:
     """One kernel's three views: exact moments, contractions, KS draw test.
 
@@ -186,28 +164,21 @@ def _halved(first: float, last: float) -> bool:
 
 
 def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
-                          seed: int = 0, normalize: bool = True) -> SequenceReport:
+                          seed: int = 0) -> SequenceReport:
     """Per-kernel moment/contraction/KS diagnostics plus a trend verdict.
 
-    kernels is a KernelSequence or an iterable of SymTensor and, for
-    order 2, HSOperator: every order-2 row is read from one spectrum,
-    hs_operator's for a dense kernel, so an embedded functional's
-    operator needs no dense kernel at all.  They are rescaled to unit
-    variance (normalize=True) so the three views are comparable across
-    the sequence.  Verdict "consistent" means the
-    excess kurtosis and every squared contraction norm fell to at most
-    half their first-row values (or are negligible) and the last kernel
-    passes the KS test; "inconsistent" otherwise; "undecided" when some
-    variance is too degenerate to normalize.  The rule only compares the
-    endpoints, so any monotone relabeling of the schedule reports the
-    same verdict.
+    kernels holds SymTensor and, for order 2, HSOperator (an embedded
+    functional's operator needs no dense kernel).  Each is rescaled to
+    unit variance so the three views are comparable; an order-2 row is
+    read from one spectrum, as the sweeps' exact columns are.  Verdict
+    "consistent" means the excess kurtosis and every squared contraction
+    norm fell to at most half their first-row values (or are negligible)
+    and the last kernel passes the KS test; "inconsistent" otherwise;
+    "undecided" when some variance is too degenerate to normalize.  The
+    rule only compares the endpoints, so any monotone relabeling of the
+    schedule reports the same verdict.
     """
-    if isinstance(kernels, KernelSequence):
-        if labels is None:
-            labels = [str(k) for k in kernels.schedule]
-        kernels = kernels.kernels()
-    else:
-        kernels = list(kernels)
+    kernels = list(kernels)
     if not kernels:
         raise ValueError("empty kernel sequence")
     if labels is None:
@@ -219,21 +190,18 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
     for i, (f, lab) in enumerate(zip(kernels, labels)):
         rng = stream(seed, f"limit-report:{i}:{lab}")
         if isinstance(f, HSOperator) or f.order == 2:
-            # one spectrum: m2 = 2 sum mu^2, ||g (x)_1 g||^2 = sum mu^4 = kappa_4 / 48
             op = f if isinstance(f, HSOperator) else hs_operator(f)
-            order, lam = 2, op.eigenvalues
-            v = 2.0 * float(np.sum(lam**2))
-            if normalize and v > 0:
-                lam = lam / math.sqrt(v)
-            m2 = 2.0 * float(np.sum(lam**2))
-            contractions = (float(np.sum(lam**4)),)
-            m4 = 3.0 * m2 * m2 + 48.0 * contractions[0]
-            draws = sample_integral2_spectral(HSOperator(op.dim, lam), samples, rng)
+            v, op, excess = _unit_variance(op)
+            order, live = 2, not math.isnan(excess)
+            m2, m4 = (1.0, 3.0 + excess) if live else (0.0, 0.0)
+            contractions = (excess / 48.0 if live else 0.0,)
+            draws = sample_integral2_spectral(op, samples, rng)
         else:
             order, v = f.order, second_moment_exact(f)
-            g = scale(f, 1.0 / math.sqrt(v)) if (normalize and v > 0) else f
+            g = scale(f, 1.0 / math.sqrt(v)) if v > 0 else f
             m2 = second_moment_exact(g)
             m4, contractions = _fourth_moment_and_contractions(g)
+            excess = m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan
             draws = sample_integral(g, samples, rng)
         if not (1e-12 < v < 1e12):
             degenerate = True
@@ -242,7 +210,7 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
             order=order,
             variance=m2,
             fourth_moment=m4,
-            excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan,
+            excess_kurtosis=excess,
             contraction_norms_sq=contractions,
             ks=ks_against_std_normal(draws),
         ))

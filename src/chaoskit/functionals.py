@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .chaos import HSOperator, cumulant, eval_integral, sample_integral2_spectral
+from .chaos import (HSOperator, _unit_variance, cumulant, eval_integral,
+                    sample_integral2_spectral)
 from .embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
@@ -260,15 +261,15 @@ class EmbeddedFunctional:
         return cumulant(self.operator, 2) * self.scale**2
 
     def excess_kurtosis_exact(self) -> float:
-        return cumulant(self.operator, 4) / cumulant(self.operator, 2) ** 2
+        """kappa_4/kappa_2^2, read as diagnose reads it: at unit variance."""
+        return _unit_variance(self.operator)[2]
 
     def kurtosis_exact(self) -> float:
         return 3.0 + self.excess_kurtosis_exact()
 
     def contraction_ratio(self) -> float:
-        """||f (x)_1 f||^2 / ||f||^4, the scale-free fourth-moment certificate."""
-        lam = self.operator.eigenvalues
-        return float(np.sum(lam**4) / np.sum(lam**2) ** 2)
+        """||f (x)_1 f||^2 / ||f||^4 = excess/12, the scale-free certificate."""
+        return self.excess_kurtosis_exact() / 12.0
 
     def sample_statistic(self, n_samples: int, rng) -> np.ndarray:
         return self.scale * sample_integral2_spectral(self.operator, n_samples, rng)

@@ -327,6 +327,17 @@ def test_spectral_sampler_requires_order2():
         sample_integral2_spectral(sym(np.ones(2)), 100, stream(0, "x"))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_sample_integral_draws_do_not_depend_on_n_samples(order):
+    # blocks of chaos._SAMPLE_ROWS rows: n = 5000 and 20000 cut the stream
+    # after the first 1000 draws, which read the same normals either way
+    f = sym(stream(53, f"chaos:rows:{order}").standard_normal((5,) * order))
+    short = sample_integral(f, 1000, stream(53, "chaos:rows:draws"))
+    for n in (5000, 20000):
+        longer = sample_integral(f, n, stream(53, "chaos:rows:draws"))
+        np.testing.assert_array_equal(short, longer[:1000])
+
+
 def test_sample_integral_deterministic_given_stream():
     f = sym(stream(41, "chaos:det").standard_normal((3, 3)))
     a = sample_integral(f, 5000, stream(41, "chaos:det:draws"))

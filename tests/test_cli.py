@@ -181,6 +181,25 @@ def test_sample_summary_statistics(tmp_path):
     assert res["ks_pass"] is False
 
 
+@pytest.mark.parametrize("family", ["fbm-power", "fbm-singular"])
+def test_diagnose_and_sweep_read_one_unit_variance_spectrum(tmp_path, family):
+    # at their default grids both commands embed the same functionals, and
+    # both read excess and contraction from one rescaled spectrum:
+    # excess = 48 ||g x_1 g||^2 = 12 ||f x_1 f||^2 / ||f||^4, bit for bit
+    d1, d2 = tmp_path / "diagnose", tmp_path / "sweep"
+    assert cli.main(["diagnose", "--family", family, "--samples", "100",
+                     "--out", str(d1)]) == 0
+    assert cli.main(["sweep-fbm", "--family", family, "--samples", "100",
+                     "--out", str(d2)]) == 0
+    diag, sweep = _rows(d1, "diagnose"), _rows(d2, "sweep-fbm")
+    assert len(diag) == len(sweep) == 4
+    for a, b in zip(diag, sweep):
+        assert float(a["variance"]) == 1.0
+        assert float(a["excess_kurtosis"]) == float(b["excess_exact"])
+        assert 4.0 * float(a["contraction_norm_sq_1"]) == float(
+            b["contraction_ratio"])
+
+
 # ---------------------------------------------------------- config file
 
 
@@ -210,6 +229,21 @@ def test_config_file_sets_defaults_and_cli_overrides(tmp_path):
     assert len(_rows(d2, "sample")) == 300
 
 
+@pytest.mark.parametrize("flag", [["--config={}"], ["--conf", "{}"]],
+                         ids=["equals", "prefix"])
+def test_config_file_read_in_every_spelling(tmp_path, flag):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("samples = 321\nseed = 5\n")
+    echoes = []
+    for i, spelled in enumerate((["--config", "{}"], flag)):
+        out = tmp_path / str(i)
+        argv = [a.format(cfg) for a in spelled]
+        assert cli.main(["sample", *argv, "--out", str(out)]) == 0
+        echoes.append(_summary(out, "sample")["config"])
+    assert echoes[0] == echoes[1]
+    assert (echoes[1]["samples"], echoes[1]["seed"]) == (321, 5)
+
+
 def test_config_file_errors(tmp_path, capsys):
     bogus = tmp_path / "bogus.cfg"
     bogus.write_text("frobnication = 3\n")
@@ -220,6 +254,10 @@ def test_config_file_errors(tmp_path, capsys):
     rc = cli.main(["sample", "--out", str(tmp_path), "--config"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: usage:")
+
+    rc = cli.main(["sample", f"--config={bogus}", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "frobnication" in capsys.readouterr().err
 
     rc = cli.main(["sample", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path)])
@@ -281,8 +319,7 @@ def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
     for row, x in zip(_rows(tmp_path, "diagnose"), cli._BETA_SCHEDULE):
         func = FbmPowerVariation(0.75, (x - 2.5) / 2.0)
         ef = embed_on_grid(func, 16, "geometric", 1000.0)
-        assert float(row["excess_kurtosis"]) == pytest.approx(
-            ef.excess_kurtosis_exact(), rel=1e-12)
+        assert float(row["excess_kurtosis"]) == ef.excess_kurtosis_exact()
 
     argv = ["sweep-fbm", "--family", "fbm-power", "--schedule", "0.1",
             "--cells", "16", "--octaves", "720", "--samples", "100",

@@ -6,18 +6,17 @@ import pytest
 
 from chaoskit import chaos, reference, tensors
 from chaoskit.chaos import (
+    char_function,
+    cumulant,
     excess_kurtosis_exact,
     fourth_moment_exact,
+    hs_operator,
     sample_integral2_spectral,
     second_moment_exact,
 )
 from chaoskit.diagnostics import (
-    KernelSequence,
-    char_function,
-    cumulant,
     disjoint_pair_kernel,
     gaussian_limit_report,
-    hs_operator,
     ks_against_std_normal,
     paired_product_kernel,
     summarize,
@@ -265,9 +264,10 @@ def test_paired_product_kernel_exact_values():
 
 
 def test_report_clt_family_consistent():
-    seq = KernelSequence(generator=disjoint_pair_kernel,
-                         schedule=(4, 16, 64, 256))
-    report = gaussian_limit_report(seq, samples=10000, seed=0)
+    ks = (4, 16, 64, 256)
+    report = gaussian_limit_report([disjoint_pair_kernel(k) for k in ks],
+                                   labels=[str(k) for k in ks],
+                                   samples=10000, seed=0)
     assert report.verdict == "consistent"
     excs = [r.excess_kurtosis for r in report]
     assert all(b < a for a, b in zip(excs, excs[1:]))
@@ -302,9 +302,29 @@ def test_report_verdict_ignores_labels():
 
 def test_report_degenerate_variance_undecided():
     z = sym(np.zeros((2, 2)))
-    report = gaussian_limit_report([z, z], samples=200, seed=0)
+    # a variance 2e400 overflows: its rescaled spectrum is zero, not 1/sqrt 2
+    huge = SymTensor(np.array([[1e200]]))
+    with np.errstate(over="ignore"):
+        for f in (z, huge):
+            report = gaussian_limit_report([f, f], samples=200, seed=0)
+            assert report.verdict == "undecided"
+            assert all(math.isnan(row.excess_kurtosis) for row in report)
+            for row in report:
+                assert (row.variance, row.fourth_moment) == (0.0, 0.0)
+                assert row.contraction_norms_sq == (0.0,)
+
+
+def test_report_tiny_variance_undecided():
+    # v = 2e-200 would vanish if squared; the rescaled spectrum is [1/sqrt 2]
+    tiny = SymTensor(np.array([[1e-100]]))
+    report = gaussian_limit_report([tiny, tiny], samples=200, seed=0)
     assert report.verdict == "undecided"
-    assert all(math.isnan(row.excess_kurtosis) for row in report)
+    for row in report:
+        assert row.variance == 1.0
+        assert row.excess_kurtosis == pytest.approx(12.0, rel=1e-15)
+        assert row.fourth_moment == pytest.approx(15.0, rel=1e-15)
+        assert row.contraction_norms_sq == pytest.approx((0.25,), rel=1e-15)
+        assert math.isfinite(row.ks.statistic)
 
 
 def test_report_order2_rows_match_tensor_route():
