@@ -12,7 +12,10 @@ are logged to stderr only, never written into the files.
 
 Exit codes: 0 success, 1 usage or I/O problem, 2 numerical failure
 (including a validate run with failing criteria).  Errors print a single
-machine-parsable line to stderr: "error: <usage|numerical>: <detail>".
+machine-parsable line to stderr: "error: <usage|numerical>: <detail>".  A
+numerical detail from an embedding starts with its stage: "spectrum"
+(kernel2_spectrum), "kernel" (a dense kernel) or "factor" (the node
+factor), as in "error: numerical: spectrum: embedding dimension ...".
 """
 
 from __future__ import annotations
@@ -98,6 +101,11 @@ def _float_list(text: str):
 # ---------------------------------------------------------------- output
 
 
+# cell types the csv module already writes as _cell would: str as is,
+# int as str, float as repr (np.float64, a float subclass, is not one)
+_CSV_NATIVE = frozenset((str, int, float))
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -109,14 +117,17 @@ def _cell(v) -> str:
 
 
 def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
-    """Write <command>.csv, .schema.json and .summary.json into out."""
+    """Write <command>.csv, .schema.json and .summary.json into out.
+
+    rows may be any iterable of rows; it is written as it is read.
+    """
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{command}.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([c[0] for c in columns])
         for row in rows:
-            w.writerow([_cell(v) for v in row])
+            w.writerow([v if type(v) in _CSV_NATIVE else _cell(v) for v in row])
     schema = {
         "file": csv_path.name,
         "empty_cell": "field not applicable to this row",
@@ -314,7 +325,7 @@ def _cmd_sample(args) -> int:
         ("index", "int", "draw index"),
         ("value", "float", "one draw of the normalized statistic"),
     ]
-    rows = list(enumerate(draws.tolist()))
+    rows = enumerate(map(float, draws))  # streamed, never held as a list
     config = _config_echo(args, ("family", "samples", "seed", "hurst", "beta",
                                  "eps", "dims", "k", "cells", "grid", "octaves"))
     results = {
@@ -323,7 +334,7 @@ def _cmd_sample(args) -> int:
         "ks_statistic": ks.statistic, "ks_pass": ks.passed,
     }
     _emit(args.out, "sample", columns, rows, config, results)
-    print(f"sample: {len(rows)} draws, kurtosis {su.kurtosis:.4f}",
+    print(f"sample: {draws.size} draws, kurtosis {su.kurtosis:.4f}",
           file=sys.stderr)
     return 0
 

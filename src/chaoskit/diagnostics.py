@@ -49,6 +49,8 @@ __all__ = [
 
 # asymptotic 5% point of the Kolmogorov distribution
 _KS_COEFF = 1.358
+# draws per chunk of summarize's delete-one statistics (64 KB)
+_JACKKNIFE_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,18 @@ def summarize(samples) -> SampleSummary:
     """Mean/variance/skewness/kurtosis with jackknife errors in O(N).
 
     Leave-one-out statistics are reconstructed from the raw power sums,
-    so no resampling loop.  variance uses the n-1 denominator; skewness
-    and kurtosis are the central moment ratios m3/m2^1.5 and m4/m2^2.
+    so no resampling loop, _JACKKNIFE_CHUNK draws at a time: beyond the
+    input, memory is their four n-length arrays.  variance uses the n-1
+    denominator; skewness and kurtosis are the central moment ratios
+    m3/m2^1.5 and m4/m2^2.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 8:
         raise ValueError("too few samples to summarize")
-    powers = (x, x2 := x * x, x2 * x, x2 * x2)
-    sums = [np.sum(p) for p in powers]
+    x2 = x * x
+    sums = [np.sum(x), np.sum(x2), np.sum(x2 * x), np.sum(x2 * x2)]
+    del x2
 
     def stats_from_sums(t1, t2, t3, t4, m):
         mu = t1 / m
@@ -120,9 +125,17 @@ def summarize(samples) -> SampleSummary:
         return mu, var, skew, kurt
 
     full = stats_from_sums(*sums, n)
-    loo = stats_from_sums(*(s - p for s, p in zip(sums, powers)), n - 1)
-    ses = [math.sqrt((n - 1) / n * float(np.sum(np.square(d - np.mean(d)))))
-           for d in loo]
+    loo = np.empty((4, n))
+    for i in range(0, n, _JACKKNIFE_CHUNK):
+        c = x[i:i + _JACKKNIFE_CHUNK]
+        c2 = c * c
+        powers = (c, c2, c2 * c, c2 * c2)
+        loo[:, i:i + c.size] = stats_from_sums(
+            *(s - p for s, p in zip(sums, powers)), n - 1)
+    ses = []
+    for d in loo:
+        d -= np.mean(d)
+        ses.append(math.sqrt((n - 1) / n * float(np.sum(np.square(d, out=d)))))
     return SampleSummary(
         n=n,
         mean=float(full[0]), variance=float(full[1]),

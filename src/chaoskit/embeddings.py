@@ -49,6 +49,9 @@ __all__ = [
 # dense kernels are (dim x dim); beyond this the quadratic cost is a bug,
 # not a use case
 _MAX_EMBED_DIM = 8192
+# rows of one block of a per-axis Gram (kernel2_spectrum); a block is
+# _GRAM_ROWS x k doubles, 512 KB at k = 1024
+_GRAM_ROWS = 64
 
 
 class DegenerateModelError(RuntimeError):
@@ -187,8 +190,8 @@ def _cholesky_with_jitter(gram: np.ndarray):
         except np.linalg.LinAlgError:
             eps *= 2.0
     raise DegenerateModelError(
-        f"node correlation matrix is not positive definite within jitter "
-        f"{1e-10 * base:.3e} (d={d}); refine the grid or move the model "
+        f"factor: node correlation matrix is not positive definite within "
+        f"jitter {1e-10 * base:.3e} (d={d}); refine the grid or move the model "
         f"away from the degenerate regime",
         jitter_last=1e-10 * base,
     )
@@ -227,7 +230,8 @@ class GridEmbedding:
         resid = np.max(np.abs(corr - L @ L.T))
         if resid > 1e-10:  # P has a unit diagonal
             raise DegenerateModelError(
-                f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance",
+                f"factor: Cholesky reconstruction residual {resid:.3e} exceeds "
+                "tolerance",
                 jitter_last=jitter,
             )
         return t[:, None] ** self.model.hurst * L, jitter
@@ -320,10 +324,10 @@ def _tail_steps(emb: GridEmbedding, weights) -> list:
     return out
 
 
-def _check_capacity(emb: GridEmbedding):
+def _check_capacity(emb: GridEmbedding, stage: str):
     if emb.dim > _MAX_EMBED_DIM:
         raise np.linalg.LinAlgError(
-            f"embedding dimension {emb.dim} too large for a dense kernel")
+            f"{stage}: embedding dimension {emb.dim} too large for a dense kernel")
 
 
 _RANGE_ERROR = "kernel is outside double range (||M||_F^4 is not finite)"
@@ -345,16 +349,17 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
 
     Raises numpy.linalg.LinAlgError when the dense kernel would be too
     large, or when ||M||_F^4 is outside double range: every exact
-    order-2 moment is a power sum of the spectrum bounded by it.
+    order-2 moment is a power sum of the spectrum bounded by it.  Its
+    message starts with the stage, "kernel: ".
     """
-    _check_capacity(emb)
+    _check_capacity(emb, "kernel")
     with np.errstate(all="ignore"):
         factors = [(lo ** (0.5 * p) * g)[:, None] * emb.factor[live]
                    for live, lo, p, g in _tail_steps(emb, weights)]
         # each b'b is a rank-k update, exactly symmetric
         out = reduce(np.kron, [b.T @ b for b in factors])
         if not np.isfinite(np.linalg.norm(out) ** 4):
-            raise np.linalg.LinAlgError(_RANGE_ERROR)
+            raise np.linalg.LinAlgError(f"kernel: {_RANGE_ERROR}")
     return SymTensor(out)
 
 
@@ -369,26 +374,38 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     square-root steps.  a is formed as t^(H + p/2) (lo/t)^(p/2) g (see
     _tail_steps), whose exponents are combined so it stays representable
     where s and t^H alone are not.  No Cholesky factor or jitter is
-    formed.  M's eigenvalues are the products of the per-axis spectra:
+    formed.  Of each Gram only the lower triangle, which eigvalsh reads,
+    is filled, _GRAM_ROWS rows at a time (columns up to the block's last
+    row) into one zeroed buffer: P is evaluated about once per pair of
+    cells, and the working memory is that buffer plus one row block.
+    M's eigenvalues are the products of the per-axis spectra:
     prod_a k_a values, ascending and read-only.  The count comes from the
     live rows alone, never from a cutoff on the eigenvalues.
 
     Raises numpy.linalg.LinAlgError, as embed_kernel2 does, when the
     embedding is too large for a dense kernel or (sum lambda^2)^2 =
-    ||M||_F^4 is outside double range.
+    ||M||_F^4 is outside double range, and when eigvalsh does not
+    converge; its message starts with the stage, "spectrum: ".
     """
-    _check_capacity(emb)
+    _check_capacity(emb, "spectrum")
     h = emb.model.hurst if isinstance(emb.model, FractionalBrownianMotion) else 0.5
-    grams = []
+    spectra = []
     with np.errstate(all="ignore"):
         for live, lo, p, g in _tail_steps(emb, weights):
             t = emb.nodes[1:][live]
             a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
-            corr = _fbm_correlation(t[:, None], t, h)
-            grams.append(np.linalg.eigvalsh(a[:, None] * corr * a))
-        lam = np.sort(reduce(np.multiply.outer, grams), axis=None)
+            gram = np.zeros((t.size, t.size))
+            for i in range(0, t.size, _GRAM_ROWS):
+                j = min(i + _GRAM_ROWS, t.size)
+                corr = _fbm_correlation(t[i:j, None], t[:j], h)
+                gram[i:j, :j] = a[i:j, None] * corr * a[:j]
+            try:
+                spectra.append(np.linalg.eigvalsh(gram))  # reads the lower triangle
+            except np.linalg.LinAlgError as e:  # no convergence: entries past range
+                raise np.linalg.LinAlgError(f"spectrum: {e}") from e
+        lam = np.sort(reduce(np.multiply.outer, spectra), axis=None)
         if not np.isfinite(np.sum(lam * lam) ** 2):
-            raise np.linalg.LinAlgError(_RANGE_ERROR)
+            raise np.linalg.LinAlgError(f"spectrum: {_RANGE_ERROR}")
     lam.flags.writeable = False
     return lam
 

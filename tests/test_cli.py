@@ -12,7 +12,9 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import chaoskit.cli as cli
@@ -303,7 +305,7 @@ def test_numerical_failures_exit_two(argv, capsys, tmp_path):
     rc = cli.main(argv + ["--samples", "100", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: numerical:")
+    assert err.startswith("error: numerical: spectrum: ")
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
 
@@ -349,3 +351,30 @@ def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     rc = cli.main(["sample", "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: numerical:")
+
+
+def test_degenerate_factor_error_names_its_stage(monkeypatch, capsys,
+                                                 tmp_path):
+    from chaoskit.embeddings import _cholesky_with_jitter
+
+    def _indefinite(args):
+        _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    monkeypatch.setattr(cli, "_cmd_sample", _indefinite)
+    assert cli.main(["sample", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: numerical: factor: node correlation matrix")
+
+
+def test_sample_streams_its_rows(tmp_path):
+    # 1e5 (index, value) rows held as one list took about 12 MB; streamed,
+    # the peak is the draws, summarize's n-length outputs and the KS arrays
+    argv = ["sample", "--samples", "100000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(_rows(tmp_path, "sample")) == 100000

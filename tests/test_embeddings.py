@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chaoskit.embeddings import (
     sample_path,
     uniform_nodes,
 )
+from chaoskit.embeddings import _GRAM_ROWS, _fbm_correlation, _tail_steps
 from chaoskit.rng import stream
 from chaoskit.tensors import norm_sq
 
@@ -338,6 +340,76 @@ def test_closed_form_spectrum_keeps_the_size_guard():
     with pytest.raises(np.linalg.LinAlgError,
                        match="embedding dimension 1048576 too large"):
         kernel2_spectrum(emb, [(-0.9, 0.0)] * 2)
+
+
+def _full_matrix_spectrum(emb, weights):
+    """kernel2_spectrum with each per-axis Gram formed as one full matrix."""
+    h = emb.model.hurst if isinstance(emb.model, FractionalBrownianMotion) else 0.5
+    spectra = []
+    with np.errstate(all="ignore"):
+        for live, lo, p, g in _tail_steps(emb, weights):
+            t = emb.nodes[1:][live]
+            a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
+            spectra.append(np.linalg.eigvalsh(
+                a[:, None] * _fbm_correlation(t[:, None], t, h) * a))
+    return np.sort(reduce(np.multiply.outer, spectra), axis=None)
+
+
+@pytest.mark.parametrize("model, cells, grid, octaves, weights", [
+    # diagnose fbm-power at 1024 cells over 511 octaves, last beta point
+    (FractionalBrownianMotion(0.75), 1024, "geometric", 511.0,
+     [((10**-2.5 - 2.5) / 2.0, 0.0)]),
+    # criterion 8's fbm-singular grid at eps = 1e-4 (14 live cells)
+    (FractionalBrownianMotion(0.75), 512, "geometric", 511.0, [(-1.25, 1e-4)]),
+    # sheet-power, two axes of 32 cells
+    (BrownianSheet(2), 32, "geometric", None, [(-0.995, 0.0)] * 2),
+    # a uniform grid whose cell count is not a whole number of row blocks
+    (FractionalBrownianMotion(0.6), 1000, "uniform", None, [(-0.3, 0.0)]),
+])
+def test_blocked_gram_spectrum_is_bitwise_the_full_matrix(model, cells, grid,
+                                                          octaves, weights):
+    emb = build_embedding(model, cells, grid, octaves)
+    if grid == "uniform":
+        assert cells % _GRAM_ROWS
+    np.testing.assert_array_equal(kernel2_spectrum(emb, weights),
+                                  _full_matrix_spectrum(emb, weights))
+
+
+def test_gram_spectrum_memory_is_bounded():
+    # one zeroed k x k buffer plus one row block of correlation work; the
+    # full-matrix expression held about four k x k arrays (34 MB).  The
+    # copy eigvalsh hands to LAPACK is allocated outside numpy's tracked
+    # memory, so tracemalloc does not see it.
+    k = 1024
+    emb = build_embedding(FractionalBrownianMotion(0.75), k, "geometric", 511.0)
+    tracemalloc.start()
+    try:
+        kernel2_spectrum(emb, [(-1.2, 0.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * k * 8 + 8 * _GRAM_ROWS * k * 8
+
+
+def test_numerical_errors_name_their_stage():
+    from chaoskit.embeddings import _cholesky_with_jitter
+
+    big = build_embedding(BrownianSheet(2), 1024, "geometric", 512.0)
+    with pytest.raises(np.linalg.LinAlgError, match="^spectrum: embedding"):
+        kernel2_spectrum(big, [(-0.9, 0.0)] * 2)
+    with pytest.raises(np.linalg.LinAlgError, match="^kernel: embedding"):
+        embed_kernel2(big, [(-0.9, 0.0)] * 2)
+    # steps of order 2^157 on a 63-octave grid: ||M||_F^4 overflows
+    deep = build_embedding(FractionalBrownianMotion(0.75), 64, "geometric")
+    with pytest.raises(np.linalg.LinAlgError, match="^spectrum: kernel is outside"):
+        kernel2_spectrum(deep, [(-5.0, 0.0)])
+    with pytest.raises(np.linalg.LinAlgError, match="^kernel: kernel is outside"):
+        embed_kernel2(deep, [(-5.0, 0.0)])
+    # Gram entries past double range: eigvalsh fails inside the spectrum
+    with pytest.raises(np.linalg.LinAlgError, match="^spectrum: "):
+        kernel2_spectrum(deep, [(-50.0, 0.0)])
+    with pytest.raises(DegenerateModelError, match="^factor: "):
+        _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_sample_path_fbm_marginal_variances():
