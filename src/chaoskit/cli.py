@@ -27,6 +27,7 @@ import math
 import platform
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .diagnostics import (
     paired_product_kernel,
     summarize,
 )
-from .embeddings import DegenerateModelError
+from .embeddings import _MAX_EMBED_DIM, DegenerateModelError
 from .functionals import (
     FbmPowerVariation,
     FbmSingularVariation,
@@ -56,29 +57,6 @@ from .rng import stream
 from .tensors import SymTensor
 
 __all__ = ["main"]
-
-_BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
-_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
-_SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
-
-# family -> kernel; k is the pair count of clt-pairs, ignored by the others
-_SYNTHETIC = {
-    "clt-pairs": disjoint_pair_kernel,
-    "constant-cross": lambda k: paired_product_kernel(),
-    "rank-one": lambda k: SymTensor(np.array([[1.0 / math.sqrt(2.0)]])),
-}
-# family -> (default schedule, functional at parameter p: beta for the
-# power families, eps for the singular ones)
-_FUNCTIONALS = {
-    "fbm-power": (_BETA_SCHEDULE,
-                  lambda a, p: FbmPowerVariation(a.hurst, p)),
-    "fbm-singular": (_EPS_SCHEDULE,
-                     lambda a, p: FbmSingularVariation(a.hurst, p)),
-    "sheet-power": (_SHEET_SCHEDULE,
-                    lambda a, p: SheetPowerVariation((p,) * a.dims)),
-    "sheet-singular": (_EPS_SCHEDULE,
-                       lambda a, p: SheetSingularVariation(a.dims, p)),
-}
 
 
 class UsageError(Exception):
@@ -96,6 +74,63 @@ def _float_list(text: str):
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise UsageError(f"not a comma-separated float list: {text!r}")
+
+
+# ------------------------------------------------------------- families
+
+
+def _pairs(k):
+    """clt-pairs at k, refused before its 2k x 2k kernel is allocated."""
+    if k < 1 or not float(k).is_integer():
+        raise UsageError(f"clt-pairs k must be an integer >= 1, got {k:g}")
+    if 2 * k > _MAX_EMBED_DIM:
+        raise UsageError(f"clt-pairs k = {k:g} needs {2 * k:g} coordinates, "
+                         f"above the dense cap of {_MAX_EMBED_DIM}")
+    return disjoint_pair_kernel(int(k))
+
+
+_BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
+_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+_SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
+
+# family -> its parameter (the flag sample reads and sweep-sheet's schedule
+# flag; None for a constant kernel, whose schedule sets only the repeat
+# count), its default schedule, and its kernel or functional at parameter p
+_Family = namedtuple("_Family", "param schedule make")
+_FAMILIES = {
+    "clt-pairs": _Family("k", (4, 16, 64, 256), lambda a, p: _pairs(p)),
+    "constant-cross": _Family(None, (1, 2, 3, 4),
+                              lambda a, p: paired_product_kernel()),
+    "rank-one": _Family(None, (1, 2, 3, 4), lambda a, p: SymTensor(
+        np.array([[1.0 / math.sqrt(2.0)]]))),
+    "fbm-power": _Family("beta", _BETA_SCHEDULE,
+                         lambda a, p: FbmPowerVariation(a.hurst, p)),
+    "fbm-singular": _Family("eps", _EPS_SCHEDULE,
+                            lambda a, p: FbmSingularVariation(a.hurst, p)),
+    "sheet-power": _Family("beta", _SHEET_SCHEDULE,
+                           lambda a, p: SheetPowerVariation((p,) * a.dims)),
+    "sheet-singular": _Family("eps", _EPS_SCHEDULE,
+                              lambda a, p: SheetSingularVariation(a.dims, p)),
+}
+
+
+def _build(args, p):
+    """The family's kernel at p, or its functional embedded on the grid."""
+    made = _FAMILIES[args.family].make(args, p)
+    if isinstance(made, SymTensor):
+        return made
+    return embed_on_grid(made, args.cells, args.grid, args.octaves)
+
+
+def _schedule(args):
+    """Schedule points as given, and the family parameter at each."""
+    fam = _FAMILIES[args.family]
+    xs = list(args.schedule or fam.schedule)
+    if fam.param is None:  # a constant kernel: points are repeat indices
+        xs = list(range(1, len(xs) + 1))
+    if args.family == "fbm-power":  # points are 2b+2H+1
+        return xs, [(x - 2.0 * args.hurst - 1.0) / 2.0 for x in xs]
+    return xs, xs
 
 
 # ---------------------------------------------------------------- output
@@ -151,51 +186,24 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _config_echo(args, keys):
-    """The experiment parameters, not the execution parameters."""
-    echo = {}
-    for k in keys:
-        v = getattr(args, k)
-        echo[k] = list(v) if isinstance(v, tuple) else v
-    return echo
-
-
-# ------------------------------------------------------------- families
-
-
-def _functional(args, p):
-    return _FUNCTIONALS[args.family][1](args, p)
-
-
-def _schedule(args):
-    """Schedule points as given, and the family parameter at each."""
-    xs = list(args.schedule or _FUNCTIONALS[args.family][0])
-    if args.family == "fbm-power":  # points are 2b+2H+1
-        return xs, [(x - 2.0 * args.hurst - 1.0) / 2.0 for x in xs]
-    return xs, xs
+def _config_echo(args):
+    """The experiment parameters: every flag but out, config and threads."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(args).items()
+            if k not in ("command", "run", "out", "config", "threads")}
 
 
 # ------------------------------------------------------------- commands
 
 
 def _cmd_diagnose(args) -> int:
-    fam = args.family
-    if fam in _FUNCTIONALS:
-        xs, params = _schedule(args)
-        kernels = [embed_on_grid(_functional(args, p), args.cells, args.grid,
-                                 args.octaves).operator for p in params]
+    xs, params = _schedule(args)
+    built = (_build(args, p) for p in params)
+    kernels = [b if isinstance(b, SymTensor) else b.operator for b in built]
+    if isinstance(kernels[0], SymTensor):  # a pair count or a repeat index
+        labels = [str(int(x)) for x in xs]
+    else:
         labels = [repr(float(x)) for x in xs]
-    elif fam == "clt-pairs":
-        sched = args.schedule or (4, 16, 64, 256)
-        if any(k < 1 or not float(k).is_integer() for k in sched):
-            raise UsageError("clt-pairs schedule entries must be integers >= 1")
-        sched = [int(k) for k in sched]
-        kernels = [disjoint_pair_kernel(k) for k in sched]
-        labels = [str(k) for k in sched]
-    else:  # a constant kernel; the schedule sets only the repeat count
-        count = len(args.schedule) if args.schedule else 4
-        kernels = [_SYNTHETIC[fam](None)] * count
-        labels = [str(i + 1) for i in range(count)]
 
     report = gaussian_limit_report(kernels, labels, samples=args.samples,
                                    seed=args.seed)
@@ -218,8 +226,7 @@ def _cmd_diagnose(args) -> int:
         rows.append((i, r.label, r.order, r.variance, r.fourth_moment,
                      r.excess_kurtosis, con, r.ks.statistic, r.ks.threshold,
                      r.ks.passed))
-    config = _config_echo(args, ("family", "schedule", "samples", "seed",
-                                 "hurst", "dims", "cells", "grid", "octaves"))
+    config = _config_echo(args)
     _emit(args.out, "diagnose", columns, rows, config,
           {"verdict": report.verdict, "rows": len(rows)})
     print(f"diagnose: verdict {report.verdict}", file=sys.stderr)
@@ -257,19 +264,18 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_row(command, args, index, x, func):
-    ef = embed_on_grid(func, args.cells, args.grid, args.octaves)
+def _sweep_row(args, index, p):
+    ef = _build(args, p)
     draws = ef.sample_statistic(
-        args.samples, stream(args.seed, f"{command}:{args.family}:{index}"))
+        args.samples, stream(args.seed, f"{args.command}:{args.family}:{index}"))
     su = summarize(draws)
     ks = ks_against_std_normal(draws)
-    power = args.family.endswith("power")
-    closed = (sheet_power_variance_exact(func.betas)
+    param = _FAMILIES[args.family].param
+    closed = (sheet_power_variance_exact(ef.functional.betas)
               if args.family == "sheet-power" else None)
-    return (index, args.family,
-            getattr(args, "hurst", None) if args.family.startswith("fbm") else None,
-            args.dims if args.family.startswith("sheet") else None,
-            x if power else None, None if power else x,
+    return (index, args.family, getattr(args, "hurst", None),
+            getattr(args, "dims", None),
+            p if param == "beta" else None, p if param == "eps" else None,
             closed, ef.variance_exact(), ef.excess_kurtosis_exact(),
             ef.contraction_ratio(), ef.operator.eigenvalues.size,
             su.mean, su.variance, su.skewness, su.kurtosis,
@@ -277,47 +283,41 @@ def _sweep_row(command, args, index, x, func):
             ks.statistic, ks.threshold, ks.passed)
 
 
-def _run_sweep(command, args, echo_keys) -> int:
+def _run_sweep(args) -> int:
     xs, params = _schedule(args)  # the beta column reports beta itself
     args.schedule = tuple(float(x) for x in xs)  # echo the resolved schedule
-    funcs = [_functional(args, p) for p in params]
-    rows = parallel_map(
-        lambda i: _sweep_row(command, args, i, params[i], funcs[i]),
-        len(funcs), args.threads)
-    config = _config_echo(args, echo_keys)
+    rows = parallel_map(lambda i: _sweep_row(args, i, params[i]),
+                        len(params), args.threads)
     results = {
         "rows": len(rows),
         "final_mc_kurtosis": rows[-1][14],
         "final_ks_pass": rows[-1][21],
     }
-    _emit(args.out, command, _SWEEP_COLUMNS, rows, config, results)
-    print(f"{command}: {len(rows)} schedule points", file=sys.stderr)
+    _emit(args.out, args.command, _SWEEP_COLUMNS, rows, _config_echo(args),
+          results)
+    print(f"{args.command}: {len(rows)} schedule points", file=sys.stderr)
     return 0
 
 
-def _cmd_sweep_fbm(args) -> int:
-    return _run_sweep("sweep-fbm", args,
-                      ("family", "hurst", "schedule", "samples", "seed",
-                       "cells", "grid", "octaves"))
-
-
 def _cmd_sweep_sheet(args) -> int:
-    args.schedule = args.beta if args.family == "sheet-power" else args.eps
-    return _run_sweep("sweep-sheet", args,
-                      ("family", "dims", "schedule", "samples", "seed",
-                       "cells", "grid", "octaves"))
+    param = _FAMILIES[args.family].param
+    other = "eps" if param == "beta" else "beta"
+    if getattr(args, other) is not None:
+        raise UsageError(f"--{other} is not a schedule of {args.family} "
+                         f"(it takes --{param})")
+    args.schedule = getattr(args, param)
+    del args.beta, args.eps  # echoed as the resolved schedule
+    return _run_sweep(args)
 
 
 def _cmd_sample(args) -> int:
-    fam = args.family
-    rng = stream(args.seed, f"sample:{fam}")
-    if fam in _SYNTHETIC:
-        draws = sample_integral2_spectral(_SYNTHETIC[fam](args.k), args.samples,
-                                          rng)
+    param = _FAMILIES[args.family].param
+    rng = stream(args.seed, f"sample:{args.family}")
+    built = _build(args, getattr(args, param) if param else None)
+    if isinstance(built, SymTensor):
+        draws = sample_integral2_spectral(built, args.samples, rng)
     else:
-        func = _functional(args, args.beta if fam.endswith("power") else args.eps)
-        ef = embed_on_grid(func, args.cells, args.grid, args.octaves)
-        draws = ef.sample_statistic(args.samples, rng)
+        draws = built.sample_statistic(args.samples, rng)
 
     su = summarize(draws)
     ks = ks_against_std_normal(draws)
@@ -326,8 +326,7 @@ def _cmd_sample(args) -> int:
         ("value", "float", "one draw of the normalized statistic"),
     ]
     rows = enumerate(map(float, draws))  # streamed, never held as a list
-    config = _config_echo(args, ("family", "samples", "seed", "hurst", "beta",
-                                 "eps", "dims", "k", "cells", "grid", "octaves"))
+    config = _config_echo(args)
     results = {
         "mean": su.mean, "variance": su.variance,
         "skewness": su.skewness, "kurtosis": su.kurtosis,
@@ -380,7 +379,7 @@ def _cmd_validate(args) -> int:
     rows = [(r.number, r.name, c.name, c.passed, c.observed, c.target)
             for r in results for c in r.checks]
     all_passed = all(r.passed for r in results)
-    config = _config_echo(args, ("criteria", "seed"))
+    config = _config_echo(args)
     summary = {
         "all_passed": all_passed,
         "criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
@@ -395,23 +394,26 @@ def _cmd_validate(args) -> int:
 # -------------------------------------------------------------- parsing
 
 
-def _add_common(p, samples_default: int):
+def _add_common(p, samples: int | None):
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
-    p.add_argument("--samples", type=int, default=samples_default,
-                   help="Monte Carlo draws per schedule point")
+    if samples is not None:
+        p.add_argument("--samples", type=int, default=samples,
+                       help="Monte Carlo draws per schedule point")
     p.add_argument("--out", type=Path, default=Path("."),
                    help="output directory (created if missing)")
     p.add_argument("--config", type=Path, default=None,
-                   help="flat key=value file; flags given on the command "
-                        "line override it")
+                   help="flat key = value file of the command's flags; "
+                        "flags given on the command line override it")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads over schedule points; outputs do "
                         "not depend on this")
 
 
-def _add_grid(p, cells: int, grid: str, octaves=None):
-    p.add_argument("--hurst", type=float, default=0.75)
-    p.add_argument("--dims", type=int, default=1, help="sheet dimension")
+def _add_grid(p, cells: int, grid: str, octaves=None, hurst=True, dims=True):
+    if hurst:
+        p.add_argument("--hurst", type=float, default=0.75)
+    if dims:
+        p.add_argument("--dims", type=int, default=1, help="sheet dimension")
     p.add_argument("--cells", type=int, default=cells,
                    help="grid cells for the embedding")
     p.add_argument("--grid", choices=("uniform", "geometric"), default=grid)
@@ -425,14 +427,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", help="Gaussian-limit trend report for a "
                        "built-in kernel family")
-    p.add_argument("--family", default="clt-pairs",
-                   choices=(*_SYNTHETIC, *_FUNCTIONALS))
+    p.add_argument("--family", default="clt-pairs", choices=tuple(_FAMILIES))
     p.add_argument("--schedule", type=_float_list, default=None,
                    help="comma-separated schedule (k values, 2b+2H+1 values, "
                         "eps values, or per-axis beta, by family); constant "
                         "families use only its length")
     _add_grid(p, cells=512, grid="geometric")
-    _add_common(p, samples_default=10000)
+    _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_diagnose)
 
     p = sub.add_parser("sweep-fbm", help="moment/KS sweep of the fbm "
@@ -441,9 +442,9 @@ def _build_parser() -> _Parser:
                    choices=("fbm-power", "fbm-singular"))
     p.add_argument("--schedule", type=_float_list, default=None,
                    help="2b+2H+1 values (power) or eps values (singular)")
-    _add_grid(p, cells=512, grid="geometric")
-    _add_common(p, samples_default=100000)
-    p.set_defaults(run=_cmd_sweep_fbm)
+    _add_grid(p, cells=512, grid="geometric", dims=False)
+    _add_common(p, samples=100000)
+    p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("sweep-sheet", help="moment/KS sweep of the sheet "
                        "functionals, with the closed-form variance column")
@@ -453,55 +454,45 @@ def _build_parser() -> _Parser:
                    help="per-axis beta schedule (power family)")
     p.add_argument("--eps", type=_float_list, default=None,
                    help="eps schedule (singular family)")
-    _add_grid(p, cells=1024, grid="geometric", octaves=512.0)
-    _add_common(p, samples_default=100000)
+    _add_grid(p, cells=1024, grid="geometric", octaves=512.0, hurst=False)
+    _add_common(p, samples=100000)
     p.set_defaults(run=_cmd_sweep_sheet)
 
     p = sub.add_parser("sample", help="raw Monte Carlo draws of one "
                        "built-in statistic")
     p.add_argument("--family", default="constant-cross",
-                   choices=(*_SYNTHETIC, *_FUNCTIONALS))
+                   choices=tuple(_FAMILIES))
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--k", type=int, default=64,
                    help="pair count for the clt-pairs family")
     _add_grid(p, cells=512, grid="geometric")
-    _add_common(p, samples_default=10000)
+    _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_sample)
 
     p = sub.add_parser("validate", help="run the acceptance criteria and "
                        "print pass/fail per criterion")
     p.add_argument("--criteria", default="all",
                    help='e.g. "all", "1-9", "2,5,7"')
-    _add_common(p, samples_default=0)
+    _add_common(p, samples=None)
     p.set_defaults(run=_cmd_validate)
     return top
 
 
-def _apply_config_file(top: _Parser, argv):
-    """Pre-scan for --config and fold the file in as subparser defaults."""
-    # as argparse: --config PATH, --config=PATH or --conf PATH; last wins
-    for i in reversed(range(len(argv))):
-        name, eq, value = argv[i].partition("=")
-        if len(name) >= 4 and "--config".startswith(name):
-            break
-    else:
-        return
-    if not eq and i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = Path(value if eq else argv[i + 1])
-    command = argv[0] if argv and not argv[0].startswith("-") else None
-    sub_action = next(a for a in top._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    if command not in sub_action.choices:
-        return  # let the normal parse report the usage problem
-    sub = sub_action.choices[command]
+def _parse(top: _Parser, argv):
+    """Parse argv; with --config, parse again with the file's lines as flags.
+
+    A key = value line becomes --key=value, placed before the command's
+    own flags so that those win.
+    """
+    args = top.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        text = path.read_text()
+        text = args.config.read_text()
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}")
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
+    flags = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -509,18 +500,13 @@ def _apply_config_file(top: _Parser, argv):
         if "=" not in line:
             raise UsageError(f"config line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in actions or key in ("config", "help"):
+        key = key.strip()
+        # a key is a flag of the command spelled out, never an abbreviation
+        if key not in vars(args) or key in ("command", "run", "config"):
             raise UsageError(f"unknown config key {key!r} (line {lineno})")
-        action = actions[key]
-        try:
-            defaults[key] = action.type(value) if action.type else value
-        except (TypeError, ValueError):
-            raise UsageError(f"bad value for config key {key!r}: {value!r}")
-        if action.choices and defaults[key] not in action.choices:
-            raise UsageError(f"bad value for config key {key!r}: {value!r}")
-    sub.set_defaults(**defaults)
+        flags.append(f"--{key}={value.strip()}")
+    at = argv.index(args.command) + 1
+    return top.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None) -> int:
@@ -528,8 +514,7 @@ def main(argv=None) -> int:
     top = _build_parser()
     t0 = time.monotonic()
     try:
-        _apply_config_file(top, argv)
-        args = top.parse_args(argv)
+        args = _parse(top, argv)
         code = args.run(args)
     except (DegenerateModelError, np.linalg.LinAlgError) as e:
         print(f"error: numerical: {e}", file=sys.stderr)

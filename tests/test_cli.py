@@ -202,6 +202,32 @@ def test_diagnose_and_sweep_read_one_unit_variance_spectrum(tmp_path, family):
             b["contraction_ratio"])
 
 
+_FAMILY_COMMANDS = [(command, family)
+                    for command in ("diagnose", "sweep-fbm", "sweep-sheet",
+                                    "sample")
+                    for family in cli._FAMILIES
+                    if not command.startswith("sweep")
+                    or family.startswith(command[len("sweep-"):])]
+
+
+@pytest.mark.parametrize("command,family", _FAMILY_COMMANDS,
+                         ids=[f"{c}-{f}" for c, f in _FAMILY_COMMANDS])
+def test_every_family_runs_under_every_command_that_takes_it(
+        tmp_path, command, family):
+    argv = [command, "--family", family, "--cells", "16", "--octaves", "8",
+            "--samples", "200"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path, command)
+    points = len(cli._FAMILIES[family].schedule)
+    assert len(rows) == (200 if command == "sample" else points)
+    # the config echo is the experiment: every flag but the execution ones
+    flags = set(vars(cli._build_parser().parse_args([command])))
+    flags -= {"command", "run", "out", "config", "threads"}
+    if command == "sweep-sheet":  # its schedule flag is echoed as resolved
+        flags = flags - {"beta", "eps"} | {"schedule"}
+    assert set(_summary(tmp_path, command)["config"]) == flags
+
+
 # ---------------------------------------------------------- config file
 
 
@@ -264,6 +290,23 @@ def test_config_file_errors(tmp_path, capsys):
     rc = cli.main(["sample", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path)])
     assert rc == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+    # the path is missing, so argparse reports it, not the file read
+    rc = cli.main(["sample", "--config", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: usage: argument --config: expected one argument\n")
+
+    # a key is one of the command's own flags, spelled out in full
+    for command, key in [("sweep-sheet", "hurst"), ("validate", "samples"),
+                         ("sample", "config"), ("sample", "cell")]:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: usage: unknown config key {key!r} (line 1)\n")
 
 
 # ------------------------------------------------------------ exit codes
@@ -283,11 +326,34 @@ def test_usage_errors_exit_one(tmp_path, capsys):
          "--out", str(tmp_path)],
         ["diagnose", "--family", "clt-pairs", "--schedule", "1.5,2.9",
          "--out", str(tmp_path)],
+        # a clt-pairs k past the dense cap is refused before its kernel is
+        # allocated: 2k = 2e8 and 2e30 coordinates against 8192
+        ["sample", "--family", "clt-pairs", "--k", "100000000",
+         "--out", str(tmp_path)],
+        ["diagnose", "--schedule", "1e30", "--out", str(tmp_path)],
+        # flags a command does not take
+        ["sweep-sheet", "--hurst", "7", "--out", str(tmp_path)],
+        ["sweep-fbm", "--dims", "9", "--out", str(tmp_path)],
+        ["validate", "--samples", "7", "--out", str(tmp_path)],
     ]
     for argv in argvs:
         rc = cli.main(argv)
         assert rc == 1, argv
-        assert capsys.readouterr().err.startswith("error: usage:"), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:"), argv
+        assert len(err.splitlines()) == 1, argv
+    assert not list(tmp_path.iterdir())
+
+    # sweep-sheet's schedule flag is the family's parameter: the other
+    # family's flag is named, not silently replaced by the default schedule
+    for family, flag in [("sheet-singular", "--beta"), ("sheet-power", "--eps")]:
+        rc = cli.main(["sweep-sheet", "--family", family, flag, "0.1",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {flag} is not a schedule of "
+                              f"{family}")
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
