@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.metadata
 import json
 import math
 import platform
@@ -31,7 +32,6 @@ from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .acceptance import (CRITERION_NAMES, format_criterion, parallel_map,
@@ -95,23 +95,29 @@ _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
 
 # family -> its parameter (the flag sample reads and sweep-sheet's schedule
 # flag; None for a constant kernel, whose schedule sets only the repeat
-# count), its default schedule, and its kernel or functional at parameter p
-_Family = namedtuple("_Family", "param schedule make")
+# count), the flag that sets its process (hurst for fBm, dims for the
+# sheet, None for a kernel), its default schedule, and its kernel or
+# functional at parameter p
+_Family = namedtuple("_Family", "param model schedule make")
 _FAMILIES = {
-    "clt-pairs": _Family("k", (4, 16, 64, 256), lambda a, p: _pairs(p)),
-    "constant-cross": _Family(None, (1, 2, 3, 4),
+    "clt-pairs": _Family("k", None, (4, 16, 64, 256),
+                         lambda a, p: _pairs(p)),
+    "constant-cross": _Family(None, None, (1, 2, 3, 4),
                               lambda a, p: paired_product_kernel()),
-    "rank-one": _Family(None, (1, 2, 3, 4), lambda a, p: SymTensor(
+    "rank-one": _Family(None, None, (1, 2, 3, 4), lambda a, p: SymTensor(
         np.array([[1.0 / math.sqrt(2.0)]]))),
-    "fbm-power": _Family("beta", _BETA_SCHEDULE,
+    "fbm-power": _Family("beta", "hurst", _BETA_SCHEDULE,
                          lambda a, p: FbmPowerVariation(a.hurst, p)),
-    "fbm-singular": _Family("eps", _EPS_SCHEDULE,
+    "fbm-singular": _Family("eps", "hurst", _EPS_SCHEDULE,
                             lambda a, p: FbmSingularVariation(a.hurst, p)),
-    "sheet-power": _Family("beta", _SHEET_SCHEDULE,
+    "sheet-power": _Family("beta", "dims", _SHEET_SCHEDULE,
                            lambda a, p: SheetPowerVariation((p,) * a.dims)),
-    "sheet-singular": _Family("eps", _EPS_SCHEDULE,
+    "sheet-singular": _Family("eps", "dims", _EPS_SCHEDULE,
                               lambda a, p: SheetSingularVariation(a.dims, p)),
 }
+# the parameter and process flags sample takes for every family, with
+# their defaults; the other commands take hurst and dims with these too
+_MODEL_DEFAULTS = {"k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75, "dims": 1}
 
 
 def _build(args, p):
@@ -178,7 +184,8 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
             "chaoskit": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
+            # the installed version, read without importing scipy
+            "scipy": importlib.metadata.version("scipy"),
         },
         "results": results,
     }
@@ -311,9 +318,14 @@ def _cmd_sweep_sheet(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    param = _FAMILIES[args.family].param
+    fam = _FAMILIES[args.family]
+    for flag, default in _MODEL_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in (fam.param, fam.model):
+            raise UsageError(f"--{flag} is not read by {args.family}")
     rng = stream(args.seed, f"sample:{args.family}")
-    built = _build(args, getattr(args, param) if param else None)
+    built = _build(args, getattr(args, fam.param) if fam.param else None)
     if isinstance(built, SymTensor):
         draws = sample_integral2_spectral(built, args.samples, rng)
     else:
@@ -411,9 +423,11 @@ def _add_common(p, samples: int | None):
 
 def _add_grid(p, cells: int, grid: str, octaves=None, hurst=True, dims=True):
     if hurst:
-        p.add_argument("--hurst", type=float, default=0.75)
+        p.add_argument("--hurst", type=float,
+                       default=_MODEL_DEFAULTS["hurst"])
     if dims:
-        p.add_argument("--dims", type=int, default=1, help="sheet dimension")
+        p.add_argument("--dims", type=int, default=_MODEL_DEFAULTS["dims"],
+                       help="sheet dimension")
     p.add_argument("--cells", type=int, default=cells,
                    help="grid cells for the embedding")
     p.add_argument("--grid", choices=("uniform", "geometric"), default=grid)
@@ -462,11 +476,13 @@ def _build_parser() -> _Parser:
                        "built-in statistic")
     p.add_argument("--family", default="constant-cross",
                    choices=tuple(_FAMILIES))
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--k", type=int, default=64,
-                   help="pair count for the clt-pairs family")
-    _add_grid(p, cells=512, grid="geometric")
+    # parsed as None, so that _cmd_sample can refuse a flag the family
+    # does not read and fill in the defaults of the rest
+    for flag, default in _MODEL_DEFAULTS.items():
+        p.add_argument(f"--{flag}", type=type(default),
+                       help=f"default {default}; only for the families "
+                            "that read it")
+    _add_grid(p, cells=512, grid="geometric", hurst=False, dims=False)
     _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_sample)
 

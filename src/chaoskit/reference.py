@@ -14,7 +14,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .tensors import Tensor
 
@@ -173,8 +172,11 @@ def sheet_power_variance_quadrature(betas, tol: float = 1e-10) -> float:
 
     Var F = 2 * prod_a dblquad( x^{2b} y^{2b} min(x,y)^2 ) by Wick's
     theorem and the product structure of the sheet covariance; the
-    normalization contributes prod (2b+2).
+    normalization contributes prod (2b+2).  scipy is imported here, not
+    with the package, so that nothing else pays for it.
     """
+    from scipy import integrate
+
     out = 2.0
     for b in betas:
         b = float(b)

@@ -100,6 +100,26 @@ def test_module_entry_point(tmp_path):
     assert "criterion  1 PASS" in proc.stdout
 
 
+def test_cli_imports_no_scipy(tmp_path):
+    # scipy serves the quadrature oracle in chaoskit.reference alone: the
+    # package, the CLI and a diagnose run load no scipy module
+    code = (
+        "import sys\n"
+        "import chaoskit, chaoskit.cli\n"
+        "code = chaoskit.cli.main(['diagnose', '--family', 'clt-pairs', "
+        f"'--samples', '100', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    import scipy
+
+    assert _summary(tmp_path, "diagnose")["versions"]["scipy"] == (
+        scipy.__version__)
+
+
 # ---------------------------------------------------------- determinism
 
 
@@ -181,6 +201,52 @@ def test_sample_summary_statistics(tmp_path):
     # product of independent gaussians: kurtosis 9, far from normal
     assert res["kurtosis"] > 6.0
     assert res["ks_pass"] is False
+
+
+# the model flags each family reads under sample, and a value for each
+_SAMPLE_READS = {
+    "clt-pairs": ("k",), "constant-cross": (), "rank-one": (),
+    "fbm-power": ("beta", "hurst"), "fbm-singular": ("eps", "hurst"),
+    "sheet-power": ("beta", "dims"), "sheet-singular": ("eps", "dims"),
+}
+_SAMPLE_VALUES = {"k": 8, "beta": -0.3, "eps": 0.1, "hurst": 0.6, "dims": 2}
+
+
+@pytest.mark.parametrize("family", list(_SAMPLE_READS))
+def test_sample_refuses_flags_its_family_does_not_read(tmp_path, capsys,
+                                                       family):
+    unread = [f for f in _SAMPLE_VALUES if f not in _SAMPLE_READS[family]]
+    assert unread
+    for flag in unread:
+        rc = cli.main(["sample", "--family", family,
+                       f"--{flag}", str(_SAMPLE_VALUES[flag]),
+                       "--out", str(tmp_path)])
+        assert rc == 1, flag
+        assert capsys.readouterr().err == (
+            f"error: usage: --{flag} is not read by {family}\n")
+    # a config file key is a flag given
+    cfg = tmp_path.parent / f"{family}.cfg"
+    cfg.write_text(f"{unread[0]} = {_SAMPLE_VALUES[unread[0]]}\n")
+    assert cli.main(["sample", "--family", family, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", list(_SAMPLE_READS))
+def test_sample_echoes_every_model_flag(tmp_path, family):
+    # the flags the family reads as given, the others at their defaults,
+    # with the types and bytes the echo had when every family took them all
+    given = {f: _SAMPLE_VALUES[f] for f in _SAMPLE_READS[family]}
+    argv = ["sample", "--family", family, "--cells", "8", "--samples", "100"]
+    for flag, value in given.items():
+        argv += [f"--{flag}", str(value)]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    echo = {"beta": 0.0, "cells": 8, "dims": 1, "eps": 0.01,
+            "family": family, "grid": "geometric", "hurst": 0.75, "k": 64,
+            "octaves": None, "samples": 100, "seed": 0, **given}
+    # json keeps 64 apart from 64.0, so the text compares types too
+    assert json.dumps(_summary(tmp_path, "sample")["config"]) == json.dumps(
+        echo, sort_keys=True)
 
 
 @pytest.mark.parametrize("family", ["fbm-power", "fbm-singular"])
@@ -434,7 +500,8 @@ def test_degenerate_factor_error_names_its_stage(monkeypatch, capsys,
 
 def test_sample_streams_its_rows(tmp_path):
     # 1e5 (index, value) rows held as one list took about 12 MB; streamed,
-    # the peak is the draws, summarize's n-length outputs and the KS arrays
+    # the peak is the draws, summarize's n-length outputs and the KS test's
+    # sorted copy
     argv = ["sample", "--samples", "100000", "--out", str(tmp_path)]
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,75 @@ def test_ks_threshold_formula():
     assert res.threshold == pytest.approx(1.358 / 20.0)
     assert 0.0 <= res.statistic <= 1.0
     assert res.n_samples == 400
+
+
+def _ks_draws(case):
+    rng = stream(100, f"diag:ksexact:{case}")
+    if case == "normal":
+        return rng.standard_normal(100000)
+    if case == "heavy":  # Student t with 2 degrees of freedom
+        return rng.standard_t(2, 100000)
+    if case == "product":
+        return rng.standard_normal(100000) * rng.standard_normal(100000)
+    if case == "constant":
+        return np.zeros(500)
+    if case == "n100":
+        return rng.standard_normal(100)
+    if case == "ties":
+        return np.round(rng.standard_normal(20000), 1)
+    if case == "infinite":
+        return np.concatenate([rng.standard_normal(3000),
+                               [np.inf] * 5, [-np.inf] * 7])
+    if case == "quantiles":
+        # every deviation is 1/(2n) up to rounding, far below the first
+        # stage's error, so its largest draw is no guide to the true one
+        inv = statistics.NormalDist().inv_cdf
+        return np.array([inv((i + 0.5) / 1000) for i in range(1000)])
+    raise ValueError(case)
+
+
+def _ks_all_points(x, cdf_of):
+    # the statistic with the CDF taken at every sorted draw
+    x = np.sort(x)
+    n = x.size
+    cdf = cdf_of(x)
+    i = np.arange(1, n + 1)
+    return max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+
+
+@pytest.mark.parametrize("case", ["normal", "heavy", "product", "constant",
+                                  "n100", "ties", "infinite", "quantiles"])
+def test_ks_statistic_is_the_exact_cdf_at_every_draw(case):
+    # the two stages give the libm statistic bit for bit, and scipy's ndtr
+    # (cephes) agrees in the last digits
+    from scipy.special import ndtr
+
+    x = _ks_draws(case)
+    got = ks_against_std_normal(x).statistic
+    libm = _ks_all_points(x, lambda s: np.array(
+        [0.5 * math.erfc(-v * math.sqrt(0.5)) for v in s.tolist()]))
+    assert got == libm
+    assert abs(got - _ks_all_points(x, ndtr)) <= 1e-15
+
+
+def test_ks_first_stage_cdf_error():
+    # A&S 7.1.26 bounds erfc's error by 1.5e-7, so Phi's by 7.5e-8
+    x = np.linspace(-40.0, 40.0, 800001)
+    exact = np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in x.tolist()])
+    assert np.max(np.abs(diagnostics._normal_cdf_approx(x) - exact)) < 1e-7
+
+
+def test_ks_memory_is_bounded():
+    # the sorted copy plus chunk-sized temporaries; the CDF, rank and both
+    # one-sided differences as n-length arrays peaked at 4.07 MB
+    x = stream(100, "diag:ksmemory").standard_normal(100000)
+    tracemalloc.start()
+    try:
+        ks_against_std_normal(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 # ------------------------------------------------------------ summarize
