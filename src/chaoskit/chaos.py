@@ -64,7 +64,7 @@ def hermite(k: int, x):
     return he
 
 
-_ROW_BLOCK = 1 << 20  # entries of the rows x d^(n-1) working array
+_ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
 _DRAW_BLOCK = 1 << 15  # entries of one block of spectral normals (256 KB)
 _SAMPLE_ROWS = 4096  # rows of normals per block in sample_integral
 
@@ -85,11 +85,21 @@ def eval_integral(f: Tensor, xi) -> np.ndarray | float:
         I_n(f)(x) = sum_{k=0}^{n//2} (-1)^k n! / (2^k k! (n-2k)!)
                     <tr^k f, x^(x)(n-2k)>,
 
-    where tr^k f contracts k pairs of slots.  It is evaluated Horner-style:
-    contract x into one slot at a time and add the scaled k-fold trace
-    when n - 2k slots are left.  The cost is O(N d^n).  Rows go through in
-    fixed blocks, so the rows x d^(n-1) working array holds at most
-    _ROW_BLOCK entries (or one row, if d^(n-1) is larger) whatever N is.
+    where tr^k f contracts k pairs of slots.  It is evaluated Horner-style
+    with the rows last: the working array v is (d^m, rows) while m slots
+    are open, and the scaled k-fold trace is added in place, as a
+    (d^m, 1) column, when m = n - 2k.  Up to order 3 one slot is
+    contracted per step, against the rows x' (d, rows); from order 4 two
+    at a time, against the pair rows x (x) x (d^2, rows), and an odd
+    order ends with one single-slot step.  A pair step moves from m to
+    m - 2, so it passes every trace order n - 2k.  The first step is one
+    matrix product, f matricized against all rows at once, and each later
+    one an einsum over the contracted slots with the rows innermost.
+    The cost is O(N d^n).  Rows go through in fixed blocks of at most
+    _ROW_BLOCK / d^max(n-s, 1) rows (s the slots of the first step, and
+    at least one row), so the array after the first step and, from
+    order 3, the rows' contiguous copy each hold at most _ROW_BLOCK
+    entries whatever N is.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
@@ -102,26 +112,32 @@ def eval_integral(f: Tensor, xi) -> np.ndarray | float:
         raise ValueError(f"kernel dimension {f.dim} vs coordinate dimension {d}")
     if not isinstance(f, SymTensor):
         f = symmetrize(f)
-    # (-1)^k C(n, 2k) (2k-1)!! tr^k f as a row, keyed by its order n - 2k
-    traces, t = {}, f.coeffs
-    for k in range(n // 2 + 1):
+    # (-1)^k C(n, 2k) (2k-1)!! tr^k f as a column, keyed by its order n - 2k
+    traces, t = {n: f.coeffs.reshape(-1, 1)}, f.coeffs
+    for k in range(1, n // 2 + 1):
+        t = np.trace(t, axis1=-2, axis2=-1)
         c = (-1) ** k * math.comb(n, 2 * k) * math.prod(range(1, 2 * k, 2))
-        traces[n - 2 * k] = c * t.reshape(1, -1)
-        if t.ndim >= 2:
-            t = np.trace(t, axis1=-2, axis2=-1)
-    rows = max(1, _ROW_BLOCK // d ** max(n - 1, 0))
+        traces[n - 2 * k] = c * t.reshape(-1, 1)
+    pairs = n >= 4
+    rows = max(1, _ROW_BLOCK // d ** max(n - 1 - pairs, 1))
     out = np.empty(xi.shape[0])
     for start in range(0, xi.shape[0], rows):
-        x = xi[start:start + rows]
-        v = traces[n]
-        for m in range(n - 1, -1, -1):  # contract one slot: (rows, d^m)
-            if m == n - 1:  # f is shared by all rows: one matrix product
-                v = x @ v.reshape(d, -1)
+        x = xi[start:start + rows].T  # (d, rows)
+        if n >= 3:  # read once per output row of an einsum step: rows innermost
+            x = np.ascontiguousarray(x)
+        xx = (x[:, None] * x).reshape(d * d, -1) if pairs else None
+        v, m = traces[n], n
+        while m:
+            step = 2 if pairs and m >= 2 else 1
+            y = xx if step == 2 else x
+            if m == n:  # f is shared by all rows: one matrix product
+                v = v.reshape(-1, len(y)) @ y
             else:
-                v = (v.reshape(len(x), -1, d) @ x[:, :, None])[:, :, 0]
+                v = np.einsum("jkr,kr->jr", v.reshape(-1, *y.shape), y)
+            m -= step
             if m in traces:
                 v += traces[m]
-        out[start:start + rows] = v[:, 0]
+        out[start:start + rows] = v[0]
     return float(out[0]) if single else out
 
 

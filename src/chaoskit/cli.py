@@ -118,6 +118,28 @@ _FAMILIES = {
 # the parameter and process flags sample takes for every family, with
 # their defaults; the other commands take hurst and dims with these too
 _MODEL_DEFAULTS = {"k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75, "dims": 1}
+# the grid flags of diagnose and sample, which only the families with a
+# process read
+_GRID_DEFAULTS = {"cells": 512, "grid": "geometric", "octaves": None}
+
+
+def _read_flags(args):
+    """Refuse a flag the family does not read; fill in the others' defaults.
+
+    The model and grid flags of diagnose and sample are parsed as None, so
+    a flag given (on the command line or in --config) is told apart from
+    one left out.  A family reads its parameter, its process flag and,
+    if it has a process, the grid flags.
+    """
+    fam = _FAMILIES[args.family]
+    reads = {fam.param, fam.model} | (set(_GRID_DEFAULTS) if fam.model else set())
+    for flag, default in (_MODEL_DEFAULTS | _GRID_DEFAULTS).items():
+        if flag not in vars(args):
+            continue  # diagnose takes no parameter flag
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in reads:
+            raise UsageError(f"--{flag} is not read by {args.family}")
 
 
 def _build(args, p):
@@ -177,6 +199,10 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
     }
     (out / f"{command}.schema.json").write_text(
         json.dumps(schema, indent=2, sort_keys=True) + "\n")
+    try:  # the installed version, read without importing scipy
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:  # optional: tests only
+        scipy_version = None
     summary = {
         "command": command,
         "config": config,
@@ -184,8 +210,7 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
             "chaoskit": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            # the installed version, read without importing scipy
-            "scipy": importlib.metadata.version("scipy"),
+            "scipy": scipy_version,
         },
         "results": results,
     }
@@ -204,6 +229,7 @@ def _config_echo(args):
 
 
 def _cmd_diagnose(args) -> int:
+    _read_flags(args)
     xs, params = _schedule(args)
     built = (_build(args, p) for p in params)
     kernels = [b if isinstance(b, SymTensor) else b.operator for b in built]
@@ -318,12 +344,8 @@ def _cmd_sweep_sheet(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _read_flags(args)
     fam = _FAMILIES[args.family]
-    for flag, default in _MODEL_DEFAULTS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif flag not in (fam.param, fam.model):
-            raise UsageError(f"--{flag} is not read by {args.family}")
     rng = stream(args.seed, f"sample:{args.family}")
     built = _build(args, getattr(args, fam.param) if fam.param else None)
     if isinstance(built, SymTensor):
@@ -421,18 +443,33 @@ def _add_common(p, samples: int | None):
                         "not depend on this")
 
 
-def _add_grid(p, cells: int, grid: str, octaves=None, hurst=True, dims=True):
-    if hurst:
-        p.add_argument("--hurst", type=float,
-                       default=_MODEL_DEFAULTS["hurst"])
-    if dims:
-        p.add_argument("--dims", type=int, default=_MODEL_DEFAULTS["dims"],
-                       help="sheet dimension")
+def _add_grid(p, model: str, cells: int, octaves=None):
+    """A sweep's process flag and grid flags, with their defaults."""
+    default = _MODEL_DEFAULTS[model]
+    p.add_argument(f"--{model}", type=type(default), default=default,
+                   help=f"default {default}")
     p.add_argument("--cells", type=int, default=cells,
                    help="grid cells for the embedding")
-    p.add_argument("--grid", choices=("uniform", "geometric"), default=grid)
+    p.add_argument("--grid", choices=("uniform", "geometric"),
+                   default="geometric")
     p.add_argument("--octaves", type=float, default=octaves,
                    help="geometric grid depth; default cells-1")
+
+
+def _add_read_flags(p, model_flags):
+    """The model flags named and the grid flags, parsed as None (_read_flags)."""
+    for flag in model_flags:
+        default = _MODEL_DEFAULTS[flag]
+        p.add_argument(f"--{flag}", type=type(default),
+                       help=f"default {default}; only for the families "
+                            "that read it")
+    only = "; only for the families with a process"
+    p.add_argument("--cells", type=int,
+                   help="grid cells for the embedding; default 512" + only)
+    p.add_argument("--grid", choices=("uniform", "geometric"),
+                   help="default geometric" + only)
+    p.add_argument("--octaves", type=float,
+                   help="geometric grid depth; default cells-1" + only)
 
 
 def _build_parser() -> _Parser:
@@ -446,7 +483,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated schedule (k values, 2b+2H+1 values, "
                         "eps values, or per-axis beta, by family); constant "
                         "families use only its length")
-    _add_grid(p, cells=512, grid="geometric")
+    _add_read_flags(p, ("hurst", "dims"))
     _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_diagnose)
 
@@ -456,7 +493,7 @@ def _build_parser() -> _Parser:
                    choices=("fbm-power", "fbm-singular"))
     p.add_argument("--schedule", type=_float_list, default=None,
                    help="2b+2H+1 values (power) or eps values (singular)")
-    _add_grid(p, cells=512, grid="geometric", dims=False)
+    _add_grid(p, "hurst", cells=512)
     _add_common(p, samples=100000)
     p.set_defaults(run=_run_sweep)
 
@@ -468,7 +505,7 @@ def _build_parser() -> _Parser:
                    help="per-axis beta schedule (power family)")
     p.add_argument("--eps", type=_float_list, default=None,
                    help="eps schedule (singular family)")
-    _add_grid(p, cells=1024, grid="geometric", octaves=512.0, hurst=False)
+    _add_grid(p, "dims", cells=1024, octaves=512.0)
     _add_common(p, samples=100000)
     p.set_defaults(run=_cmd_sweep_sheet)
 
@@ -476,13 +513,7 @@ def _build_parser() -> _Parser:
                        "built-in statistic")
     p.add_argument("--family", default="constant-cross",
                    choices=tuple(_FAMILIES))
-    # parsed as None, so that _cmd_sample can refuse a flag the family
-    # does not read and fill in the defaults of the rest
-    for flag, default in _MODEL_DEFAULTS.items():
-        p.add_argument(f"--{flag}", type=type(default),
-                       help=f"default {default}; only for the families "
-                            "that read it")
-    _add_grid(p, cells=512, grid="geometric", hurst=False, dims=False)
+    _add_read_flags(p, tuple(_MODEL_DEFAULTS))
     _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_sample)
 

@@ -49,8 +49,9 @@ __all__ = [
 # dense kernels are (dim x dim); beyond this the quadratic cost is a bug,
 # not a use case
 _MAX_EMBED_DIM = 8192
-# rows of one block of a per-axis Gram (kernel2_spectrum); a block is
-# _GRAM_ROWS x k doubles, 512 KB at k = 1024
+# rows of one block of a per-axis Gram (_lower_correlation) and of the
+# factor's residual check; a block is _GRAM_ROWS x k doubles, 512 KB at
+# k = 1024
 _GRAM_ROWS = 64
 
 
@@ -169,6 +170,23 @@ def _fbm_correlation(s, t, h: float) -> np.ndarray:
         return 0.5 * (r**h + r ** (1.0 - h) * q)
 
 
+def _lower_correlation(t: np.ndarray, h: float, a=None) -> np.ndarray:
+    """The lower triangle of diag(a) P diag(a), P = _fbm_correlation at t.
+
+    Filled _GRAM_ROWS rows at a time (columns up to the block's last row)
+    into one zeroed buffer, so P is evaluated about once per pair of
+    times and the working memory is that buffer plus one row block.
+    a = None leaves P unscaled.  The upper triangle stays zero: cholesky
+    and eigvalsh read only the lower one.
+    """
+    out = np.zeros((t.size, t.size))
+    for i in range(0, t.size, _GRAM_ROWS):
+        j = min(i + _GRAM_ROWS, t.size)
+        corr = _fbm_correlation(t[i:j, None], t[:j], h)
+        out[i:j, :j] = corr if a is None else a[i:j, None] * corr * a[:j]
+    return out
+
+
 def _cholesky_with_jitter(gram: np.ndarray):
     """Lower Cholesky factor, escalating a diagonal jitter on failure.
 
@@ -225,16 +243,21 @@ class GridEmbedding:
         t = self.nodes[1:]
         if isinstance(self.model, BrownianSheet):
             return np.tril(np.broadcast_to(np.sqrt(self.widths), (t.size,) * 2)), 0.0
-        corr = _fbm_correlation(t[:, None], t, self.model.hurst)
+        corr = _lower_correlation(t, self.model.hurst)
         L, jitter = _cholesky_with_jitter(corr)
-        resid = np.max(np.abs(corr - L @ L.T))
+        resid = 0.0  # of L L' against P, on the lower triangle by row blocks
+        for i in range(0, t.size, _GRAM_ROWS):
+            j = min(i + _GRAM_ROWS, t.size)
+            diff = np.tril(corr[i:j, :j] - L[i:j, :j] @ L[:j, :j].T, i)
+            resid = max(resid, float(np.max(np.abs(diff))))
         if resid > 1e-10:  # P has a unit diagonal
             raise DegenerateModelError(
                 f"factor: Cholesky reconstruction residual {resid:.3e} exceeds "
                 "tolerance",
                 jitter_last=jitter,
             )
-        return t[:, None] ** self.model.hurst * L, jitter
+        L *= t[:, None] ** self.model.hurst
+        return L, jitter
 
     @property
     def factor(self) -> np.ndarray:
@@ -375,9 +398,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     _tail_steps), whose exponents are combined so it stays representable
     where s and t^H alone are not.  No Cholesky factor or jitter is
     formed.  Of each Gram only the lower triangle, which eigvalsh reads,
-    is filled, _GRAM_ROWS rows at a time (columns up to the block's last
-    row) into one zeroed buffer: P is evaluated about once per pair of
-    cells, and the working memory is that buffer plus one row block.
+    is filled, by row blocks (_lower_correlation).
     M's eigenvalues are the products of the per-axis spectra:
     prod_a k_a values, ascending and read-only.  The count comes from the
     live rows alone, never from a cutoff on the eigenvalues.
@@ -394,11 +415,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
         for live, lo, p, g in _tail_steps(emb, weights):
             t = emb.nodes[1:][live]
             a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
-            gram = np.zeros((t.size, t.size))
-            for i in range(0, t.size, _GRAM_ROWS):
-                j = min(i + _GRAM_ROWS, t.size)
-                corr = _fbm_correlation(t[i:j, None], t[:j], h)
-                gram[i:j, :j] = a[i:j, None] * corr * a[:j]
+            gram = _lower_correlation(t, h, a)
             try:
                 spectra.append(np.linalg.eigvalsh(gram))  # reads the lower triangle
             except np.linalg.LinAlgError as e:  # no convergence: entries past range

@@ -126,6 +126,23 @@ def basis_tensor(dim: int, *indices: int) -> Tensor:
     return Tensor(a)
 
 
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort each column of rows in place, as np.sort(rows, axis=0) would.
+
+    An odd-even transposition network: n rounds of np.minimum/np.maximum
+    over neighbouring rows, each a pass over whole rows rather than a
+    sort of every length-n column.  One spare row is allocated.
+    """
+    n = len(rows)
+    low = np.empty_like(rows[0])
+    for r in range(n):
+        for i in range(r % 2, n - 1, 2):
+            np.minimum(rows[i], rows[i + 1], out=low)
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i] = low
+    return rows
+
+
 def symmetrize(t: Tensor) -> SymTensor:
     """Orthogonal projection onto symmetric tensors.
 
@@ -143,7 +160,7 @@ def symmetrize(t: Tensor) -> SymTensor:
         return SymTensor(0.5 * (a + a.T))
     # average within multisets of indices, held as bytes for d <= 256
     idx = np.indices(a.shape, dtype=np.min_scalar_type(a.shape[0] - 1)).reshape(n, -1)
-    key = np.ravel_multi_index(tuple(np.sort(idx, axis=0)), a.shape)
+    key = np.ravel_multi_index(tuple(_sort_rows(idx)), a.shape)
     sums = np.bincount(key, weights=a.ravel(), minlength=a.size)
     counts = np.bincount(key, minlength=a.size)
     avg = np.zeros(a.size)

@@ -98,9 +98,10 @@ def test_eval_integral_symmetrizes_higher_order_input(n):
 
 
 def test_eval_integral_row_blocks_join_seamlessly():
-    # order 4 at d = 6 goes through in blocks of _ROW_BLOCK // 6^3 rows
+    # order 4 takes two slots in its first step, so at d = 6 it goes
+    # through in blocks of _ROW_BLOCK // 6^2 rows
     n, d = 4, 6
-    block = chaos._ROW_BLOCK // d ** (n - 1)
+    block = chaos._ROW_BLOCK // d ** (n - 2)
     rng = stream(17, "chaos:blocks")
     f = sym(rng.standard_normal((d,) * n))
     xi = rng.standard_normal((2 * block + 3, d))
@@ -114,8 +115,9 @@ def test_eval_integral_row_blocks_join_seamlessly():
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 4), (3, 2), (3, 4),
-                                 (4, 3), (5, 2)])
-def test_eval_integral_matches_polynomial_oracle(n, d):
+                                 (4, 3), (5, 2), (4, 4), (5, 3), (6, 2),
+                                 (6, 3)])
+def test_eval_integral_matches_polynomial_oracle(n, d, monkeypatch):
     rng = stream(17, f"chaos:polyref:{n}:{d}")
     f = sym(rng.standard_normal((d,) * n))
     xi = rng.standard_normal((25, d))
@@ -123,6 +125,26 @@ def test_eval_integral_matches_polynomial_oracle(n, d):
             for x in xi]
     np.testing.assert_allclose(eval_integral(f, xi), want,
                                rtol=0, atol=1e-10)
+    # blocks of 4 rows: 25 rows end in a partial block
+    monkeypatch.setattr(chaos, "_ROW_BLOCK", 4 * d ** max(n - 1 - (n >= 4), 1))
+    np.testing.assert_allclose(eval_integral(f, xi), want,
+                               rtol=0, atol=1e-10)
+
+
+def test_eval_integral_order6_memory_is_bounded():
+    # at order 6, d = 8 the working array after the first (two-slot) step is
+    # (8^4, rows) with rows * 8^4 <= _ROW_BLOCK, 8.4 MB; a Horner loop of
+    # one slot per step peaks at 11.6 MB on these 2000 rows
+    rng = stream(19, "chaos:order6")
+    f = sym(rng.standard_normal((8,) * 6))
+    xi = rng.standard_normal((2000, 8))
+    tracemalloc.start()
+    try:
+        eval_integral(f, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * chaos._ROW_BLOCK + 1_000_000
 
 
 def test_chaos_element_mean_and_call():

@@ -9,7 +9,10 @@ command are covered by the module tests.
 """
 
 import csv
+import importlib.metadata
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +25,8 @@ from chaoskit.acceptance import Check, CriterionResult
 from chaoskit.embeddings import DegenerateModelError
 from chaoskit.functionals import FbmPowerVariation, embed_on_grid
 from chaoskit.tensors import norm_sq
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _rows(out, command):
@@ -118,6 +123,22 @@ def test_cli_imports_no_scipy(tmp_path):
 
     assert _summary(tmp_path, "diagnose")["versions"]["scipy"] == (
         scipy.__version__)
+
+
+def test_cli_runs_without_scipy_installed(tmp_path, monkeypatch):
+    # scipy is a test extra: with it missing the summary records null
+    def version(name):
+        if name == "scipy":
+            raise importlib.metadata.PackageNotFoundError(name)
+        return real(name)
+
+    real = importlib.metadata.version
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    assert cli.main(["diagnose", "--family", "clt-pairs", "--schedule", "1",
+                     "--samples", "100", "--out", str(tmp_path)]) == 0
+    versions = _summary(tmp_path, "diagnose")["versions"]
+    assert versions["scipy"] is None
+    assert versions["numpy"] == np.__version__
 
 
 # ---------------------------------------------------------- determinism
@@ -237,16 +258,99 @@ def test_sample_echoes_every_model_flag(tmp_path, family):
     # the flags the family reads as given, the others at their defaults,
     # with the types and bytes the echo had when every family took them all
     given = {f: _SAMPLE_VALUES[f] for f in _SAMPLE_READS[family]}
-    argv = ["sample", "--family", family, "--cells", "8", "--samples", "100"]
+    if cli._FAMILIES[family].model:  # the grid flags too
+        given["cells"] = 8
+    argv = ["sample", "--family", family, "--samples", "100"]
     for flag, value in given.items():
         argv += [f"--{flag}", str(value)]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    echo = {"beta": 0.0, "cells": 8, "dims": 1, "eps": 0.01,
+    echo = {"beta": 0.0, "cells": 512, "dims": 1, "eps": 0.01,
             "family": family, "grid": "geometric", "hurst": 0.75, "k": 64,
             "octaves": None, "samples": 100, "seed": 0, **given}
     # json keeps 64 apart from 64.0, so the text compares types too
     assert json.dumps(_summary(tmp_path, "sample")["config"]) == json.dumps(
         echo, sort_keys=True)
+
+
+# the flags diagnose takes that each family does not read
+_GRID_VALUES = {"cells": 8, "grid": "uniform", "octaves": 4.0}
+_DIAGNOSE_UNREAD = {
+    "clt-pairs": ("hurst", "dims", *_GRID_VALUES),
+    "constant-cross": ("hurst", "dims", *_GRID_VALUES),
+    "rank-one": ("hurst", "dims", *_GRID_VALUES),
+    "fbm-power": ("dims",), "fbm-singular": ("dims",),
+    "sheet-power": ("hurst",), "sheet-singular": ("hurst",),
+}
+
+
+@pytest.mark.parametrize("family", list(_DIAGNOSE_UNREAD))
+def test_diagnose_refuses_flags_its_family_does_not_read(tmp_path, capsys,
+                                                         family):
+    values = {**_SAMPLE_VALUES, **_GRID_VALUES}
+    for flag in _DIAGNOSE_UNREAD[family]:
+        rc = cli.main(["diagnose", "--family", family,
+                       f"--{flag}", str(values[flag]), "--samples", "100",
+                       "--out", str(tmp_path)])
+        assert rc == 1, flag
+        assert capsys.readouterr().err == (
+            f"error: usage: --{flag} is not read by {family}\n")
+    cfg = tmp_path.parent / f"{family}.cfg"
+    flag = _DIAGNOSE_UNREAD[family][0]
+    cfg.write_text(f"{flag} = {values[flag]}\n")
+    assert cli.main(["diagnose", "--family", family, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_diagnose_refuses_the_flags_clt_pairs_ignores(tmp_path, capsys):
+    # of several unread flags the first is named, and nothing is written
+    rc = cli.main(["diagnose", "--family", "clt-pairs", "--hurst", "0.3",
+                   "--cells", "7", "--dims", "4", "--samples", "100",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: usage: --hurst is not read by clt-pairs\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["clt-pairs", "fbm-singular",
+                                    "sheet-power"])
+def test_diagnose_echo_of_accepted_lines_is_unchanged(tmp_path, family):
+    # left-out model and grid flags are echoed at their defaults, with the
+    # types they had when every family took them all
+    point = {"clt-pairs": 1.0, "fbm-singular": 0.1, "sheet-power": -0.9}
+    argv = ["diagnose", "--family", family, "--schedule", str(point[family]),
+            "--samples", "100"]
+    given = {"fbm-singular": {"hurst": 0.6, "cells": 16},
+             "sheet-power": {"dims": 2, "cells": 8, "octaves": 4.0}}
+    given = given.get(family, {})
+    for flag, value in given.items():
+        argv += [f"--{flag}", str(value)]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    echo = {"cells": 512, "dims": 1, "family": family, "grid": "geometric",
+            "hurst": 0.75, "octaves": None, "samples": 100,
+            "schedule": [point[family]], "seed": 0, **given}
+    assert json.dumps(_summary(tmp_path, "diagnose")["config"]) == json.dumps(
+        echo, sort_keys=True)
+
+
+def test_bench_command_lines_read_every_flag_they_pass(tmp_path):
+    # the benchmark's diagnose and sample lines, its known-defect probes and
+    # its warm-up call give no flag their family ignores
+    spec = importlib.util.spec_from_file_location(
+        "bench_worker", ROOT / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    lines = [argv for units in worker.WORKLOADS.values()
+             for _, _, argv in units if argv is not None]
+    lines += [argv for probes in worker.PROBES.values() for _, argv in probes]
+    lines = [argv for argv in lines if argv[0] in ("diagnose", "sample")]
+    assert len(lines) >= 6
+    for argv in lines:
+        cli._read_flags(cli._parse(cli._build_parser(), argv))
+    worker.setup(tmp_path)
+    assert _summary(tmp_path / "warmup", "diagnose")["config"]["family"] == (
+        "clt-pairs")
 
 
 @pytest.mark.parametrize("family", ["fbm-power", "fbm-singular"])
@@ -280,8 +384,9 @@ _FAMILY_COMMANDS = [(command, family)
                          ids=[f"{c}-{f}" for c, f in _FAMILY_COMMANDS])
 def test_every_family_runs_under_every_command_that_takes_it(
         tmp_path, command, family):
-    argv = [command, "--family", family, "--cells", "16", "--octaves", "8",
-            "--samples", "200"]
+    argv = [command, "--family", family, "--samples", "200"]
+    if cli._FAMILIES[family].model:  # only a family with a process has a grid
+        argv += ["--cells", "16", "--octaves", "8"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     rows = _rows(tmp_path, command)
     points = len(cli._FAMILIES[family].schedule)

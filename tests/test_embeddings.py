@@ -391,6 +391,37 @@ def test_gram_spectrum_memory_is_bounded():
     assert peak < k * k * 8 + 8 * _GRAM_ROWS * k * 8
 
 
+@pytest.mark.parametrize("hurst, cells, grid, octaves",
+                         [(0.3, 100, "uniform", None),
+                          (0.75, 1024, "geometric", 511.0)])
+def test_factor_is_the_full_matrix_cholesky_bit_for_bit(hurst, cells, grid,
+                                                         octaves):
+    # the factor reads the lower triangle, filled by row blocks, and is
+    # scaled in place: the same bits as from the full correlation matrix
+    emb = build_embedding(FractionalBrownianMotion(hurst), cells, grid,
+                          octaves)
+    t = emb.nodes[1:]
+    L = np.linalg.cholesky(_fbm_correlation(t[:, None], t, hurst))
+    np.testing.assert_array_equal(emb.factor, t[:, None] ** hurst * L)
+    assert emb.jitter == 0.0
+
+
+def test_factor_memory_is_bounded():
+    # the correlation's lower triangle and the factor, 8.4 MB each at
+    # k = 1024, plus row blocks of the residual check; the full-matrix
+    # residual held four k x k arrays (33.6 MB).  cholesky's own copy is
+    # allocated outside numpy's tracked memory, as eigvalsh's is
+    k = 1024
+    emb = build_embedding(FractionalBrownianMotion(0.75), k, "geometric", 511.0)
+    tracemalloc.start()
+    try:
+        emb.factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_numerical_errors_name_their_stage():
     from chaoskit.embeddings import _cholesky_with_jitter
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaoskit import reference
+from chaoskit import reference, tensors
 from chaoskit.rng import stream
 from chaoskit.tensors import (
     SymTensor,
@@ -84,6 +84,15 @@ def test_symmetrize_against_permutation_average(n, d):
     s = symmetrize(t)
     ref = reference.symmetrize_bruteforce(t)
     np.testing.assert_allclose(s.coeffs, ref.coeffs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n,d", [(3, 12), (4, 8), (6, 8)])
+def test_symmetrize_sorting_network_keys_equal_np_sort(n, d):
+    # the orbit keys come from an odd-even transposition network over the
+    # n index rows; they must be np.sort's, so the output is unchanged
+    idx = np.indices((d,) * n, dtype=np.uint8).reshape(n, -1)
+    want = np.sort(idx, axis=0)
+    np.testing.assert_array_equal(tensors._sort_rows(idx), want)
 
 
 def test_symmetrize_contracts_norm():
