@@ -67,6 +67,7 @@ def hermite(k: int, x):
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
 _DRAW_BLOCK = 1 << 15  # entries of one block of spectral normals (256 KB)
 _SAMPLE_ROWS = 4096  # rows of normals per block in sample_integral
+_DRAW_GROUP = 64  # draws are evaluated in whole groups of this many rows
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -266,11 +267,17 @@ def _blocked_draws(evaluate, dim: int, n_samples: int,
     """evaluate(xi) on blocks of at most `block` rows of fresh normals.
 
     The fill is row-major, so draw i reads normals [i*dim, (i+1)*dim).
+    A last block short of a whole _DRAW_GROUP rows is padded with zero
+    rows up to one and their values dropped, so evaluate never sees a
+    partial row group.
     """
     out = np.empty(n_samples)
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
-        out[start:start + take] = evaluate(rng.standard_normal((take, dim)))
+        xi = rng.standard_normal((take, dim))
+        if take % _DRAW_GROUP:
+            xi = np.concatenate([xi, np.zeros((-take % _DRAW_GROUP, dim))])
+        out[start:start + take] = evaluate(xi)[:take]
     return out
 
 
@@ -365,15 +372,18 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
     reused; an operator whose eigenvalues omit structural zeros (size
     below dim) draws only for the eigenvalues it holds.  Normals come in
     blocks of about _DRAW_BLOCK entries, squared in place, so memory beyond
-    the output is bounded; the draws do not depend on the block size.
+    the output is bounded.  Every block, the last one padded, is whole
+    groups of _DRAW_GROUP rows, so gemv reduces each draw's row the same
+    way at any n_samples and block size: draw i is bit-identical in every
+    call on the same stream.
     """
     if not isinstance(f, HSOperator):
         if f.order != 2:
             raise ValueError("spectral sampling is for order-2 kernels")
         f = hs_operator(f)
     lam = f.eigenvalues
-    # eta^2 - 1 is formed in the fresh block.  Whole 64-row blocks keep the
-    # gemv row groups per BLAS thread, so no draw depends on the block ends
+    # eta^2 - 1 is formed in the fresh block
+    block = max(_DRAW_GROUP, _DRAW_BLOCK // max(lam.size, 1)) & -_DRAW_GROUP
     return _blocked_draws(
         lambda eta: np.subtract(np.square(eta, out=eta), 1.0, out=eta) @ lam,
-        lam.size, n_samples, rng, max(64, _DRAW_BLOCK // max(lam.size, 1)) & -64)
+        lam.size, n_samples, rng, block)

@@ -311,18 +311,20 @@ def test_spectral_sampler_agrees_in_distribution():
         assert abs(ma - mb) <= 4.0 * se
 
 
-@pytest.mark.parametrize("rank", [1, 7, 512])
+@pytest.mark.parametrize("rank", [1, 7, 100, 512])
 def test_spectral_draws_do_not_depend_on_blocking(rank):
-    # blocks hold chaos._DRAW_BLOCK entries, so n = 1000 and n = 100000 cut
-    # the stream differently; the generator's row-major fill and whole
-    # 64-row blocks make every draw read, and reduce, the same normals
+    # blocks hold chaos._DRAW_BLOCK entries, so n and n = 100000 cut the
+    # stream differently; the generator's row-major fill and whole 64-row
+    # groups, the last block padded, make every draw read, and reduce, the
+    # same normals (n = 999 and 1001 end inside a gemv row group)
     lam = stream(43, f"chaos:blocks:{rank}").standard_normal(rank)
     op = HSOperator(rank, lam)
-    short = sample_integral2_spectral(op, 1000, stream(43, "chaos:draws"))
     long = sample_integral2_spectral(op, 100000, stream(43, "chaos:draws"))
-    np.testing.assert_array_equal(short, long[:1000])
+    for n in (999, 1000, 1001):
+        short = sample_integral2_spectral(op, n, stream(43, "chaos:draws"))
+        np.testing.assert_array_equal(short, long[:n])
     eta = stream(43, "chaos:draws").standard_normal((1000, rank))
-    np.testing.assert_array_equal(short, (eta * eta - 1.0) @ lam)
+    np.testing.assert_array_equal(long[:1000], (eta * eta - 1.0) @ lam)
 
 
 def test_spectral_draws_of_rank_zero_operator_are_zero():
