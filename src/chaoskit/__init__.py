@@ -5,105 +5,20 @@ integrals become Hermite polynomial forms in i.i.d. standard Gaussians.
 On top of that sit exact moment/contraction formulas, grid embeddings of
 fractional Brownian motion and the Brownian sheet, the classical
 quadratic functionals of those processes, and trend diagnostics for
-Gaussian-limit behavior of kernel sequences.
+Gaussian-limit behavior of kernel sequences.  The package exports each
+module's __all__: a public name is declared once, in its module.
 """
 
 __version__ = "0.1.0"
 
-from .tensors import (
-    Tensor,
-    SymTensor,
-    tensor,
-    sym,
-    basis_tensor,
-    symmetrize,
-    contract,
-    inner,
-    norm,
-    norm_sq,
-    add,
-    scale,
-    contraction_norm_sq,
-)
-from .chaos import (
-    ChaosElement,
-    hermite,
-    eval_integral,
-    eval_chaos_element,
-    product_formula,
-    second_moment_exact,
-    fourth_moment_exact,
-    excess_kurtosis_exact,
-    contraction_profile,
-    sample_integral,
-    HSOperator,
-    hs_operator,
-    cumulant,
-    char_function,
-    sample_integral2_spectral,
-)
-from .embeddings import (
-    FractionalBrownianMotion,
-    BrownianSheet,
-    GridEmbedding,
-    PathSample,
-    DegenerateModelError,
-    brownian_motion,
-    uniform_nodes,
-    geometric_nodes,
-    build_embedding,
-    embed_kernel2,
-    sample_path,
-)
-from .functionals import (
-    FbmPowerVariation,
-    FbmSingularVariation,
-    SheetPowerVariation,
-    SheetSingularVariation,
-    EmbeddedFunctional,
-    embed,
-    embed_on_grid,
-    direct_evaluate,
-    sheet_power_variance_exact,
-)
-from .diagnostics import (
-    KSResult,
-    SampleSummary,
-    KernelDiagnostics,
-    SequenceReport,
-    ks_against_std_normal,
-    summarize,
-    gaussian_limit_report,
-    disjoint_pair_kernel,
-    paired_product_kernel,
-)
-from .rng import stream
+from . import chaos, diagnostics, embeddings, functionals, rng, tensors
+from .chaos import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .embeddings import *  # noqa: F401,F403
+from .functionals import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
+from .tensors import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # tensors
-    "Tensor", "SymTensor", "tensor", "sym", "basis_tensor", "symmetrize",
-    "contract", "inner", "norm", "norm_sq", "add", "scale",
-    "contraction_norm_sq",
-    # chaos
-    "ChaosElement", "hermite", "eval_integral", "eval_chaos_element",
-    "product_formula", "second_moment_exact", "fourth_moment_exact",
-    "excess_kurtosis_exact", "contraction_profile", "sample_integral",
-    "HSOperator", "hs_operator", "cumulant", "char_function",
-    "sample_integral2_spectral",
-    # embeddings
-    "FractionalBrownianMotion", "BrownianSheet", "GridEmbedding",
-    "PathSample", "DegenerateModelError", "brownian_motion",
-    "uniform_nodes", "geometric_nodes", "build_embedding", "embed_kernel2",
-    "sample_path",
-    # functionals
-    "FbmPowerVariation", "FbmSingularVariation", "SheetPowerVariation",
-    "SheetSingularVariation", "EmbeddedFunctional", "embed", "embed_on_grid",
-    "direct_evaluate", "sheet_power_variance_exact",
-    # diagnostics
-    "KSResult", "SampleSummary", "KernelDiagnostics", "SequenceReport",
-    "ks_against_std_normal", "summarize", "gaussian_limit_report",
-    "disjoint_pair_kernel", "paired_product_kernel",
-    # rng
-    "stream",
-]
+__all__ = ["__version__", *tensors.__all__, *chaos.__all__,
+           *embeddings.__all__, *functionals.__all__, *diagnostics.__all__,
+           *rng.__all__]

@@ -1,11 +1,12 @@
 """The validation suite: ten numbered criteria with fixed tolerances.
 
-Each criterion is a pure function of the seed returning a CriterionResult
-with named sub-checks, so the CLI, the test suite and any script agree on
-what was measured.  Nothing here tunes itself to pass: thresholds and
-schedules are the suite's contract, and a criterion whose target is not
-reachable at the stated parameters simply reports red with the measured
-numbers attached.
+Each criterion_N is a pure function of the seed returning its named
+sub-checks; _CRITERIA gives each its number and name, and run_criterion
+wraps the checks in a CriterionResult, so the CLI, the test suite and any
+script agree on what was measured.  Nothing here tunes itself to pass:
+thresholds and schedules are the suite's contract, and a criterion whose
+target is not reachable at the stated parameters simply reports red with
+the measured numbers attached.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def criterion_1(seed: int) -> CriterionResult:
+def criterion_1(seed: int) -> tuple:
     """Product formula is a pointwise polynomial identity."""
     rng = stream(seed, "c1")
     worst = 0.0
@@ -101,9 +102,8 @@ def criterion_1(seed: int) -> CriterionResult:
         rhs = np.asarray(eval_chaos_element(product_formula(f, g), xi))
         rel = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs)))
         worst = max(worst, float(rel))
-    checks = (Check("pointwise-identity", worst <= 1e-9, worst,
-                    "<= 1e-9 relative over 200 pairs x 100 draws"),)
-    return CriterionResult(1, "product-formula-exactness", checks)
+    return (Check("pointwise-identity", worst <= 1e-9, worst,
+                  "<= 1e-9 relative over 200 pairs x 100 draws"),)
 
 
 def _small_kernels(rng):
@@ -120,7 +120,7 @@ def _small_kernels(rng):
     return out
 
 
-def criterion_2(seed: int) -> CriterionResult:
+def criterion_2(seed: int) -> tuple:
     """Moment formulas against the brute-force oracle and Monte Carlo."""
     rng = stream(seed, "c2")
     worst4 = worst2 = 0.0
@@ -141,16 +141,15 @@ def criterion_2(seed: int) -> CriterionResult:
         se = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
         gap = abs(float(np.mean(sq)) - second_moment_exact(f))
         worst_mc = max(worst_mc, gap / (4.0 * se))
-    checks = (
+    return (
         Check("fourth-moment-vs-oracle", worst4 <= 1e-9, worst4, "<= 1e-9 relative"),
         Check("second-moment-vs-oracle", worst2 <= 1e-9, worst2, "<= 1e-9 relative"),
         Check("second-moment-vs-mc", worst_mc <= 1.0, worst_mc,
               "<= 4*SE on 20 random kernels, N=2e5 (observed = gap/(4*SE))"),
     )
-    return CriterionResult(2, "exact-moment-oracle", checks)
 
 
-def criterion_3(seed: int) -> CriterionResult:
+def criterion_3(seed: int) -> tuple:
     """The averaged disjoint-pair family turns Gaussian at rate 1/k."""
     ks = (4, 16, 64, 256)
     kernels = [disjoint_pair_kernel(k) for k in ks]
@@ -160,7 +159,7 @@ def criterion_3(seed: int) -> CriterionResult:
     con_factor = min(a / b for a, b in zip(con, con[1:]))
     draws = sample_integral2_spectral(kernels[-1], 10000, stream(seed, "c3:ks"))
     ksr = ks_against_std_normal(draws)
-    checks = (
+    return (
         Check("excess-decay-factor", exc_factor >= 3.0, exc_factor,
               ">= 3 per 4x step in k (exact rate 4)"),
         Check("contraction-decay-factor", con_factor >= 3.0, con_factor,
@@ -168,28 +167,24 @@ def criterion_3(seed: int) -> CriterionResult:
         Check("ks-at-k256", ksr.passed, ksr.statistic,
               f"< {ksr.threshold:.5f} (5% level, N=1e4)"),
     )
-    return CriterionResult(3, "clt-family", checks)
 
 
-def criterion_4(seed: int) -> CriterionResult:
+def criterion_4(seed: int) -> tuple:
     """A fixed unit-variance order-2 kernel is never Gaussian."""
     f = paired_product_kernel()
     m4 = fourth_moment_exact(f)
     fails = 0
-    reps = 20
-    for i in range(reps):
+    for i in range(20):
         draws = sample_integral2_spectral(f, 10000, stream(seed, f"c4:{i}"))
-        if not ks_against_std_normal(draws).passed:
-            fails += 1
-    checks = (
+        fails += not ks_against_std_normal(draws).passed
+    return (
         Check("fourth-moment-is-9", abs(m4 - 9.0) <= 1e-9, m4, "= 9 to 1e-9"),
         Check("ks-fail-rate", fails >= 19, float(fails),
               ">= 19 of 20 seeded repetitions fail at 5%"),
     )
-    return CriterionResult(4, "fixed-kernel-counterexample", checks)
 
 
-def criterion_5(seed: int) -> CriterionResult:
+def criterion_5(seed: int) -> tuple:
     """Tensor-route and eigenvalue-route fourth-moment views agree."""
     rng = stream(seed, "c5")
     worst_exc = worst_con = 0.0
@@ -202,16 +197,15 @@ def criterion_5(seed: int) -> CriterionResult:
         worst_exc = max(worst_exc, abs(excess - 48.0 * lam4) / (48.0 * lam4))
         c1 = contraction_norm_sq(f, 1)
         worst_con = max(worst_con, abs(c1 - lam4) / lam4)
-    checks = (
+    return (
         Check("excess-equals-48-sum-lambda4", worst_exc <= 1e-9, worst_exc,
               "<= 1e-9 relative on 50 random kernels"),
         Check("contraction-equals-sum-lambda4", worst_con <= 1e-9, worst_con,
               "<= 1e-9 relative on 50 random kernels"),
     )
-    return CriterionResult(5, "spectral-bridge", checks)
 
 
-def criterion_6(seed: int) -> CriterionResult:
+def criterion_6(seed: int) -> tuple:
     """Direct quadrature and chaos route converge to each other."""
     checks = []
     for hurst in (0.6, 0.75):
@@ -227,7 +221,7 @@ def criterion_6(seed: int) -> CriterionResult:
         checks.append(Check(
             f"median-gap-shrinks-h{hurst}", medians[256] < medians[64],
             medians[256], f"< median at d=64 ({medians[64]:.3e})"))
-    return CriterionResult(6, "coupling-refinement", tuple(checks))
+    return tuple(checks)
 
 
 def _mc_matches_exact(name, mc, exact, se, gaussian) -> Check:
@@ -242,7 +236,7 @@ def _mc_matches_exact(name, mc, exact, se, gaussian) -> Check:
                  f"Gaussian {gaussian:g})")
 
 
-def criterion_7(seed: int) -> CriterionResult:
+def criterion_7(seed: int) -> tuple:
     """Quantitative sheet limit: closed-form variance and MC kurtosis.
 
     The normalized variance 2 * prod 1/(2 b_a + 3) tends to 2 on any
@@ -269,10 +263,10 @@ def criterion_7(seed: int) -> CriterionResult:
     su = summarize(ef.sample_statistic(100000, stream(seed, "c7:mc")))
     checks.append(_mc_matches_exact("mc-kurtosis-near-critical", su.kurtosis,
                                     ef.kurtosis_exact(), su.se_kurtosis, 3.0))
-    return CriterionResult(7, "sheet-quantitative-limit", tuple(checks))
+    return tuple(checks)
 
 
-def criterion_8(seed: int) -> CriterionResult:
+def criterion_8(seed: int) -> tuple:
     """Trend suite at H = 0.75 on a 512-cell geometric grid.
 
     Along each schedule the exact excess kurtosis must fall strictly and
@@ -309,10 +303,10 @@ def criterion_8(seed: int) -> CriterionResult:
             f"{label}-contraction-ratio-decreasing", _strictly_decreasing(ratios),
             ratios[-1],
             f"strictly decreasing (observed {[round(r, 5) for r in ratios]})"))
-    return CriterionResult(8, "trend-suite", tuple(checks))
+    return tuple(checks)
 
 
-def criterion_9(seed: int) -> CriterionResult:
+def criterion_9(seed: int) -> tuple:
     """Large-beta concentration onto the squared endpoint value."""
     hurst = 0.7
     cells = 256
@@ -329,14 +323,13 @@ def criterion_9(seed: int) -> CriterionResult:
         combined = add(scale(ef.kernel, x), scale(endpoint_kernel, -1.0))
         diff = (x * ef.mean - 1.0) + eval_integral(combined, xi)
         gaps.append(float(np.mean(diff * diff)))
-    checks = (Check("mc-squared-gap-decreasing", _strictly_decreasing(gaps),
-                    gaps[-1],
-                    f"strictly decreasing along beta in (1, 4, 16) "
-                    f"(observed {[round(g, 5) for g in gaps]})"),)
-    return CriterionResult(9, "large-beta-concentration", checks)
+    return (Check("mc-squared-gap-decreasing", _strictly_decreasing(gaps),
+                  gaps[-1],
+                  f"strictly decreasing along beta in (1, 4, 16) "
+                  f"(observed {[round(g, 5) for g in gaps]})"),)
 
 
-def criterion_10(seed: int) -> CriterionResult:
+def criterion_10(seed: int) -> tuple:
     """Bit-identical validate outputs across thread counts.
 
     Runs criteria 1-9 in two subprocesses (1 thread, then 4) and compares
@@ -356,35 +349,32 @@ def criterion_10(seed: int) -> CriterionResult:
     same_names = set(outputs[0]) == set(outputs[1])
     identical = same_names and all(outputs[0][k] == outputs[1][k] for k in outputs[0])
     nfiles = len(outputs[0])
-    checks = (Check("outputs-bit-identical", identical, float(nfiles),
-                    "all output files identical across --threads 1 and 4"),)
-    return CriterionResult(10, "determinism", checks)
+    return (Check("outputs-bit-identical", identical, float(nfiles),
+                  "all output files identical across --threads 1 and 4"),)
 
 
-CRITERION_NAMES = {
-    1: "product-formula-exactness",
-    2: "exact-moment-oracle",
-    3: "clt-family",
-    4: "fixed-kernel-counterexample",
-    5: "spectral-bridge",
-    6: "coupling-refinement",
-    7: "sheet-quantitative-limit",
-    8: "trend-suite",
-    9: "large-beta-concentration",
-    10: "determinism",
+# number -> (name, criterion): the one list of the suite's criteria
+_CRITERIA = {
+    1: ("product-formula-exactness", criterion_1),
+    2: ("exact-moment-oracle", criterion_2),
+    3: ("clt-family", criterion_3),
+    4: ("fixed-kernel-counterexample", criterion_4),
+    5: ("spectral-bridge", criterion_5),
+    6: ("coupling-refinement", criterion_6),
+    7: ("sheet-quantitative-limit", criterion_7),
+    8: ("trend-suite", criterion_8),
+    9: ("large-beta-concentration", criterion_9),
+    10: ("determinism", criterion_10),
 }
-
-_RUNNERS = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10,
-}
+CRITERION_NAMES = {n: name for n, (name, _) in _CRITERIA.items()}
 
 
 def run_criterion(number: int, seed: int) -> CriterionResult:
-    if number not in _RUNNERS:
+    """Run one criterion: its checks, with its number and name."""
+    if number not in _CRITERIA:
         raise ValueError(f"no criterion {number}")
-    return _RUNNERS[number](seed)
+    name, criterion = _CRITERIA[number]
+    return CriterionResult(number, name, criterion(seed))
 
 
 def parallel_map(worker, count: int, threads: int) -> list:
@@ -403,8 +393,8 @@ def parallel_map(worker, count: int, threads: int) -> list:
 def run_criteria(numbers, seed: int, threads: int = 1):
     """Run the given criteria, possibly concurrently, in numeric order."""
     numbers = sorted(set(int(n) for n in numbers))
-    for n in numbers:
-        if n not in _RUNNERS:
+    for n in numbers:  # refused before any thread starts
+        if n not in _CRITERIA:
             raise ValueError(f"no criterion {n}")
     return parallel_map(lambda i: run_criterion(numbers[i], seed),
                         len(numbers), threads)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.metadata
 import json
 import math
 import platform
@@ -44,7 +43,7 @@ from .diagnostics import (
     paired_product_kernel,
     summarize,
 )
-from .embeddings import _MAX_EMBED_DIM, DegenerateModelError
+from .embeddings import _MAX_EMBED_DIM, DegenerateModelError, _check_capacity
 from .functionals import (
     FbmPowerVariation,
     FbmSingularVariation,
@@ -71,9 +70,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str):
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        values = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
+        values = ()
+    if not values:
         raise UsageError(f"not a comma-separated float list: {text!r}")
+    return values
 
 
 # ------------------------------------------------------------- families
@@ -92,6 +94,7 @@ def _pairs(k):
 _BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
 _EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
+_SHEET_OCTAVES = 512.0  # sweep-sheet's geometric grid depth
 
 # family -> its parameter (the flag sample reads and sweep-sheet's schedule
 # flag; None for a constant kernel, whose schedule sets only the repeat
@@ -144,7 +147,11 @@ def _read_flags(args):
 
 def _build(args, p):
     """The family's kernel at p, or its functional embedded on the grid."""
-    made = _FAMILIES[args.family].make(args, p)
+    fam = _FAMILIES[args.family]
+    if fam.model:  # an oversized grid is refused before its family or nodes
+        _check_capacity(args.cells, args.dims if fam.model == "dims" else 1,
+                        "spectrum")
+    made = fam.make(args, p)
     if isinstance(made, SymTensor):
         return made
     return embed_on_grid(made, args.cells, args.grid, args.octaves)
@@ -199,10 +206,6 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
     }
     (out / f"{command}.schema.json").write_text(
         json.dumps(schema, indent=2, sort_keys=True) + "\n")
-    try:  # the installed version, read without importing scipy
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:  # optional: tests only
-        scipy_version = None
     summary = {
         "command": command,
         "config": config,
@@ -210,7 +213,6 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
             "chaoskit": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy_version,
         },
         "results": results,
     }
@@ -333,6 +335,8 @@ def _run_sweep(args) -> int:
 
 
 def _cmd_sweep_sheet(args) -> int:
+    if args.grid == "geometric" and args.octaves is None:
+        args.octaves = _SHEET_OCTAVES
     param = _FAMILIES[args.family].param
     other = "eps" if param == "beta" else "beta"
     if getattr(args, other) is not None:
@@ -373,28 +377,20 @@ def _cmd_sample(args) -> int:
 
 
 def _parse_criteria(text: str):
+    """Numbers from "all" or a comma list of n and lo-hi (n reads as n-n)."""
     if text.strip() == "all":
         return sorted(CRITERION_NAMES)
-    nums = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                nums.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise UsageError(f"bad criteria range {part!r}")
-        else:
-            try:
-                nums.append(int(part))
-            except ValueError:
-                raise UsageError(f"bad criterion number {part!r}")
-    bad = [n for n in nums if n not in CRITERION_NAMES]
-    if bad or not nums:
-        raise UsageError(f"criteria must be in 1..10, got {text!r}")
-    return sorted(set(nums))
+    nums = set()
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo, dash, hi = part.partition("-")
+        try:
+            nums.update(range(int(lo), int(hi if dash else lo) + 1))
+        except ValueError:
+            raise UsageError(f"bad criteria range {part!r}")
+    if not nums or not nums <= CRITERION_NAMES.keys():
+        raise UsageError(f"criteria must be in 1..{len(CRITERION_NAMES)}, "
+                         f"got {text!r}")
+    return sorted(nums)
 
 
 def _cmd_validate(args) -> int:
@@ -443,7 +439,7 @@ def _add_common(p, samples: int | None):
                         "not depend on this")
 
 
-def _add_grid(p, model: str, cells: int, octaves=None):
+def _add_grid(p, model: str, cells: int, octaves="cells-1"):
     """A sweep's process flag and grid flags, with their defaults."""
     default = _MODEL_DEFAULTS[model]
     p.add_argument(f"--{model}", type=type(default), default=default,
@@ -452,8 +448,8 @@ def _add_grid(p, model: str, cells: int, octaves=None):
                    help="grid cells for the embedding")
     p.add_argument("--grid", choices=("uniform", "geometric"),
                    default="geometric")
-    p.add_argument("--octaves", type=float, default=octaves,
-                   help="geometric grid depth; default cells-1")
+    p.add_argument("--octaves", type=float,
+                   help=f"geometric grid depth; default {octaves}")
 
 
 def _add_read_flags(p, model_flags):
@@ -505,7 +501,7 @@ def _build_parser() -> _Parser:
                    help="per-axis beta schedule (power family)")
     p.add_argument("--eps", type=_float_list, default=None,
                    help="eps schedule (singular family)")
-    _add_grid(p, "dims", cells=1024, octaves=512.0)
+    _add_grid(p, "dims", cells=1024, octaves=_SHEET_OCTAVES)
     _add_common(p, samples=100000)
     p.set_defaults(run=_cmd_sweep_sheet)
 
@@ -563,7 +559,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(top, argv)
         code = args.run(args)
-    except (DegenerateModelError, np.linalg.LinAlgError) as e:
+    except (DegenerateModelError, np.linalg.LinAlgError, OverflowError) as e:
         print(f"error: numerical: {e}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, TypeError, OSError) as e:

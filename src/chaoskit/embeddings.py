@@ -24,6 +24,7 @@ resolve functionals whose weight concentrates at 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -347,10 +348,18 @@ def _tail_steps(emb: GridEmbedding, weights) -> list:
     return out
 
 
-def _check_capacity(emb: GridEmbedding, stage: str):
-    if emb.dim > _MAX_EMBED_DIM:
+def _check_capacity(cells: int, ndim: int, stage: str):
+    """Refuse cells^ndim coordinates above the dense cap.
+
+    The power is formed only when it fits in 64 bits, else named cells^ndim.
+    """
+    if cells < 2:
+        return
+    huge = ndim * math.log2(cells) >= 63
+    if huge or cells**ndim > _MAX_EMBED_DIM:
+        dim = f"{cells}^{ndim}" if huge else cells**ndim
         raise np.linalg.LinAlgError(
-            f"{stage}: embedding dimension {emb.dim} too large for a dense kernel")
+            f"{stage}: embedding dimension {dim} too large for a dense kernel")
 
 
 _RANGE_ERROR = "kernel is outside double range (||M||_F^4 is not finite)"
@@ -375,7 +384,7 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     order-2 moment is a power sum of the spectrum bounded by it.  Its
     message starts with the stage, "kernel: ".
     """
-    _check_capacity(emb, "kernel")
+    _check_capacity(emb.cells, emb.ndim, "kernel")
     with np.errstate(all="ignore"):
         factors = [(lo ** (0.5 * p) * g)[:, None] * emb.factor[live]
                    for live, lo, p, g in _tail_steps(emb, weights)]
@@ -408,7 +417,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     ||M||_F^4 is outside double range, and when eigvalsh does not
     converge; its message starts with the stage, "spectrum: ".
     """
-    _check_capacity(emb, "spectrum")
+    _check_capacity(emb.cells, emb.ndim, "spectrum")
     h = emb.model.hurst if isinstance(emb.model, FractionalBrownianMotion) else 0.5
     spectra = []
     with np.errstate(all="ignore"):

@@ -9,7 +9,6 @@ command are covered by the module tests.
 """
 
 import csv
-import importlib.metadata
 import importlib.util
 import json
 import pathlib
@@ -21,6 +20,7 @@ import numpy as np
 import pytest
 
 import chaoskit.cli as cli
+from chaoskit import embeddings
 from chaoskit.acceptance import Check, CriterionResult
 from chaoskit.embeddings import DegenerateModelError
 from chaoskit.functionals import FbmPowerVariation, embed_on_grid
@@ -69,11 +69,16 @@ def test_validate_single_criterion(tmp_path, capsys):
     assert su["results"]["criteria"][0]["failing_checks"] == []
     # experiment parameters only: execution facts must stay out of the file
     assert su["config"] == {"criteria": "1", "seed": 42}
-    assert sorted(su["versions"]) == ["chaoskit", "numpy", "python", "scipy"]
+    # the libraries the CLI loads, and no other
+    assert sorted(su["versions"]) == ["chaoskit", "numpy", "python"]
+    assert su["versions"]["numpy"] == np.__version__
 
 
 def test_validate_criteria_parsing_rejects_out_of_range(tmp_path, capsys):
-    for bad in ("0", "11", "2-x", "", "1,0"):
+    # a number n reads as the range n-n
+    assert cli._parse_criteria("3") == [3]
+    assert cli._parse_criteria("1-9, 3") == list(range(1, 10))
+    for bad in ("0", "11", "2-x", "", "1,0", "1-", "-3", "3-1"):
         rc = cli.main(["validate", "--criteria", bad, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: usage:")
@@ -119,26 +124,6 @@ def test_cli_imports_no_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
-    import scipy
-
-    assert _summary(tmp_path, "diagnose")["versions"]["scipy"] == (
-        scipy.__version__)
-
-
-def test_cli_runs_without_scipy_installed(tmp_path, monkeypatch):
-    # scipy is a test extra: with it missing the summary records null
-    def version(name):
-        if name == "scipy":
-            raise importlib.metadata.PackageNotFoundError(name)
-        return real(name)
-
-    real = importlib.metadata.version
-    monkeypatch.setattr(importlib.metadata, "version", version)
-    assert cli.main(["diagnose", "--family", "clt-pairs", "--schedule", "1",
-                     "--samples", "100", "--out", str(tmp_path)]) == 0
-    versions = _summary(tmp_path, "diagnose")["versions"]
-    assert versions["scipy"] is None
-    assert versions["numpy"] == np.__version__
 
 
 # ---------------------------------------------------------- determinism
@@ -209,6 +194,12 @@ def test_sweep_sheet_closed_form_column(tmp_path):
     schema = _schema(tmp_path, "sweep-sheet")
     assert [c["name"] for c in schema["columns"]] == list(rows[0])
     assert schema["file"] == "sweep-sheet.csv"
+
+    # a geometric grid left at its default depth echoes it
+    out = tmp_path / "default"
+    assert cli.main(["sweep-sheet", "--beta", "-0.9", "--cells", "16",
+                     "--samples", "100", "--out", str(out)]) == 0
+    assert _summary(out, "sweep-sheet")["config"]["octaves"] == 512.0
 
 
 def test_sample_summary_statistics(tmp_path):
@@ -386,6 +377,10 @@ def test_every_family_runs_under_every_command_that_takes_it(
         tmp_path, command, family):
     argv = [command, "--family", family, "--samples", "200"]
     if cli._FAMILIES[family].model:  # only a family with a process has a grid
+        uniform = tmp_path / "uniform"
+        assert cli.main(argv + ["--cells", "16", "--grid", "uniform",
+                                "--out", str(uniform)]) == 0
+        assert _summary(uniform, command)["config"]["octaves"] is None
         argv += ["--cells", "16", "--octaves", "8"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     rows = _rows(tmp_path, command)
@@ -506,6 +501,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["sweep-sheet", "--hurst", "7", "--out", str(tmp_path)],
         ["sweep-fbm", "--dims", "9", "--out", str(tmp_path)],
         ["validate", "--samples", "7", "--out", str(tmp_path)],
+        # an empty list flag is refused, not read as the default schedule
+        ["diagnose", "--schedule", ",", "--out", str(tmp_path)],
+        ["sweep-sheet", "--beta=", "--out", str(tmp_path)],
     ]
     for argv in argvs:
         rc = cli.main(argv)
@@ -537,6 +535,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # a 256^3-cell sheet is refused by the kernel's size guard, and the
     # embedding stores nothing of size cells^3 before it
     ["sweep-sheet", "--dims", "3", "--cells", "256"],
+    # 2^1000 coordinates: refused before the family, its dims-long tuple of
+    # axis weights or its exact mean (which overflows) is formed
+    ["sample", "--family", "sheet-singular", "--dims", "1000", "--cells", "2"],
+    ["sweep-sheet", "--family", "sheet-singular", "--dims", "1000",
+     "--cells", "2"],
 ])
 def test_numerical_failures_exit_two(argv, capsys, tmp_path):
     rc = cli.main(argv + ["--samples", "100", "--out", str(tmp_path)])
@@ -545,6 +548,27 @@ def test_numerical_failures_exit_two(argv, capsys, tmp_path):
     assert err.startswith("error: numerical: spectrum: ")
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_oversized_grid_refused_before_its_nodes(monkeypatch, capsys,
+                                                 tmp_path):
+    def _no_nodes(cells):
+        raise AssertionError("nodes built for an oversized grid")
+
+    monkeypatch.setattr(embeddings, "uniform_nodes", _no_nodes)
+    argv = ["sweep-fbm", "--grid", "uniform", "--cells", "16384",
+            "--samples", "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: numerical: spectrum: embedding dimension 16384 too large "
+        "for a dense kernel\n")
+    # a dimension past 64 bits is named, not printed in full
+    argv = ["sample", "--family", "sheet-power", "--dims", "2000",
+            "--cells", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: numerical: spectrum: embedding dimension 2^2000 too large "
+        "for a dense kernel\n")
 
 
 def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
@@ -586,6 +610,13 @@ def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(cli, "_cmd_sample", _boom)
     rc = cli.main(["sample", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: numerical:")
+
+    # one cell per axis fits the cap, but log(1/eps)^1000 overflows
+    rc = cli.main(["diagnose", "--family", "sheet-singular", "--grid",
+                   "uniform", "--cells", "1", "--dims", "1000",
+                   "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: numerical:")
 
