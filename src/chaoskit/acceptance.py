@@ -337,15 +337,15 @@ def criterion_10(seed: int) -> tuple:
     """
     outputs = []
     for threads in (1, 4):
-        tmp = Path(tempfile.mkdtemp(prefix=f"chaoskit-validate-t{threads}-"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "chaoskit.cli", "validate",
-             "--seed", str(seed), "--criteria", "1-9",
-             "--threads", str(threads), "--out", str(tmp)],
-            capture_output=True, text=True)
-        if proc.returncode not in (0, 2):  # 2 = criteria failed, files still valid
-            raise RuntimeError(f"validate subprocess errored: {proc.stderr}")
-        outputs.append({p.name: p.read_bytes() for p in sorted(tmp.iterdir())})
+        with tempfile.TemporaryDirectory(prefix=f"chaoskit-validate-t{threads}-") as tmp:
+            proc = subprocess.run(
+                [sys.executable, "-m", "chaoskit.cli", "validate",
+                 "--seed", str(seed), "--criteria", "1-9",
+                 "--threads", str(threads), "--out", tmp],
+                capture_output=True, text=True)
+            if proc.returncode not in (0, 2):  # 2 = criteria failed, files still valid
+                raise RuntimeError(f"validate subprocess errored: {proc.stderr}")
+            outputs.append({p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())})
     same_names = set(outputs[0]) == set(outputs[1])
     identical = same_names and all(outputs[0][k] == outputs[1][k] for k in outputs[0])
     nfiles = len(outputs[0])

@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 usage or I/O problem, 2 numerical failure
 (including a validate run with failing criteria).  Errors print a single
 machine-parsable line to stderr: "error: <usage|numerical>: <detail>".  A
 numerical detail from an embedding starts with its stage: "spectrum"
-(kernel2_spectrum), "kernel" (a dense kernel) or "factor" (the node
-factor), as in "error: numerical: spectrum: embedding dimension ...".
+(kernel2_spectrum), "kernel" (a dense kernel), "factor" (the node factor)
+or "mean" (an exact mean), as in "error: numerical: spectrum: ...".
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import platform
+import re
 import sys
 import time
 from collections import namedtuple
@@ -63,6 +64,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        # "-0.9,-0.95" is a value: no flag starts with "-" and a digit or "."
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     # argparse exits 2 on bad flags; the contract reserves 2 for numerics
     def error(self, message):
         raise UsageError(message)
@@ -94,7 +100,6 @@ def _pairs(k):
 _BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
 _EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
-_SHEET_OCTAVES = 512.0  # sweep-sheet's geometric grid depth
 
 # family -> its parameter (the flag sample reads and sweep-sheet's schedule
 # flag; None for a constant kernel, whose schedule sets only the repeat
@@ -118,31 +123,40 @@ _FAMILIES = {
     "sheet-singular": _Family("eps", "dims", _EPS_SCHEDULE,
                               lambda a, p: SheetSingularVariation(a.dims, p)),
 }
-# the parameter and process flags sample takes for every family, with
-# their defaults; the other commands take hurst and dims with these too
-_MODEL_DEFAULTS = {"k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75, "dims": 1}
-# the grid flags of diagnose and sample, which only the families with a
-# process read
-_GRID_DEFAULTS = {"cells": 512, "grid": "geometric", "octaves": None}
+# every model and grid flag with its default (octaves None is cells - 1);
+# only the families with a process read the grid flags
+_DEFAULTS = {"k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75, "dims": 1,
+             "cells": 512, "grid": "geometric", "octaves": None}
+_GRID = ("cells", "grid", "octaves")
+# the defaults a command overrides: sweep-sheet's parameter flag is its
+# schedule (None: the family's), on a finer grid, deeper when geometric
+_OVERRIDES = {"sweep-sheet": {"beta": None, "eps": None, "cells": 1024,
+                              "octaves": 512.0}}
 
 
 def _read_flags(args):
     """Refuse a flag the family does not read; fill in the others' defaults.
 
-    The model and grid flags of diagnose and sample are parsed as None, so
-    a flag given (on the command line or in --config) is told apart from
-    one left out.  A family reads its parameter, its process flag and,
-    if it has a process, the grid flags.
+    The model and grid flags are parsed as None, so a flag given (on the
+    command line or in --config) is told apart from one left out.  octaves
+    stays None on a uniform grid; sweep-sheet's parameter is its schedule.
     """
+    if "family" not in vars(args):  # validate
+        return
     fam = _FAMILIES[args.family]
-    reads = {fam.param, fam.model} | (set(_GRID_DEFAULTS) if fam.model else set())
-    for flag, default in (_MODEL_DEFAULTS | _GRID_DEFAULTS).items():
+    reads = {fam.param, fam.model} | (set(_GRID) if fam.model else set())
+    defaults = _DEFAULTS | _OVERRIDES.get(args.command, {})
+    for flag, default in defaults.items():
         if flag not in vars(args):
-            continue  # diagnose takes no parameter flag
-        if getattr(args, flag) is None:
+            continue  # a flag the command does not take
+        if getattr(args, flag) is not None:
+            if flag not in reads:
+                raise UsageError(f"--{flag} is not read by {args.family}")
+        elif flag != "octaves" or args.grid == "geometric":
             setattr(args, flag, default)
-        elif flag not in reads:
-            raise UsageError(f"--{flag} is not read by {args.family}")
+    if args.command == "sweep-sheet":  # echoed as the resolved schedule
+        args.schedule = getattr(args, fam.param)
+        del args.beta, args.eps
 
 
 def _build(args, p):
@@ -231,7 +245,6 @@ def _config_echo(args):
 
 
 def _cmd_diagnose(args) -> int:
-    _read_flags(args)
     xs, params = _schedule(args)
     built = (_build(args, p) for p in params)
     kernels = [b if isinstance(b, SymTensor) else b.operator for b in built]
@@ -334,21 +347,7 @@ def _run_sweep(args) -> int:
     return 0
 
 
-def _cmd_sweep_sheet(args) -> int:
-    if args.grid == "geometric" and args.octaves is None:
-        args.octaves = _SHEET_OCTAVES
-    param = _FAMILIES[args.family].param
-    other = "eps" if param == "beta" else "beta"
-    if getattr(args, other) is not None:
-        raise UsageError(f"--{other} is not a schedule of {args.family} "
-                         f"(it takes --{param})")
-    args.schedule = getattr(args, param)
-    del args.beta, args.eps  # echoed as the resolved schedule
-    return _run_sweep(args)
-
-
 def _cmd_sample(args) -> int:
-    _read_flags(args)
     fam = _FAMILIES[args.family]
     rng = stream(args.seed, f"sample:{args.family}")
     built = _build(args, getattr(args, fam.param) if fam.param else None)
@@ -435,37 +434,23 @@ def _add_common(p, samples: int | None):
                    help="flat key = value file of the command's flags; "
                         "flags given on the command line override it")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads over schedule points; outputs do "
-                        "not depend on this")
+                   help="worker threads of the sweeps and validate (diagnose "
+                        "and sample run on one); outputs do not depend on it")
 
 
-def _add_grid(p, model: str, cells: int, octaves="cells-1"):
-    """A sweep's process flag and grid flags, with their defaults."""
-    default = _MODEL_DEFAULTS[model]
-    p.add_argument(f"--{model}", type=type(default), default=default,
-                   help=f"default {default}")
-    p.add_argument("--cells", type=int, default=cells,
-                   help="grid cells for the embedding")
-    p.add_argument("--grid", choices=("uniform", "geometric"),
-                   default="geometric")
-    p.add_argument("--octaves", type=float,
-                   help=f"geometric grid depth; default {octaves}")
-
-
-def _add_read_flags(p, model_flags):
-    """The model flags named and the grid flags, parsed as None (_read_flags)."""
-    for flag in model_flags:
-        default = _MODEL_DEFAULTS[flag]
-        p.add_argument(f"--{flag}", type=type(default),
-                       help=f"default {default}; only for the families "
-                            "that read it")
-    only = "; only for the families with a process"
-    p.add_argument("--cells", type=int,
-                   help="grid cells for the embedding; default 512" + only)
-    p.add_argument("--grid", choices=("uniform", "geometric"),
-                   help="default geometric" + only)
-    p.add_argument("--octaves", type=float,
-                   help="geometric grid depth; default cells-1" + only)
+def _add_flags(p, command, flags):
+    """Declare the model flags named and the grid flags, parsed as None."""
+    defaults = _DEFAULTS | _OVERRIDES.get(command, {})
+    for flag in (*flags, *_GRID):
+        kind, default = type(_DEFAULTS[flag]), defaults[flag]
+        if flag == "octaves":
+            kind, default = float, f"{default or 'cells-1'} geometric octaves"
+        elif default is None:  # sweep-sheet's schedule, a list
+            kind, default = _float_list, "the family's schedule"
+        choices = ("uniform", "geometric") if flag == "grid" else None
+        p.add_argument(f"--{flag}", type=kind, choices=choices,
+                       help=f"default {default}; only for the "
+                            "families that read it")
 
 
 def _build_parser() -> _Parser:
@@ -479,7 +464,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated schedule (k values, 2b+2H+1 values, "
                         "eps values, or per-axis beta, by family); constant "
                         "families use only its length")
-    _add_read_flags(p, ("hurst", "dims"))
+    _add_flags(p, "diagnose", ("hurst", "dims"))
     _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_diagnose)
 
@@ -489,7 +474,7 @@ def _build_parser() -> _Parser:
                    choices=("fbm-power", "fbm-singular"))
     p.add_argument("--schedule", type=_float_list, default=None,
                    help="2b+2H+1 values (power) or eps values (singular)")
-    _add_grid(p, "hurst", cells=512)
+    _add_flags(p, "sweep-fbm", ("hurst",))
     _add_common(p, samples=100000)
     p.set_defaults(run=_run_sweep)
 
@@ -497,19 +482,15 @@ def _build_parser() -> _Parser:
                        "functionals, with the closed-form variance column")
     p.add_argument("--family", default="sheet-power",
                    choices=("sheet-power", "sheet-singular"))
-    p.add_argument("--beta", type=_float_list, default=None,
-                   help="per-axis beta schedule (power family)")
-    p.add_argument("--eps", type=_float_list, default=None,
-                   help="eps schedule (singular family)")
-    _add_grid(p, "dims", cells=1024, octaves=_SHEET_OCTAVES)
+    _add_flags(p, "sweep-sheet", ("beta", "eps", "dims"))
     _add_common(p, samples=100000)
-    p.set_defaults(run=_cmd_sweep_sheet)
+    p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("sample", help="raw Monte Carlo draws of one "
                        "built-in statistic")
     p.add_argument("--family", default="constant-cross",
                    choices=tuple(_FAMILIES))
-    _add_read_flags(p, tuple(_MODEL_DEFAULTS))
+    _add_flags(p, "sample", ("k", "beta", "eps", "hurst", "dims"))
     _add_common(p, samples=10000)
     p.set_defaults(run=_cmd_sample)
 
@@ -558,6 +539,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         args = _parse(top, argv)
+        _read_flags(args)
         code = args.run(args)
     except (DegenerateModelError, np.linalg.LinAlgError, OverflowError) as e:
         print(f"error: numerical: {e}", file=sys.stderr)

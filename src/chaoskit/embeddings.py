@@ -296,8 +296,7 @@ class GridEmbedding:
         (diag(sqrt widths) exactly on a sheet axis), and the Kronecker
         product over the axes.
         """
-        if self.dim > _MAX_EMBED_DIM:
-            raise ValueError(f"gram matrix would be {self.dim}^2; refusing")
+        _check_capacity(self.cells, self.ndim, "gram")
         step = np.diff(self.factor, axis=0, prepend=0.0)
         return reduce(np.kron, [step @ step.T] * self.ndim)
 

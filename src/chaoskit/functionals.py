@@ -277,12 +277,13 @@ class EmbeddedFunctional:
 
 def embed(func, emb: GridEmbedding) -> EmbeddedFunctional:
     _check_embedding(func, emb)
-    return EmbeddedFunctional(
-        functional=func,
-        embedding=emb,
-        mean=func.mean_exact(),
-        scale=func.normalization(),
-    )
+    try:
+        mean = func.mean_exact()
+    except OverflowError as e:
+        raise OverflowError(f"mean: exact mean of {type(func).__name__} is "
+                            "outside double range") from e
+    return EmbeddedFunctional(functional=func, embedding=emb, mean=mean,
+                              scale=func.normalization())
 
 
 def embed_on_grid(func, cells: int, grid: str = "uniform",

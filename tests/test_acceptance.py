@@ -9,6 +9,8 @@ records how far that exact value lies from the Gaussian one; see the
 repository README.
 """
 
+import tempfile
+
 import pytest
 
 from chaoskit.acceptance import format_criterion, run_criterion
@@ -79,5 +81,9 @@ def test_criterion_09_quadratic_variation_projection(announce):
     _check(9, announce)
 
 
-def test_criterion_10_cli_determinism_across_threads(announce):
+def test_criterion_10_cli_determinism_across_threads(announce, monkeypatch,
+                                                    tmp_path):
+    # the subprocesses' output directories are removed after the comparison
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     _check(10, announce)
+    assert not list(tmp_path.glob("chaoskit-validate-*"))
