@@ -336,10 +336,11 @@ def _run_sweep(args) -> int:
     args.schedule = tuple(float(x) for x in xs)  # echo the resolved schedule
     rows = parallel_map(lambda i: _sweep_row(args, i, params[i]),
                         len(params), args.threads)
+    last = dict(zip((name for name, _, _ in _SWEEP_COLUMNS), rows[-1]))
     results = {
         "rows": len(rows),
-        "final_mc_kurtosis": rows[-1][14],
-        "final_ks_pass": rows[-1][21],
+        "final_mc_kurtosis": last["mc_kurtosis"],
+        "final_ks_pass": last["ks_pass"],
     }
     _emit(args.out, args.command, _SWEEP_COLUMNS, rows, _config_echo(args),
           results)

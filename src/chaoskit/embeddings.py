@@ -4,9 +4,10 @@ An embedding turns a covariance model restricted to a partition of
 [0, 1] (or [0, 1]^n) into a finite orthonormal system: per axis, the
 covariance of the path at the cells' right nodes t is factored as F F'
 with F lower triangular, so node values are F @ xi for i.i.d. standard
-normals xi.  For fBm that covariance is diag(t^H) P diag(t^H), with P
-the closed-form correlation of _fbm_correlation, and F = t^H L with
-L L' = P; a sheet axis has the exact Brownian factor sqrt(w_j), j <= i.
+normals xi.  Each axis has a Hurst index H (1/2 on a sheet axis), and
+its covariance is diag(t^H) P diag(t^H), with P the closed-form
+correlation of _fbm_correlation, and F = t^H L with L L' = P; an axis
+with H = 1/2 has the exact Brownian factor sqrt(w_j), j <= i.
 The factor is built only when coordinates are asked for (paths, the
 Gram matrix, dense kernels).  The tail-mass kernels of weighted
 quadratic functionals are assembled in the same coordinates from their
@@ -108,6 +109,7 @@ class BrownianSheet:
     """
 
     ndim: int = 2
+    hurst = 0.5  # of every axis: a class constant, not a field
 
     def __post_init__(self):
         if self.ndim < 1 or self.ndim != int(self.ndim):
@@ -222,17 +224,16 @@ class GridEmbedding:
 
     factor is the lower (cells x cells) F with F F' the covariance of
     one axis at the right nodes nodes[1:], so node values along an axis
-    are F @ xi: for fBm F = t^H L with L L' = P at the nodes t,
-    for a sheet axis the exact Brownian factor F_ij = sqrt(w_j), j <= i,
-    with no Cholesky.  F holds node values, not increments; its row
-    differences are the increment factor.  The factor, its jitter and
-    the residual check of L L' against P are one cached computation that
-    runs on first use of factor or jitter (sample_path, gram_matrix,
-    embed_kernel2), so a degenerate correlation raises
+    are F @ xi: F = t^H L with L L' = P at the nodes t, and where
+    model.hurst = 1/2 the exact Brownian factor F_ij = sqrt(w_j),
+    j <= i, with no Cholesky.  F holds node values, not increments; its
+    row differences are the increment factor.  The factor, its jitter
+    and the residual check of L L' against P are one cached computation
+    that runs on first use of factor or jitter (sample_path,
+    gram_matrix, embed_kernel2), so a degenerate correlation raises
     DegenerateModelError there, not when the grid is built.  Both the
     jitter and the residual bound are relative to each node's variance.
-    The sheet's cells^ndim cell volumes are formed only where a path or
-    the Gram matrix is, never stored.  dim is the number of
+    Nothing of size cells^ndim is stored.  dim is the number of
     standard-normal coordinates.
     """
 
@@ -242,7 +243,7 @@ class GridEmbedding:
     @cached_property
     def _factor(self):
         t = self.nodes[1:]
-        if isinstance(self.model, BrownianSheet):
+        if self.model.hurst == 0.5:
             return np.tril(np.broadcast_to(np.sqrt(self.widths), (t.size,) * 2)), 0.0
         corr = _lower_correlation(t, self.model.hurst)
         L, jitter = _cholesky_with_jitter(corr)
@@ -293,7 +294,7 @@ class GridEmbedding:
         """Materialize the (dim x dim) increment Gram matrix.
 
         Per axis it is dF dF' with dF the row differences of factor
-        (diag(sqrt widths) exactly on a sheet axis), and the Kronecker
+        (diag(sqrt widths) exactly at H = 1/2), and the Kronecker
         product over the axes.
         """
         _check_capacity(self.cells, self.ndim, "gram")
@@ -401,15 +402,16 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     B_a'B_a are those of the small Gram B_a B_a', one row per live cell
     (nonzero step).  F F' is the path covariance at the cells' right
     nodes t, so B_a B_a' = diag(a) P diag(a) with P = _fbm_correlation
-    at the live t (H = 1/2 on a sheet axis) and a_i = s_i t_i^H, s the
+    at the live t (H = model.hurst) and a_i = s_i t_i^H, s the
     square-root steps.  a is formed as t^(H + p/2) (lo/t)^(p/2) g (see
     _tail_steps), whose exponents are combined so it stays representable
     where s and t^H alone are not.  No Cholesky factor or jitter is
     formed.  Of each Gram only the lower triangle, which eigvalsh reads,
     is filled, by row blocks (_lower_correlation).
     M's eigenvalues are the products of the per-axis spectra:
-    prod_a k_a values, ascending and read-only.  The count comes from the
-    live rows alone, never from a cutoff on the eigenvalues.
+    prod_a k_a values, ascending and read-only, flattened after each
+    outer product (a numpy array has at most 64 axes).  The count comes
+    from the live rows alone, never from a cutoff on the eigenvalues.
 
     Raises numpy.linalg.LinAlgError, as embed_kernel2 does, when the
     embedding is too large for a dense kernel or (sum lambda^2)^2 =
@@ -417,7 +419,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     converge; its message starts with the stage, "spectrum: ".
     """
     _check_capacity(emb.cells, emb.ndim, "spectrum")
-    h = emb.model.hurst if isinstance(emb.model, FractionalBrownianMotion) else 0.5
+    h = emb.model.hurst
     spectra = []
     with np.errstate(all="ignore"):
         for live, lo, p, g in _tail_steps(emb, weights):
@@ -428,7 +430,8 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
                 spectra.append(np.linalg.eigvalsh(gram))  # reads the lower triangle
             except np.linalg.LinAlgError as e:  # no convergence: entries past range
                 raise np.linalg.LinAlgError(f"spectrum: {e}") from e
-        lam = np.sort(reduce(np.multiply.outer, spectra), axis=None)
+        lam = np.sort(reduce(lambda x, y: np.multiply.outer(x, y).ravel(),
+                             spectra))
         if not np.isfinite(np.sum(lam * lam) ** 2):
             raise np.linalg.LinAlgError(f"spectrum: {_RANGE_ERROR}")
     lam.flags.writeable = False
@@ -458,9 +461,10 @@ def sample_path(emb: GridEmbedding, xi) -> PathSample:
 
     xi has shape (dim,) or (N, dim).  The same xi fed to an embedded
     kernel's chaos evaluation refers to the same realization, which is
-    what couples direct quadrature and chaos routes.  fBm node values are
-    xi F' (GridEmbedding.factor); a sheet's are partial sums, axis by
-    axis, of its increments sqrt(cell volume) * xi.
+    what couples direct quadrature and chaos routes.  xi, read as
+    (N,) + (cells,) * ndim, is mapped along each axis in turn by that
+    axis's factor F (GridEmbedding.factor), and node 0 is prepended as
+    0; on fBm that is xi F'.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
@@ -468,18 +472,10 @@ def sample_path(emb: GridEmbedding, xi) -> PathSample:
         xi = xi[None, :]
     if xi.ndim != 2 or xi.shape[1] != emb.dim:
         raise ValueError(f"xi must have shape (N, {emb.dim})")
-    n = xi.shape[0]
-    d = emb.cells
-    if isinstance(emb.model, FractionalBrownianMotion):
-        vals = np.concatenate([np.zeros((n, 1)), xi @ emb.factor.T], axis=1)
-    else:
-        sqrt_volumes = np.sqrt(reduce(np.kron, [emb.widths] * emb.ndim))
-        vals = (xi * sqrt_volumes).reshape((n,) + (d,) * emb.ndim)
-        for ax in range(1, emb.ndim + 1):
-            vals = np.cumsum(vals, axis=ax)
-            pad = [(0, 0)] * vals.ndim
-            pad[ax] = (1, 0)
-            vals = np.pad(vals, pad)
+    vals = xi.reshape(xi.shape[:1] + (emb.cells,) * emb.ndim)
+    for ax in range(1, emb.ndim + 1):
+        vals = np.moveaxis(np.moveaxis(vals, ax, -1) @ emb.factor.T, -1, ax)
+        vals = np.pad(vals, [(int(a == ax), 0) for a in range(vals.ndim)])
     if single:
         vals = vals[0]
     return PathSample(model=emb.model, nodes=emb.nodes, values=vals)

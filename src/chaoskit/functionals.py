@@ -68,12 +68,11 @@ class FbmPowerVariation:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0):
-            raise ValueError(f"hurst index must lie in (0, 1), got {self.hurst}")
-        if not (2.0 * self.beta + 2.0 * self.hurst + 1.0 > 0.0):
-            raise ValueError(
-                f"need 2*beta + 2*hurst + 1 > 0, got beta={self.beta}, hurst={self.hurst}"
-            )
+        self.model()  # checks hurst
+        if not (2.0 * self.beta + 2.0 * self.hurst + 1.0 > 0.0
+                and math.isfinite(self.beta)):
+            raise ValueError(f"need a finite beta with 2*beta + 2*hurst + 1 > 0, "
+                             f"got beta={self.beta}, hurst={self.hurst}")
 
     def model(self):
         return FractionalBrownianMotion(self.hurst)
@@ -101,8 +100,7 @@ class FbmSingularVariation:
     eps: float
 
     def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0):
-            raise ValueError(f"hurst index must lie in (0, 1), got {self.hurst}")
+        self.model()  # checks hurst
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"cutoff must lie in (0, 1), got {self.eps}")
 
@@ -136,8 +134,8 @@ class SheetPowerVariation:
         if len(self.betas) < 1:
             raise ValueError("need at least one axis")
         for b in self.betas:
-            if not (2.0 * b + 2.0 > 0.0):
-                raise ValueError(f"need beta > -1 on every axis, got {b}")
+            if not (2.0 * b + 2.0 > 0.0 and math.isfinite(b)):
+                raise ValueError(f"need a finite beta > -1 on every axis, got {b}")
 
     def model(self):
         return BrownianSheet(len(self.betas))
@@ -170,8 +168,7 @@ class SheetSingularVariation:
     eps: float
 
     def __post_init__(self):
-        if self.ndim < 1 or self.ndim != int(self.ndim):
-            raise ValueError(f"ndim must be a positive integer, got {self.ndim}")
+        self.model()  # checks ndim
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"cutoff must lie in (0, 1), got {self.eps}")
 
@@ -197,17 +194,17 @@ def _check_family(func):
         raise TypeError(f"unknown functional family {type(func).__name__}")
 
 
-def _check_embedding(func, emb: GridEmbedding):
+def _check_process(func, where):
+    """Refuse func on a GridEmbedding or PathSample of another process."""
     _check_family(func)
-    if emb.model != func.model():
-        raise ValueError(
-            f"embedding is for {emb.model}, functional needs {func.model()}"
-        )
+    if where.model != func.model():
+        raise ValueError(f"{type(where).__name__} of {where.model}, "
+                         f"functional needs {func.model()}")
 
 
 def chaos_kernel(func, emb: GridEmbedding) -> SymTensor:
     """Order-2 kernel of F - E F in the embedding's coordinates."""
-    _check_embedding(func, emb)
+    _check_process(func, emb)
     return embed_kernel2(emb, func.axis_weights())
 
 
@@ -276,14 +273,17 @@ class EmbeddedFunctional:
 
 
 def embed(func, emb: GridEmbedding) -> EmbeddedFunctional:
-    _check_embedding(func, emb)
+    _check_process(func, emb)
+    what = "exact mean"
     try:
         mean = func.mean_exact()
+        what = "normalization"
+        scale = func.normalization()
     except OverflowError as e:
-        raise OverflowError(f"mean: exact mean of {type(func).__name__} is "
+        raise OverflowError(f"mean: {what} of {type(func).__name__} is "
                             "outside double range") from e
     return EmbeddedFunctional(functional=func, embedding=emb, mean=mean,
-                              scale=func.normalization())
+                              scale=scale)
 
 
 def embed_on_grid(func, cells: int, grid: str = "uniform",
@@ -301,9 +301,7 @@ def direct_evaluate(func, path: PathSample):
     geometric grids where mid^(2e) alone would overflow.  Returns one
     value per draw in the sample.
     """
-    _check_family(func)
-    if path.model != func.model():
-        raise ValueError(f"path is from {path.model}, functional needs {func.model()}")
+    _check_process(func, path)
     nodes = np.asarray(path.nodes, dtype=float)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     w = np.diff(nodes)

@@ -163,6 +163,17 @@ def test_sweep_spectral_rank_column(tmp_path):
     assert schema["spectral_rank"] == "int"
 
 
+@pytest.mark.parametrize("command, family", [("sweep-fbm", "fbm-singular"),
+                                             ("sweep-sheet", "sheet-power")])
+def test_sweep_summary_reads_the_last_row_by_name(tmp_path, command, family):
+    assert cli.main([command, "--family", family, "--cells", "16",
+                     "--samples", "300", "--out", str(tmp_path)]) == 0
+    last = _rows(tmp_path, command)[-1]
+    res = _summary(tmp_path, command)["results"]
+    assert repr(res["final_mc_kurtosis"]) == last["mc_kurtosis"]
+    assert res["final_ks_pass"] is (last["ks_pass"] == "true")
+
+
 # ------------------------------------------------------------- commands
 
 
@@ -517,6 +528,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # an empty list flag is refused, not read as the default schedule
         ["diagnose", "--schedule", ",", "--out", str(tmp_path)],
         ["sweep-sheet", "--beta=", "--out", str(tmp_path)],
+        # a non-finite power exponent is refused by the family
+        ["diagnose", "--family", "fbm-power", "--schedule", "inf",
+         "--out", str(tmp_path)],
+        ["sample", "--family", "sheet-power", "--beta", "inf", "--cells", "16",
+         "--out", str(tmp_path)],
     ]
     for argv in argvs:
         rc = cli.main(argv)
@@ -632,6 +648,28 @@ def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.startswith(
         "error: numerical: mean: exact mean of SheetSingularVariation is "
         "outside double range")
+
+    # log(2)^-2500 overflows in the normalization; the mean underflows to 0
+    rc = cli.main(["diagnose", "--family", "sheet-singular", "--grid",
+                   "uniform", "--cells", "1", "--dims", "5000", "--schedule",
+                   "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: numerical: mean: normalization of SheetSingularVariation is "
+        "outside double range")
+
+
+@pytest.mark.parametrize("command, flag", [("diagnose", "--schedule"),
+                                           ("sweep-sheet", "--eps")])
+def test_sheets_past_64_axes_run(tmp_path, command, flag):
+    # one cell per axis: the spectrum is one product of 65 axis eigenvalues,
+    # never an array of 65 dimensions
+    assert cli.main([command, "--family", "sheet-singular", "--grid",
+                     "uniform", "--cells", "1", "--dims", "65", flag, "0.5",
+                     "--samples", "200", "--out", str(tmp_path)]) == 0
+    (row,) = _rows(tmp_path, command)
+    excess = row["excess_kurtosis" if command == "diagnose" else "excess_exact"]
+    assert float(excess) == pytest.approx(12.0, rel=1e-12)  # rank one
 
 
 def test_degenerate_factor_error_names_its_stage(monkeypatch, capsys,

@@ -470,6 +470,33 @@ def test_sample_path_sheet_marginal_variances():
         assert abs(v.mean() - want) <= 4.0 * se
 
 
+@pytest.mark.parametrize("grid, octaves", [("uniform", None),
+                                           ("geometric", 40.0)])
+def test_brownian_motion_is_one_sheet_axis(grid, octaves):
+    # fBm at H = 1/2 and a one-axis sheet share the exact Brownian factor,
+    # so their paths and spectra are the same bits
+    bm = build_embedding(brownian_motion(), 64, grid, octaves)
+    sheet = build_embedding(BrownianSheet(1), 64, grid, octaves)
+    np.testing.assert_array_equal(bm.factor, sheet.factor)
+    assert bm.jitter == sheet.jitter == 0.0
+    xi = stream(5, "emb:onepath").standard_normal((50, 64))
+    np.testing.assert_array_equal(sample_path(bm, xi).values,
+                                  sample_path(sheet, xi).values)
+    for weights in ([(0.25, 0.0)], [(-1.0, 1e-3)]):
+        np.testing.assert_array_equal(kernel2_spectrum(bm, weights),
+                                      kernel2_spectrum(sheet, weights))
+
+
+def test_spectrum_of_a_sheet_past_64_axes_is_the_axis_product():
+    weights = [(0.25, 0.0)]
+    (one,) = kernel2_spectrum(build_embedding(BrownianSheet(1), 1), weights)
+    for ndim in (64, 65, 200):
+        lam = kernel2_spectrum(build_embedding(BrownianSheet(ndim), 1),
+                               weights * ndim)
+        assert lam.shape == (1,)
+        assert lam[0] == pytest.approx(one**ndim, rel=1e-12)
+
+
 def test_sample_path_single_draw_shape():
     emb = build_embedding(brownian_motion(), 8)
     ps = sample_path(emb, stream(3, "emb:single").standard_normal(8))

@@ -41,6 +41,9 @@ def test_fbm_power_parameter_domain():
         FbmPowerVariation(0.75, -1.25)
     with pytest.raises(ValueError):
         FbmPowerVariation(1.2, 0.0)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            FbmPowerVariation(0.75, beta)
 
 
 def test_singular_parameter_domain():
@@ -57,6 +60,9 @@ def test_sheet_power_parameter_domain():
         SheetPowerVariation((-1.0,))
     with pytest.raises(ValueError):
         SheetPowerVariation(())
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            SheetPowerVariation((0.0, beta))
 
 
 # ------------------------------------------------------- means / kernels
