@@ -145,15 +145,19 @@ def summarize(samples) -> SampleSummary:
     so no resampling loop, _JACKKNIFE_CHUNK draws at a time: beyond the
     input, memory is their four n-length arrays.  variance uses the n-1
     denominator; skewness and kurtosis are the central moment ratios
-    m3/m2^1.5 and m4/m2^2.
+    m3/m2^1.5 and m4/m2^2.  The draws are scaled by a power of two into
+    [-1, 1), which is exact, so no power sum leaves double range, and the
+    mean, the variance and their errors are scaled back.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 8:
         raise ValueError("too few samples to summarize")
-    x2 = x * x
-    sums = [np.sum(x), np.sum(x2), np.sum(x2 * x), np.sum(x2 * x2)]
-    del x2
+    k = int(np.frexp(max(np.max(x), -np.min(x)))[1])
+    y = np.ldexp(x, -k)
+    y2 = y * y
+    sums = [np.sum(y), np.sum(y2), np.sum(y2 * y), np.sum(y2 * y2)]
+    del y, y2
 
     def stats_from_sums(t1, t2, t3, t4, m):
         mu = t1 / m
@@ -169,7 +173,7 @@ def summarize(samples) -> SampleSummary:
     full = stats_from_sums(*sums, n)
     loo = np.empty((4, n))
     for i in range(0, n, _JACKKNIFE_CHUNK):
-        c = x[i:i + _JACKKNIFE_CHUNK]
+        c = np.ldexp(x[i:i + _JACKKNIFE_CHUNK], -k)
         c2 = c * c
         powers = (c, c2, c2 * c, c2 * c2)
         loo[:, i:i + c.size] = stats_from_sums(
@@ -180,9 +184,9 @@ def summarize(samples) -> SampleSummary:
         ses.append(math.sqrt((n - 1) / n * float(np.sum(np.square(d, out=d)))))
     return SampleSummary(
         n=n,
-        mean=float(full[0]), variance=float(full[1]),
+        mean=math.ldexp(full[0], k), variance=math.ldexp(full[1], 2 * k),
         skewness=float(full[2]), kurtosis=float(full[3]),
-        se_mean=ses[0], se_variance=ses[1],
+        se_mean=math.ldexp(ses[0], k), se_variance=math.ldexp(ses[1], 2 * k),
         se_skewness=ses[2], se_kurtosis=ses[3],
     )
 

@@ -36,7 +36,6 @@ from .tensors import SymTensor
 __all__ = [
     "FractionalBrownianMotion",
     "BrownianSheet",
-    "brownian_motion",
     "uniform_nodes",
     "geometric_nodes",
     "GridEmbedding",
@@ -94,10 +93,6 @@ class FractionalBrownianMotion:
         h = self.hurst
         cov = s**h * t**h * _fbm_correlation(s, t, h)  # nan where s or t is 0
         return np.where((s == 0.0) | (t == 0.0), 0.0, cov)[()]
-
-
-def brownian_motion() -> FractionalBrownianMotion:
-    return FractionalBrownianMotion(0.5)
 
 
 @dataclass(frozen=True)
@@ -323,28 +318,31 @@ def build_embedding(model, cells: int, grid: str = "uniform",
 
 
 def _tail_steps(emb: GridEmbedding, weights) -> list:
-    """Per axis, the live cells and their square-root steps as (live, lo, p, g).
+    """Per axis, the live cells and their square-root steps as (live, b, p, g).
 
     weights holds one (expo, cutoff) pair per axis: the weight
     u^(2 expo) on [cutoff, 1].  step_i is its mass between the clipped
-    midpoints lo_i = max(m_i, cutoff) and hi_i (the next one, or 1), and
-    sqrt(step_i) = lo_i^(p/2) g_i with p = 2 expo + 1 and
-    g_i = sqrt(expm1(p log(hi/lo)) / p) (sqrt(log(hi/lo)) at the
-    removable p = 0), so a step stays representable when hi^p and lo^p
-    are not.  A cell is live when its step is nonzero; lo and g are
-    returned for the live cells only, and the power lo^(p/2) is left to
-    the caller, which may fold it into another one.
+    midpoints lo_i = max(m_i, cutoff) and hi_i (the next one, or 1).
+    With p = 2 expo + 1 and b_i the end where u^p is larger (hi_i if
+    p > 0, else lo_i), sqrt(step_i) = b_i^(p/2) g_i with
+    g_i = sqrt(expm1(-|p| x)/(-|p|)), x = log(hi/lo) (sqrt(x) at the
+    removable p = 0): g <= sqrt(x) is finite, so a step stays
+    representable when hi^p and lo^p are not.  A cell is live when its
+    step is nonzero; b and g are returned for the live cells only, and
+    the power b^(p/2) is left to the caller, which may fold it into
+    another one.
     """
     if len(weights) != emb.ndim:
         raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
     out = []
     for expo, cutoff in weights:
         m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
-        lo, p = m[:-1], 2.0 * expo + 1.0
-        x = np.log(m[1:] / lo)
-        g = np.sqrt(x) if p == 0.0 else np.sqrt(np.expm1(p * x) / p)
-        live = lo ** (0.5 * p) * g != 0.0
-        out.append((live, lo[live], p, g[live]))
+        p = 2.0 * expo + 1.0
+        x = np.log(m[1:] / m[:-1])
+        b = m[1:] if p > 0.0 else m[:-1]
+        g = np.sqrt(x) if p == 0.0 else np.sqrt(np.expm1(-abs(p) * x) / -abs(p))
+        live = b ** (0.5 * p) * g != 0.0
+        out.append((live, b[live], p, g[live]))
     return out
 
 
@@ -386,8 +384,8 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     """
     _check_capacity(emb.cells, emb.ndim, "kernel")
     with np.errstate(all="ignore"):
-        factors = [(lo ** (0.5 * p) * g)[:, None] * emb.factor[live]
-                   for live, lo, p, g in _tail_steps(emb, weights)]
+        factors = [(b ** (0.5 * p) * g)[:, None] * emb.factor[live]
+                   for live, b, p, g in _tail_steps(emb, weights)]
         # each b'b is a rank-k update, exactly symmetric
         out = reduce(np.kron, [b.T @ b for b in factors])
         if not np.isfinite(np.linalg.norm(out) ** 4):
@@ -403,7 +401,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     (nonzero step).  F F' is the path covariance at the cells' right
     nodes t, so B_a B_a' = diag(a) P diag(a) with P = _fbm_correlation
     at the live t (H = model.hurst) and a_i = s_i t_i^H, s the
-    square-root steps.  a is formed as t^(H + p/2) (lo/t)^(p/2) g (see
+    square-root steps.  a is formed as t^(H + p/2) (b/t)^(p/2) g (see
     _tail_steps), whose exponents are combined so it stays representable
     where s and t^H alone are not.  No Cholesky factor or jitter is
     formed.  Of each Gram only the lower triangle, which eigvalsh reads,
@@ -422,9 +420,9 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     h = emb.model.hurst
     spectra = []
     with np.errstate(all="ignore"):
-        for live, lo, p, g in _tail_steps(emb, weights):
+        for live, b, p, g in _tail_steps(emb, weights):
             t = emb.nodes[1:][live]
-            a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
+            a = t ** (h + 0.5 * p) * (b / t) ** (0.5 * p) * g
             gram = _lower_correlation(t, h, a)
             try:
                 spectra.append(np.linalg.eigvalsh(gram))  # reads the lower triangle

@@ -55,70 +55,98 @@ __all__ = [
 ]
 
 
+def _axis_mass(expo: float, cutoff: float, hurst: float):
+    """(m, 1/sqrt(m)): m = integral of u^(q-1) over [cutoff, 1].
+
+    With q = 2 expo + 2 hurst + 1, m is E of the axis's weight u^(2 expo)
+    times X(u)^2.  The closed forms keep their exact operations: 1/q and
+    sqrt(q) at cutoff 0, log(1/cutoff) where q is zero, else
+    -expm1(q log cutoff)/q.  m is inf where the integral diverges, nan
+    where cutoff is outside [0, 1).
+    """
+    q = 2.0 * expo + 2.0 * hurst + 1.0
+    # q is 0 below the rounding of its terms: a singular weight's exponent
+    # is formed from H, so its q can round to +-2^-52 instead of 0
+    if abs(q) <= 2.0**-52 * (2.0 * abs(expo) + 2.0 * hurst + 1.0) < math.inf:
+        q = 0.0
+    if cutoff == 0.0:
+        return (1.0 / q, math.sqrt(q)) if q > 0.0 else (math.inf, 0.0)
+    if not 0.0 < cutoff < 1.0:
+        return math.nan, math.nan
+    m = (math.log(1.0 / cutoff) if q == 0.0
+         else -math.expm1(q * math.log(cutoff)) / q)
+    return m, 1.0 / math.sqrt(m)
+
+
+class _WeightedSquare:
+    """F = integral of weight(x) X(x)^2, stated by its process and weights.
+
+    A family is a frozen dataclass of its parameters with model(), the
+    process (a Hurst index on every axis), and axis_weights(), one
+    (expo, cutoff) pair per axis for the weight factor u^(2 expo) on
+    [cutoff, 1].  The rest follows from them: E F is the product of the
+    axis masses (_axis_mass), the normalized fluctuation is
+    (F - E F)/sqrt(E F), with the factor taken per axis so that it stays
+    finite where E F underflows, and the parameter domain is every axis
+    mass finite and positive.
+    """
+
+    def __post_init__(self):
+        for a, (m, _) in enumerate(self._masses()):  # model() checks H, ndim
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"{self!r}: need every axis mass finite and "
+                                 f"> 0, axis {a} has {m}")
+
+    def _masses(self):
+        hurst = self.model().hurst
+        return [_axis_mass(*w, hurst) for w in self.axis_weights()]
+
+    def mean_exact(self) -> float:
+        return math.prod(m for m, _ in self._masses())
+
+    def normalization(self) -> float:
+        return math.prod(f for _, f in self._masses())
+
+
 @dataclass(frozen=True)
-class FbmPowerVariation:
+class FbmPowerVariation(_WeightedSquare):
     """F = integral over [0,1] of t^(2 beta) X_t^2 dt, X fBm with index hurst.
 
-    Defined for 2*beta + 2*hurst + 1 > 0; the normalized fluctuation
-    sqrt(2 beta + 2 hurst + 1) * (F - E F) approaches a Gaussian limit as
-    beta falls to the boundary.
+    Defined for 2*beta + 2*hurst + 1 > 0, where E F = 1/(2 beta + 2 hurst
+    + 1); the normalized fluctuation approaches a Gaussian limit as beta
+    falls to the boundary.
     """
 
     hurst: float
     beta: float
 
-    def __post_init__(self):
-        self.model()  # checks hurst
-        if not (2.0 * self.beta + 2.0 * self.hurst + 1.0 > 0.0
-                and math.isfinite(self.beta)):
-            raise ValueError(f"need a finite beta with 2*beta + 2*hurst + 1 > 0, "
-                             f"got beta={self.beta}, hurst={self.hurst}")
-
     def model(self):
         return FractionalBrownianMotion(self.hurst)
-
-    def mean_exact(self) -> float:
-        return 1.0 / (2.0 * self.beta + 2.0 * self.hurst + 1.0)
-
-    def normalization(self) -> float:
-        return math.sqrt(2.0 * self.beta + 2.0 * self.hurst + 1.0)
 
     def axis_weights(self):
         return [(self.beta, 0.0)]
 
 
 @dataclass(frozen=True)
-class FbmSingularVariation:
-    """F = integral over [eps,1] of t^(-2 hurst - 1) X_t^2 dt.
+class FbmSingularVariation(_WeightedSquare):
+    """F = integral over [eps,1] of t^(-2 hurst - 1) X_t^2 dt, 0 < eps < 1.
 
     The weight makes every scale contribute equally in expectation
-    (E F = log(1/eps)); the normalized fluctuation is
-    (F - E F) / sqrt(log(1/eps)).
+    (E F = log(1/eps)).
     """
 
     hurst: float
     eps: float
 
-    def __post_init__(self):
-        self.model()  # checks hurst
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"cutoff must lie in (0, 1), got {self.eps}")
-
     def model(self):
         return FractionalBrownianMotion(self.hurst)
-
-    def mean_exact(self) -> float:
-        return math.log(1.0 / self.eps)
-
-    def normalization(self) -> float:
-        return 1.0 / math.sqrt(math.log(1.0 / self.eps))
 
     def axis_weights(self):
         return [(-self.hurst - 0.5, self.eps)]
 
 
 @dataclass(frozen=True)
-class SheetPowerVariation:
+class SheetPowerVariation(_WeightedSquare):
     """F = integral over [0,1]^n of prod_a x_a^(2 beta_a) W(x)^2 dx.
 
     W is the Brownian sheet.  Needs beta_a > -1 on every axis; the
@@ -133,64 +161,34 @@ class SheetPowerVariation:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if len(self.betas) < 1:
             raise ValueError("need at least one axis")
-        for b in self.betas:
-            if not (2.0 * b + 2.0 > 0.0 and math.isfinite(b)):
-                raise ValueError(f"need a finite beta > -1 on every axis, got {b}")
+        super().__post_init__()
 
     def model(self):
         return BrownianSheet(len(self.betas))
-
-    def mean_exact(self) -> float:
-        out = 1.0
-        for b in self.betas:
-            out /= 2.0 * b + 2.0
-        return out
-
-    def normalization(self) -> float:
-        out = 1.0
-        for b in self.betas:
-            out *= 2.0 * b + 2.0
-        return math.sqrt(out)
 
     def axis_weights(self):
         return [(b, 0.0) for b in self.betas]
 
 
 @dataclass(frozen=True)
-class SheetSingularVariation:
-    """F = integral over [eps,1]^n of W(x)^2 / prod_a x_a^2 dx.
+class SheetSingularVariation(_WeightedSquare):
+    """F = integral over [eps,1]^n of W(x)^2 / prod_a x_a^2 dx, 0 < eps < 1.
 
-    E F = log(1/eps)^n; the normalized fluctuation is
-    (F - E F) / log(1/eps)^(n/2).
+    E F = log(1/eps)^n.
     """
 
     ndim: int
     eps: float
 
-    def __post_init__(self):
-        self.model()  # checks ndim
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"cutoff must lie in (0, 1), got {self.eps}")
-
     def model(self):
         return BrownianSheet(self.ndim)
-
-    def mean_exact(self) -> float:
-        return math.log(1.0 / self.eps) ** self.ndim
-
-    def normalization(self) -> float:
-        return math.log(1.0 / self.eps) ** (-0.5 * self.ndim)
 
     def axis_weights(self):
         return [(-1.0, self.eps) for _ in range(self.ndim)]
 
 
-_FAMILIES = (FbmPowerVariation, FbmSingularVariation,
-             SheetPowerVariation, SheetSingularVariation)
-
-
 def _check_family(func):
-    if not isinstance(func, _FAMILIES):
+    if not isinstance(func, _WeightedSquare):
         raise TypeError(f"unknown functional family {type(func).__name__}")
 
 
@@ -274,14 +272,11 @@ class EmbeddedFunctional:
 
 def embed(func, emb: GridEmbedding) -> EmbeddedFunctional:
     _check_process(func, emb)
-    what = "exact mean"
-    try:
-        mean = func.mean_exact()
-        what = "normalization"
-        scale = func.normalization()
-    except OverflowError as e:
-        raise OverflowError(f"mean: {what} of {type(func).__name__} is "
-                            "outside double range") from e
+    mean, scale = func.mean_exact(), func.normalization()
+    for what, v in (("exact mean", mean), ("normalization", scale)):
+        if not math.isfinite(v):
+            raise OverflowError(f"mean: {what} of {type(func).__name__} is "
+                                "outside double range")
     return EmbeddedFunctional(functional=func, embedding=emb, mean=mean,
                               scale=scale)
 
@@ -343,9 +338,6 @@ def sheet_power_variance_exact(betas) -> float:
     same, including at the removable point 2b + 1 = 0.
     """
     out = 2.0
-    for b in betas:
-        b = float(b)
-        if not (2.0 * b + 2.0 > 0.0):
-            raise ValueError(f"need beta > -1, got {b}")
+    for b in SheetPowerVariation(betas).betas:
         out /= 2.0 * b + 3.0
     return out

@@ -630,6 +630,31 @@ def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
     assert variance == pytest.approx(dense, rel=2e-4)
 
 
+@pytest.mark.parametrize("grid", ["uniform", "geometric"])
+@pytest.mark.parametrize("family, point, process", [
+    ("fbm-power", "1000", ["--hurst", "0.01"]),
+    ("fbm-power", "1000", ["--hurst", "0.5"]),
+    ("fbm-power", "1000", ["--hurst", "0.99"]),
+    ("sheet-power", "400", ["--dims", "1"]),
+    ("sheet-power", "400", ["--dims", "3"]),
+])
+def test_large_beta_tail_steps_stay_finite(tmp_path, grid, family, point,
+                                           process):
+    # beta near 500 and 400: expm1(p log(hi/lo)) once overflowed where
+    # lo^(p/2) underflowed, and their product put NaN into the Gram; the
+    # statistic is nearly rank one, so its excess is near 12
+    cells = "16" if family == "fbm-power" else "8"
+    argv = ["diagnose", "--family", family, "--schedule", point, *process,
+            "--cells", cells, "--grid", grid, "--samples", "100",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    (row,) = _rows(tmp_path, "diagnose")
+    for name in ("variance", "fourth_moment", "excess_kurtosis",
+                 "contraction_norm_sq_1", "ks_statistic"):
+        assert np.isfinite(float(row[name])), name
+    assert float(row["excess_kurtosis"]) == pytest.approx(12.0, abs=1e-9)
+
+
 def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     def _boom(args):
         raise DegenerateModelError("covariance not positive definite",

@@ -258,6 +258,18 @@ def test_summarize_chunks_are_bitwise_the_one_shot_formula(n):
     assert got == _summarize_one_shot(x)
 
 
+def test_summarize_is_exact_under_power_of_two_scaling():
+    # at 2^280 the fourth powers of the draws are past double range
+    x = _heavy_shifted(1000, "diag:scaled")
+    su, big = summarize(x), summarize(np.ldexp(x, 280))
+    assert (big.skewness, big.kurtosis, big.se_skewness, big.se_kurtosis) == (
+        su.skewness, su.kurtosis, su.se_skewness, su.se_kurtosis)
+    assert (big.mean, big.se_mean) == (math.ldexp(su.mean, 280),
+                                       math.ldexp(su.se_mean, 280))
+    assert (big.variance, big.se_variance) == (math.ldexp(su.variance, 560),
+                                               math.ldexp(su.se_variance, 560))
+
+
 def test_summarize_memory_is_bounded():
     # the four n-length delete-one outputs plus chunk-sized temporaries;
     # forming the delete-one statistics at once peaked at 12.8 MB

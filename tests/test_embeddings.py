@@ -10,7 +10,6 @@ from chaoskit.embeddings import (
     BrownianSheet,
     DegenerateModelError,
     FractionalBrownianMotion,
-    brownian_motion,
     build_embedding,
     embed_kernel2,
     geometric_nodes,
@@ -33,7 +32,7 @@ def test_fbm_covariance_values():
 
 
 def test_brownian_motion_covariance_is_min():
-    m = brownian_motion()
+    m = FractionalBrownianMotion(0.5)
     assert m.hurst == 0.5
     assert m.covariance(0.3, 0.8) == pytest.approx(0.3)
 
@@ -97,13 +96,13 @@ def test_build_embedding_d1_is_identity():
 
 def test_build_embedding_rejects_octaves_on_uniform():
     with pytest.raises(ValueError):
-        build_embedding(brownian_motion(), 8, "uniform", 4.0)
+        build_embedding(FractionalBrownianMotion(0.5), 8, "uniform", 4.0)
     with pytest.raises(ValueError):
-        build_embedding(brownian_motion(), 8, "diadic")
+        build_embedding(FractionalBrownianMotion(0.5), 8, "diadic")
 
 
 def test_bm_increments_are_independent():
-    emb = build_embedding(brownian_motion(), 16)
+    emb = build_embedding(FractionalBrownianMotion(0.5), 16)
     gram = emb.gram_matrix()
     np.testing.assert_allclose(gram, np.diag(np.full(16, 1.0 / 16.0)),
                                atol=1e-15)
@@ -195,7 +194,7 @@ def test_indefinite_matrix_raises_degenerate():
 
 def test_sheet_gram_is_kron_of_axis_volumes():
     emb = build_embedding(BrownianSheet(2), 8)
-    one = build_embedding(brownian_motion(), 8)
+    one = build_embedding(FractionalBrownianMotion(0.5), 8)
     np.testing.assert_allclose(emb.gram_matrix(),
                                np.kron(one.gram_matrix(), one.gram_matrix()),
                                atol=1e-12)
@@ -245,7 +244,7 @@ def test_gram_matrix_size_guard():
 
 
 def test_embed_bm_uniform_matches_oracle():
-    emb = build_embedding(brownian_motion(), 16)
+    emb = build_embedding(FractionalBrownianMotion(0.5), 16)
     m = embed_kernel2(emb, [(0.0, 0.0)])
     _assert_rel_close(m.coeffs, _conjugated_oracle(emb, 0.0))
 
@@ -274,7 +273,7 @@ def test_embed_max_kernel_variance_refines_to_one():
     # weight 1: K(s,t) = 1 - s v t has 2 ||K||^2 = 1/3 in the continuum
     gaps = []
     for d in (64, 256):
-        emb = build_embedding(brownian_motion(), d)
+        emb = build_embedding(FractionalBrownianMotion(0.5), d)
         m = embed_kernel2(emb, [(0.0, 0.0)])
         gaps.append(abs(6.0 * norm_sq(m) - 1.0))
     assert gaps[0] < 0.05
@@ -344,12 +343,12 @@ def test_closed_form_spectrum_keeps_the_size_guard():
 
 def _full_matrix_spectrum(emb, weights):
     """kernel2_spectrum with each per-axis Gram formed as one full matrix."""
-    h = emb.model.hurst if isinstance(emb.model, FractionalBrownianMotion) else 0.5
+    h = emb.model.hurst
     spectra = []
     with np.errstate(all="ignore"):
-        for live, lo, p, g in _tail_steps(emb, weights):
+        for live, b, p, g in _tail_steps(emb, weights):
             t = emb.nodes[1:][live]
-            a = t ** (h + 0.5 * p) * (lo / t) ** (0.5 * p) * g
+            a = t ** (h + 0.5 * p) * (b / t) ** (0.5 * p) * g
             spectra.append(np.linalg.eigvalsh(
                 a[:, None] * _fbm_correlation(t[:, None], t, h) * a))
     return np.sort(reduce(np.multiply.outer, spectra), axis=None)
@@ -475,7 +474,7 @@ def test_sample_path_sheet_marginal_variances():
 def test_brownian_motion_is_one_sheet_axis(grid, octaves):
     # fBm at H = 1/2 and a one-axis sheet share the exact Brownian factor,
     # so their paths and spectra are the same bits
-    bm = build_embedding(brownian_motion(), 64, grid, octaves)
+    bm = build_embedding(FractionalBrownianMotion(0.5), 64, grid, octaves)
     sheet = build_embedding(BrownianSheet(1), 64, grid, octaves)
     np.testing.assert_array_equal(bm.factor, sheet.factor)
     assert bm.jitter == sheet.jitter == 0.0
@@ -498,7 +497,7 @@ def test_spectrum_of_a_sheet_past_64_axes_is_the_axis_product():
 
 
 def test_sample_path_single_draw_shape():
-    emb = build_embedding(brownian_motion(), 8)
+    emb = build_embedding(FractionalBrownianMotion(0.5), 8)
     ps = sample_path(emb, stream(3, "emb:single").standard_normal(8))
     assert ps.values.shape == (9,)
     assert ps.batch is None

@@ -37,7 +37,10 @@ def _constant_path(emb, value=1.0):
 
 def test_fbm_power_parameter_domain():
     FbmPowerVariation(0.75, -1.2)  # 2b + 2H + 1 = 0.1 > 0
-    with pytest.raises(ValueError):
+    # one refusal for every family: it names the family's fields and the axis
+    with pytest.raises(ValueError, match=r"^FbmPowerVariation\(hurst=0\.75, "
+                       r"beta=-1\.25\): need every axis mass finite and > 0, "
+                       r"axis 0 has inf$"):
         FbmPowerVariation(0.75, -1.25)
     with pytest.raises(ValueError):
         FbmPowerVariation(1.2, 0.0)
@@ -47,11 +50,15 @@ def test_fbm_power_parameter_domain():
 
 
 def test_singular_parameter_domain():
-    for eps in (0.0, 1.0, -0.1, 2.0):
-        with pytest.raises(ValueError):
+    for eps in (0.0, 1.0, -0.1, 2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps"):
             FbmSingularVariation(0.75, eps)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eps"):
             SheetSingularVariation(1, eps)
+    # at H = 0.0013, 2(-H - 1/2) + 2H + 1 rounds to +2^-52, not 0: the
+    # weight u^(-2H-1) on [0, 1] has no finite mass all the same
+    with pytest.raises(ValueError, match="eps=0.0"):
+        FbmSingularVariation(0.0013, 0.0)
 
 
 def test_sheet_power_parameter_domain():
@@ -63,6 +70,49 @@ def test_sheet_power_parameter_domain():
     for beta in (math.inf, math.nan):
         with pytest.raises(ValueError, match="beta"):
             SheetPowerVariation((0.0, beta))
+    # the continuum variance refuses what the family refuses
+    for betas in ((-1.0,), (math.inf,), ()):
+        with pytest.raises(ValueError):
+            sheet_power_variance_exact(betas)
+
+
+def _old_closed_forms():
+    """(family, E F, normalization, bitwise) as each family once stated them.
+
+    The single-axis forms are the same operations as the axis masses', so
+    they agree to the bit; products over axes, and the sheet-singular
+    power log(1/eps)^(-n/2) against 1/sqrt(log(1/eps)) per axis, to
+    rounding.
+    """
+    for h in (0.05, 0.3, 0.5, 0.6, 0.75, 0.95):
+        for x in (1e-12, 1e-3, 1.0, 6.0):  # 2b + 2H + 1, near and far from 0
+            beta = (x - 2.0 * h - 1.0) / 2.0
+            q = 2.0 * beta + 2.0 * h + 1.0
+            yield FbmPowerVariation(h, beta), 1.0 / q, math.sqrt(q), True
+        for eps in (0.5, 1e-2, 1e-8):
+            log = math.log(1.0 / eps)
+            yield (FbmSingularVariation(h, eps), log, 1.0 / math.sqrt(log),
+                   True)
+    for betas in ((-0.999,), (0.0,), (3.0,), (-0.9, 0.5), (-0.5, 0.0, 2.0)):
+        mean, prod = 1.0, 1.0
+        for b in betas:
+            mean /= 2.0 * b + 2.0
+            prod *= 2.0 * b + 2.0
+        yield (SheetPowerVariation(betas), mean, math.sqrt(prod),
+               len(betas) == 1)
+    for n in (1, 2, 3):
+        for eps in (0.5, 1e-2, 1e-8):
+            log = math.log(1.0 / eps)
+            yield SheetSingularVariation(n, eps), log**n, log ** (-0.5 * n), False
+
+
+def test_mean_and_normalization_follow_from_the_weights():
+    for func, mean, norm, bitwise in _old_closed_forms():
+        got = (func.mean_exact(), func.normalization())
+        if bitwise:
+            assert got == (mean, norm), func
+        else:
+            assert got == pytest.approx((mean, norm), rel=1e-14, abs=0.0), func
 
 
 # ------------------------------------------------------- means / kernels
