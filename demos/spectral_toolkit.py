@@ -77,5 +77,6 @@ for name, d in (("coordinate", coord), ("spectral", spec)):
           f"{((d - d.mean()) ** 3).mean() / d.std() ** 3:+.4f}")
 print(f"  exact     : var {var:.4f}, skew "
       f"{cumulant(op, 3) / var ** 1.5:+.4f}")
-print("the spectral route draws d normals per sample instead of")
-print("evaluating a d x d quadratic form, so big sweeps use it.")
+print("the spectral route draws d uniforms per sample, a radius and an")
+print("angle for each pair of eigenvalues, instead of evaluating a d x d")
+print("quadratic form on d normals, so big sweeps use it.")

@@ -65,7 +65,7 @@ def hermite(k: int, x):
 
 
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
-_DRAW_BLOCK = 1 << 15  # entries of one block of spectral normals (256 KB)
+_DRAW_BLOCK = 1 << 15  # entries of one block of spectral uniforms (256 KB)
 _SAMPLE_ROWS = 4096  # rows of normals per block in sample_integral
 _DRAW_GROUP = 64  # draws are evaluated in whole groups of this many rows
 
@@ -262,22 +262,23 @@ def contraction_profile(f: SymTensor) -> tuple:
     return tuple(math.sqrt(contraction_norm_sq(f, p)) for p in range(1, n))
 
 
-def _blocked_draws(evaluate, dim: int, n_samples: int,
-                   rng: np.random.Generator, block: int) -> np.ndarray:
-    """evaluate(xi) on blocks of at most `block` rows of fresh normals.
+def _blocked_draws(evaluate, fill, width: int, n_samples: int,
+                   block: int) -> np.ndarray:
+    """evaluate(x) on blocks x = fill((rows, width)) of at most `block` rows.
 
-    The fill is row-major, so draw i reads normals [i*dim, (i+1)*dim).
-    A last block short of a whole _DRAW_GROUP rows is padded with zero
-    rows up to one and their values dropped, so evaluate never sees a
-    partial row group.
+    fill is a generator's method (rng.standard_normal, rng.random), taken
+    from the generator object.  Its fill is row-major, so draw i reads
+    variates [i*width, (i+1)*width).  A last block short of a whole
+    _DRAW_GROUP rows is padded with zero rows up to one and their values
+    dropped, so evaluate never sees a partial row group.
     """
     out = np.empty(n_samples)
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
-        xi = rng.standard_normal((take, dim))
+        x = fill((take, width))
         if take % _DRAW_GROUP:
-            xi = np.concatenate([xi, np.zeros((-take % _DRAW_GROUP, dim))])
-        out[start:start + take] = evaluate(xi)[:take]
+            x = np.concatenate([x, np.zeros((-take % _DRAW_GROUP, width))])
+        out[start:start + take] = evaluate(x)[:take]
     return out
 
 
@@ -285,8 +286,8 @@ def sample_integral(f: Tensor, n_samples: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Draws of I_n(f) on fresh normals, in blocks of _SAMPLE_ROWS rows."""
     d = f.dim if f.dim is not None else 1
-    return _blocked_draws(lambda xi: eval_integral(f, xi), d, n_samples,
-                          rng, _SAMPLE_ROWS)
+    return _blocked_draws(lambda xi: eval_integral(f, xi), rng.standard_normal,
+                          d, n_samples, _SAMPLE_ROWS)
 
 
 @dataclass(frozen=True)
@@ -366,24 +367,51 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
     """Draws of an order-2 integral through its eigendecomposition.
 
     I_2(F) equals sum_k lambda_k (eta_k^2 - 1) in distribution with eta
-    i.i.d. standard normal, which costs eigenvalues.size normals per draw
-    instead of O(d^2) work and is the workhorse for the large sweep
-    grids.  f is the kernel or its HSOperator, whose spectrum is then
-    reused; an operator whose eigenvalues omit structural zeros (size
-    below dim) draws only for the eigenvalues it holds.  Normals come in
-    blocks of about _DRAW_BLOCK entries, squared in place, so memory beyond
-    the output is bounded.  Every block, the last one padded, is whole
-    groups of _DRAW_GROUP rows, so gemv reduces each draw's row the same
-    way at any n_samples and block size: draw i is bit-identical in every
-    call on the same stream.
+    i.i.d. standard normal, which costs O(rank) per draw instead of O(d^2)
+    work and is the workhorse for the large sweep grids.  f is the kernel
+    or its HSOperator, whose spectrum is then reused; an operator whose
+    eigenvalues omit structural zeros (size below dim) draws only for the
+    eigenvalues it holds.
+
+    The squares come two at a time from uniforms (Box-Muller): for a pair
+    (a, b), E = (eta_a^2 + eta_b^2)/2 is Exp(1), independent of the angle
+    theta, and lambda_a eta_a^2 + lambda_b eta_b^2 = E s + E d cos(2 theta)
+    with s = lambda_a + lambda_b, d = lambda_a - lambda_b.  The spectrum
+    is paired in its order, a 0 appended at odd rank, and a draw of m
+    pairs reads one row of 2m uniforms U: E = -log(1 - U) from the first
+    m (1 - U is exact for 53-bit uniforms), and c = sin(pi (U - 1/2)),
+    with the arcsine law of cos(2 theta), from the last m, formed as
+    2t/(1 + t^2), t = tan(pi (U - 1/2)/2), within 2 ulp: numpy vectorizes
+    tan but not the float64 sine (1.5 against 11-14 ns on an AVX-512 Xeon
+    core, numpy 2.4).  The draw is sum_j (E_j - 1) s_j + E_j c_j d_j.
+
+    Uniforms come in blocks of about _DRAW_BLOCK entries, each copied
+    once to (2m, rows), so every transform runs in place on contiguous
+    rows, and memory beyond the output is bounded.  Every block, the last
+    one padded, is whole groups of _DRAW_GROUP rows, so gemv reduces each
+    draw's column the same way at any n_samples and block size: draw i is
+    bit-identical in every call on the same stream.
     """
     if not isinstance(f, HSOperator):
         if f.order != 2:
             raise ValueError("spectral sampling is for order-2 kernels")
         f = hs_operator(f)
-    lam = f.eigenvalues
-    # eta^2 - 1 is formed in the fresh block
-    block = max(_DRAW_GROUP, _DRAW_BLOCK // max(lam.size, 1)) & -_DRAW_GROUP
-    return _blocked_draws(
-        lambda eta: np.subtract(np.square(eta, out=eta), 1.0, out=eta) @ lam,
-        lam.size, n_samples, rng, block)
+    lam = np.append(f.eigenvalues, np.zeros(f.eigenvalues.size % 2))
+    # the 2 of c = 2t/(1 + t^2) is folded into the angle weights
+    s, d2 = lam[0::2] + lam[1::2], 2.0 * (lam[0::2] - lam[1::2])
+    m = s.size
+
+    def evaluate(u):
+        v = u.T.copy()
+        e, c = v[:m], v[m:]
+        np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)  # E
+        np.subtract(c, 0.5, out=c)
+        np.tan(np.multiply(c, 0.5 * np.pi, out=c), out=c)  # t
+        w = np.square(c)
+        w += 1.0
+        np.multiply(np.divide(c, w, out=c), e, out=c)  # E c / 2
+        np.subtract(e, 1.0, out=e)
+        return s @ e + d2 @ c
+
+    block = max(_DRAW_GROUP, _DRAW_BLOCK // max(2 * m, 1)) & -_DRAW_GROUP
+    return _blocked_draws(evaluate, rng.random, 2 * m, n_samples, block)

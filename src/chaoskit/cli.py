@@ -296,8 +296,8 @@ _SWEEP_COLUMNS = [
     ("contraction_ratio", "float",
      "||f x_1 f||^2 / ||f||^4, the fourth-moment gap in contraction form"),
     ("spectral_rank", "int",
-     "eigenvalues the sampler draws one normal each for: the product of "
-     "the live cells per axis"),
+     "eigenvalues the sampler draws for, in pairs from one radius and one "
+     "angle uniform: the product of the live cells per axis"),
     ("mc_mean", "float", "Monte Carlo mean of the statistic"),
     ("mc_variance", "float", "Monte Carlo variance"),
     ("mc_skewness", "float", "Monte Carlo skewness"),

@@ -330,14 +330,21 @@ def _tail_steps(emb: GridEmbedding, weights) -> list:
     representable when hi^p and lo^p are not.  A cell is live when its
     step is nonzero; b and g are returned for the live cells only, and
     the power b^(p/2) is left to the caller, which may fold it into
-    another one.
+    another one.  A geometric grid whose first node is 2^-1074 has its
+    first midpoint round to 0; with no cutoff above it and p <= 0 that
+    cell's step is infinite, and the grid is refused (ValueError).
     """
     if len(weights) != emb.ndim:
         raise ValueError(f"got {len(weights)} axis weights for {emb.ndim} axes")
     out = []
-    for expo, cutoff in weights:
+    for axis, (expo, cutoff) in enumerate(weights):
         m = np.append(np.maximum(emb.midpoints, cutoff), 1.0)
         p = 2.0 * expo + 1.0
+        if p <= 0.0 and m[0] == 0.0:
+            raise ValueError(
+                f"{emb.cells} cells over {-math.log2(emb.nodes[1]):g} octaves: "
+                f"the first midpoint rounds to 0, where the weight u^{2 * expo:g} "
+                f"on axis {axis} has infinite mass; use fewer octaves")
         x = np.log(m[1:] / m[:-1])
         b = m[1:] if p > 0.0 else m[:-1]
         g = np.sqrt(x) if p == 0.0 else np.sqrt(np.expm1(-abs(p) * x) / -abs(p))

@@ -246,8 +246,9 @@ class EmbeddedFunctional:
 
         The spectrum is embeddings.kernel2_spectrum's closed form: the
         product over axes of the live cells, not dim, eigenvalues, and a
-        draw costs one normal each.  Neither the kernel nor a Cholesky
-        factor is built for it.
+        draw costs a radius and an angle uniform per pair of them (see
+        chaos.sample_integral2_spectral).  Neither the kernel nor a
+        Cholesky factor is built for it.
         """
         lam = kernel2_spectrum(self.embedding, self.functional.axis_weights())
         return HSOperator(dim=self.embedding.dim, eigenvalues=lam)
@@ -267,6 +268,7 @@ class EmbeddedFunctional:
         return self.excess_kurtosis_exact() / 12.0
 
     def sample_statistic(self, n_samples: int, rng) -> np.ndarray:
+        """Draws of the normalized statistic from the spectrum's uniforms."""
         return self.scale * sample_integral2_spectral(self.operator, n_samples, rng)
 
 

@@ -9,6 +9,7 @@ from chaoskit.chaos import (
     ChaosElement,
     HSOperator,
     contraction_profile,
+    cumulant,
     eval_chaos_element,
     eval_integral,
     excess_kurtosis_exact,
@@ -316,15 +317,66 @@ def test_spectral_draws_do_not_depend_on_blocking(rank):
     # blocks hold chaos._DRAW_BLOCK entries, so n and n = 100000 cut the
     # stream differently; the generator's row-major fill and whole 64-row
     # groups, the last block padded, make every draw read, and reduce, the
-    # same normals (n = 999 and 1001 end inside a gemv row group)
+    # same uniforms (n = 999 and 1001 end inside a gemv row group)
     lam = stream(43, f"chaos:blocks:{rank}").standard_normal(rank)
     op = HSOperator(rank, lam)
     long = sample_integral2_spectral(op, 100000, stream(43, "chaos:draws"))
     for n in (999, 1000, 1001):
         short = sample_integral2_spectral(op, n, stream(43, "chaos:draws"))
         np.testing.assert_array_equal(short, long[:n])
-    eta = stream(43, "chaos:draws").standard_normal((1000, rank))
-    np.testing.assert_array_equal(long[:1000], (eta * eta - 1.0) @ lam)
+    # the pair formula: (lam_2j, lam_2j+1), a 0 appended at odd rank, from
+    # one row of 2m uniforms; c = sin(pi (U - 1/2)) as 2t/(1 + t^2), and
+    # each draw reduced over a column of the transposed (2m, n) block
+    m = (rank + 1) // 2
+    pairs = np.append(lam, np.zeros(rank % 2)).reshape(m, 2)
+    s, d = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    u = stream(43, "chaos:draws").random((1000, 2 * m)).T.copy()
+    e = -np.log(1.0 - u[:m])
+    t = np.tan(0.5 * np.pi * (u[m:] - 0.5))
+    c = 2.0 * t / (1.0 + t * t)
+    np.testing.assert_array_equal(long[:1000], s @ (e - 1.0) + d @ (e * c))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 7, 512])
+def test_spectral_draws_of_equal_eigenvalues_are_chi_squared(rank):
+    # r eigenvalues 1/sqrt(2r): sqrt(2r) I_2 + r is chi-squared with r
+    # degrees of freedom (rank 1 pads one 0, rank 2 is one full pair)
+    from scipy import stats
+
+    op = HSOperator(rank, np.full(rank, 1.0 / math.sqrt(2.0 * rank)))
+    draws = sample_integral2_spectral(op, 100000,
+                                      stream(59, f"chaos:chi2:{rank}"))
+    res = stats.kstest(math.sqrt(2.0 * rank) * draws + rank,
+                       stats.chi2(rank).cdf)
+    assert res.pvalue > 1e-3
+
+
+def test_spectral_draws_of_the_paired_product_match_coordinate_draws():
+    # eigenvalues -1/2 and 1/2 form one pair with s = 0: the draw is the
+    # angle term alone, against xi_0 xi_1 on normals of another stream
+    from scipy import stats
+
+    from chaoskit.diagnostics import paired_product_kernel
+
+    spectral = sample_integral2_spectral(paired_product_kernel(), 100000,
+                                         stream(61, "chaos:pp:spectral"))
+    xi = stream(61, "chaos:pp:normals").standard_normal((100000, 2))
+    assert stats.ks_2samp(spectral, xi[:, 0] * xi[:, 1]).pvalue > 1e-3
+
+
+def test_spectral_draws_match_cumulants_of_an_odd_unequal_spectrum():
+    # unbiased k-statistics of 100 batches of 10^4 draws: each batch mean
+    # within 4 standard errors of the exact cumulant 2^(j-1) (j-1)! sum lam^j
+    from scipy import stats
+
+    lam = np.sort(stream(67, "chaos:kappa:lam").standard_normal(7))
+    op = HSOperator(7, lam)
+    draws = sample_integral2_spectral(op, 1000000,
+                                      stream(67, "chaos:kappa:draws"))
+    for j in (2, 3, 4):
+        k = np.array([stats.kstat(b, j) for b in draws.reshape(100, -1)])
+        z = (k.mean() - cumulant(op, j)) / (k.std(ddof=1) / 10.0)
+        assert abs(z) <= 4.0, (j, z)
 
 
 def test_spectral_draws_of_rank_zero_operator_are_zero():
@@ -334,8 +386,9 @@ def test_spectral_draws_of_rank_zero_operator_are_zero():
 
 
 def test_spectral_sampler_memory_is_bounded():
-    # 1e5 draws at rank 512 read 51.2e6 normals (410 MB at once); beyond
-    # the 0.8 MB output only one 256 KB block, squared in place, is live
+    # 1e5 draws at rank 512 read 51.2e6 uniforms (410 MB at once); beyond
+    # the 0.8 MB output only one 256 KB block, its transposed copy
+    # (transformed in place) and a half-size temporary are live
     op = HSOperator(512, np.full(512, 1.0 / math.sqrt(1024.0)))
     tracemalloc.start()
     try:

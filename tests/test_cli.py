@@ -655,6 +655,36 @@ def test_large_beta_tail_steps_stay_finite(tmp_path, grid, family, point,
     assert float(row["excess_kurtosis"]) == pytest.approx(12.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--family", "fbm-power", "--cells", "1075"],
+    ["sweep-fbm", "--family", "fbm-power", "--cells", "1075"],
+    *(["diagnose", "--family", "fbm-power", "--cells", "3", "--octaves",
+       "1074", "--hurst", h] for h in ("0.01", "0.5", "0.99")),
+    ["diagnose", "--family", "sheet-power", "--cells", "2", "--octaves",
+     "1074"],
+])
+def test_grids_whose_first_midpoint_underflows_are_refused(tmp_path, capsys,
+                                                           argv):
+    # node 1 is 2^-1074, so the first midpoint rounds to 0, and a weight
+    # u^(2 expo) with 2 expo + 1 <= 0 has infinite mass on that cell
+    assert cli.main(argv + ["--samples", "100", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage: ")
+    assert f"{argv[argv.index('--cells') + 1]} cells over 1074 octaves" in err
+
+
+@pytest.mark.parametrize("family, cells", [("fbm-power", "1074"),
+                                           ("fbm-singular", "1075")])
+def test_grids_at_the_midpoint_limit_run(tmp_path, family, cells):
+    # at 1074 cells node 1 is 2^-1073 and its midpoint 2^-1074 > 0; at
+    # 1075 the singular family's cutoff clips the midpoint above 0
+    argv = ["diagnose", "--family", family, "--cells", cells, "--samples",
+            "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    for row in _rows(tmp_path, "diagnose"):
+        assert np.isfinite(float(row["excess_kurtosis"]))
+
+
 def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     def _boom(args):
         raise DegenerateModelError("covariance not positive definite",

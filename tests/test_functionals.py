@@ -314,23 +314,28 @@ def test_factored_sheet_spectrum_matches_dense_kron():
     assert np.max(np.abs(np.sort(lam) - dense)) <= 1e-12 * scale_
 
 
-def test_sample_statistic_draws_one_normal_per_eigenvalue():
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])  # ranks 8 and 11
+def test_sample_statistic_draws_two_uniforms_per_eigenvalue_pair(eps):
     class Recording:
         def __init__(self, gen):
             self.gen, self.sizes = gen, []
 
-        def standard_normal(self, size):
+        def random(self, size):
             self.sizes.append(size)
-            return self.gen.standard_normal(size)
+            return self.gen.random(size)
 
-    ef = embed_on_grid(FbmSingularVariation(0.75, 1e-2), 64, "geometric")
+        def standard_normal(self, size):
+            raise AssertionError("spectral draws take no normals")
+
+    ef = embed_on_grid(FbmSingularVariation(0.75, eps), 64, "geometric")
     rank = ef.operator.eigenvalues.size
     assert rank < ef.embedding.dim
+    width = 2 * math.ceil(rank / 2)
     rng = Recording(stream(7, "func:rank"))
     draws = ef.sample_statistic(10000, rng)
     assert draws.shape == (10000,)
-    assert all(size[1] == rank for size in rng.sizes)
-    assert sum(math.prod(size) for size in rng.sizes) == 10000 * rank
+    assert all(size[1] == width for size in rng.sizes)
+    assert sum(math.prod(size) for size in rng.sizes) == 10000 * width
 
 
 @pytest.mark.parametrize("func, cells", [
