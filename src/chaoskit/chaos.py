@@ -65,8 +65,7 @@ def hermite(k: int, x):
 
 
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
-_DRAW_BLOCK = 1 << 15  # entries of one block of spectral uniforms (256 KB)
-_SAMPLE_ROWS = 4096  # rows of normals per block in sample_integral
+_DRAW_BLOCK = 1 << 15  # variates of one block of draws (256 KB)
 _DRAW_GROUP = 64  # draws are evaluated in whole groups of this many rows
 
 
@@ -262,16 +261,16 @@ def contraction_profile(f: SymTensor) -> tuple:
     return tuple(math.sqrt(contraction_norm_sq(f, p)) for p in range(1, n))
 
 
-def _blocked_draws(evaluate, fill, width: int, n_samples: int,
-                   block: int) -> np.ndarray:
-    """evaluate(x) on blocks x = fill((rows, width)) of at most `block` rows.
+def _blocked_draws(evaluate, fill, width: int, n_samples: int) -> np.ndarray:
+    """evaluate(x) on blocks x = fill((rows, width)) of ~_DRAW_BLOCK variates.
 
-    fill is a generator's method (rng.standard_normal, rng.random), taken
-    from the generator object.  Its fill is row-major, so draw i reads
-    variates [i*width, (i+1)*width).  A last block short of a whole
-    _DRAW_GROUP rows is padded with zero rows up to one and their values
-    dropped, so evaluate never sees a partial row group.
+    fill is a generator's method (rng.standard_normal, rng.random).  Its
+    fill is row-major, so draw i reads variates [i*width, (i+1)*width).
+    A block is whole groups of _DRAW_GROUP rows, at least one; a last
+    block short of a whole group is padded with zero rows up to one and
+    their values dropped, so evaluate never sees a partial row group.
     """
+    block = max(_DRAW_GROUP, _DRAW_BLOCK // max(width, 1)) & -_DRAW_GROUP
     out = np.empty(n_samples)
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
@@ -284,10 +283,10 @@ def _blocked_draws(evaluate, fill, width: int, n_samples: int,
 
 def sample_integral(f: Tensor, n_samples: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Draws of I_n(f) on fresh normals, in blocks of _SAMPLE_ROWS rows."""
+    """Draws of I_n(f) on fresh normals, in blocks of _blocked_draws."""
     d = f.dim if f.dim is not None else 1
     return _blocked_draws(lambda xi: eval_integral(f, xi), rng.standard_normal,
-                          d, n_samples, _SAMPLE_ROWS)
+                          d, n_samples)
 
 
 @dataclass(frozen=True)
@@ -337,16 +336,25 @@ def cumulant(op: HSOperator, order: int) -> float:
     return float(2 ** (j - 1) * math.factorial(j - 1) * np.sum(op.eigenvalues**j))
 
 
-def _unit_variance(op: HSOperator) -> tuple:
-    """(kappa_2, op at unit variance, its excess kappa_4/kappa_2^2 or NaN).
+def _binary_exponent(x) -> int:
+    """k with every |x| < 2^k (or 0): x 2^-k is exact and lies in [-1, 1)."""
+    return int(np.frexp(max(np.max(x, initial=0.0), -np.min(x, initial=0.0)))[1])
 
-    The one place an order-2 spectrum becomes exact columns: at unit
-    variance ||g (x)_1 g||^2 = excess/48 and E[I_2^4] = 3 + excess.
+
+def _unit_variance(op: HSOperator) -> tuple:
+    """(v, k, op at unit variance, its excess kappa_4/kappa_2^2 or NaN).
+
+    kappa_2 = v 4^k: a spectrum below 1 is scaled up by 2^-k before its
+    power sums, so an underflowing kappa_2 keeps its excess.  The one
+    place an order-2 spectrum becomes exact columns: at unit variance
+    ||g (x)_1 g||^2 = excess/48 and E[I_2^4] = 3 + excess.
     """
-    v = cumulant(op, 2)
-    unit = HSOperator(op.dim, op.eigenvalues / math.sqrt(v)) if v > 0 else op
+    k = min(_binary_exponent(op.eigenvalues), 0)
+    lam = np.ldexp(op.eigenvalues, -k)
+    v = cumulant(HSOperator(op.dim, lam), 2)
+    unit = HSOperator(op.dim, lam / math.sqrt(v)) if v > 0 else op
     k2 = cumulant(unit, 2)
-    return v, unit, cumulant(unit, 4) / (k2 * k2) if k2 > 0 else math.nan
+    return v, k, unit, cumulant(unit, 4) / (k2 * k2) if k2 > 0 else math.nan
 
 
 def char_function(op: HSOperator, freq):
@@ -385,12 +393,10 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
     tan but not the float64 sine (1.5 against 11-14 ns on an AVX-512 Xeon
     core, numpy 2.4).  The draw is sum_j (E_j - 1) s_j + E_j c_j d_j.
 
-    Uniforms come in blocks of about _DRAW_BLOCK entries, each copied
-    once to (2m, rows), so every transform runs in place on contiguous
-    rows, and memory beyond the output is bounded.  Every block, the last
-    one padded, is whole groups of _DRAW_GROUP rows, so gemv reduces each
-    draw's column the same way at any n_samples and block size: draw i is
-    bit-identical in every call on the same stream.
+    Uniforms come in the blocks of _blocked_draws, each copied once to
+    (2m, rows), so every transform runs in place on contiguous rows and
+    gemv reduces each draw's column the same way at any n_samples: draw i
+    is bit-identical in every call on the same stream.
     """
     if not isinstance(f, HSOperator):
         if f.order != 2:
@@ -413,5 +419,4 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
         np.subtract(e, 1.0, out=e)
         return s @ e + d2 @ c
 
-    block = max(_DRAW_GROUP, _DRAW_BLOCK // max(2 * m, 1)) & -_DRAW_GROUP
-    return _blocked_draws(evaluate, rng.random, 2 * m, n_samples, block)
+    return _blocked_draws(evaluate, rng.random, 2 * m, n_samples)

@@ -10,8 +10,8 @@ keyed by (seed, tag, schedule index), results are assembled in schedule
 order, and execution facts (thread count, output directory, wall time)
 are logged to stderr only, never written into the files.
 
-Exit codes: 0 success, 1 usage or I/O problem, 2 numerical failure
-(including a validate run with failing criteria).  Errors print a single
+Exit codes: 0 success, 1 usage, I/O or memory problem, 2 numerical
+failure or a validate run with failing criteria.  Errors print a single
 machine-parsable line to stderr: "error: <usage|numerical>: <detail>".  A
 numerical detail from an embedding starts with its stage: "spectrum"
 (kernel2_spectrum), "kernel" (a dense kernel), "factor" (the node factor)
@@ -140,7 +140,12 @@ def _read_flags(args):
     The model and grid flags are parsed as None, so a flag given (on the
     command line or in --config) is told apart from one left out.  octaves
     stays None on a uniform grid; sweep-sheet's parameter is its schedule.
+    A --samples below the KS test's 100 or a --threads below 1 is refused.
     """
+    for flag, least in (("samples", 100), ("threads", 1)):
+        if getattr(args, flag, least) < least:
+            raise UsageError(f"--{flag} must be an integer >= {least}, got "
+                             f"{getattr(args, flag)}")
     if "family" not in vars(args):  # validate
         return
     fam = _FAMILIES[args.family]
@@ -200,11 +205,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
-    """Write <command>.csv, .schema.json and .summary.json into out.
+def _emit(args, columns, rows, results: dict):
+    """Write <command>.csv, .schema.json and .summary.json into --out.
 
-    rows may be any iterable of rows; it is written as it is read.
+    rows may be any iterable of rows; it is written as it is read.  The
+    summary's config echoes every flag but out, config and threads.
     """
+    out, command = args.out, args.command
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{command}.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -222,7 +229,9 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
         json.dumps(schema, indent=2, sort_keys=True) + "\n")
     summary = {
         "command": command,
-        "config": config,
+        "config": {k: list(v) if isinstance(v, tuple) else v
+                   for k, v in vars(args).items()
+                   if k not in ("command", "run", "out", "config", "threads")},
         "versions": {
             "chaoskit": __version__,
             "numpy": np.__version__,
@@ -232,13 +241,6 @@ def _emit(out: Path, command: str, columns, rows, config: dict, results: dict):
     }
     (out / f"{command}.summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-def _config_echo(args):
-    """The experiment parameters: every flag but out, config and threads."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in vars(args).items()
-            if k not in ("command", "run", "out", "config", "threads")}
 
 
 # ------------------------------------------------------------- commands
@@ -274,9 +276,7 @@ def _cmd_diagnose(args) -> int:
         rows.append((i, r.label, r.order, r.variance, r.fourth_moment,
                      r.excess_kurtosis, con, r.ks.statistic, r.ks.threshold,
                      r.ks.passed))
-    config = _config_echo(args)
-    _emit(args.out, "diagnose", columns, rows, config,
-          {"verdict": report.verdict, "rows": len(rows)})
+    _emit(args, columns, rows, {"verdict": report.verdict, "rows": len(rows)})
     print(f"diagnose: verdict {report.verdict}", file=sys.stderr)
     return 0
 
@@ -342,8 +342,7 @@ def _run_sweep(args) -> int:
         "final_mc_kurtosis": last["mc_kurtosis"],
         "final_ks_pass": last["ks_pass"],
     }
-    _emit(args.out, args.command, _SWEEP_COLUMNS, rows, _config_echo(args),
-          results)
+    _emit(args, _SWEEP_COLUMNS, rows, results)
     print(f"{args.command}: {len(rows)} schedule points", file=sys.stderr)
     return 0
 
@@ -364,13 +363,12 @@ def _cmd_sample(args) -> int:
         ("value", "float", "one draw of the normalized statistic"),
     ]
     rows = enumerate(map(float, draws))  # streamed, never held as a list
-    config = _config_echo(args)
     results = {
         "mean": su.mean, "variance": su.variance,
         "skewness": su.skewness, "kurtosis": su.kurtosis,
         "ks_statistic": ks.statistic, "ks_pass": ks.passed,
     }
-    _emit(args.out, "sample", columns, rows, config, results)
+    _emit(args, columns, rows, results)
     print(f"sample: {draws.size} draws, kurtosis {su.kurtosis:.4f}",
           file=sys.stderr)
     return 0
@@ -409,7 +407,6 @@ def _cmd_validate(args) -> int:
     rows = [(r.number, r.name, c.name, c.passed, c.observed, c.target)
             for r in results for c in r.checks]
     all_passed = all(r.passed for r in results)
-    config = _config_echo(args)
     summary = {
         "all_passed": all_passed,
         "criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
@@ -417,7 +414,7 @@ def _cmd_validate(args) -> int:
                                          if not c.passed]}
                      for r in results],
     }
-    _emit(args.out, "validate", columns, rows, config, summary)
+    _emit(args, columns, rows, summary)
     return 0 if all_passed else 2
 
 
@@ -428,7 +425,7 @@ def _add_common(p, samples: int | None):
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
     if samples is not None:
         p.add_argument("--samples", type=int, default=samples,
-                       help="Monte Carlo draws per schedule point")
+                       help="Monte Carlo draws per schedule point, >= 100")
     p.add_argument("--out", type=Path, default=Path("."),
                    help="output directory (created if missing)")
     p.add_argument("--config", type=Path, default=None,
@@ -547,6 +544,9 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, ValueError, TypeError, OSError) as e:
         print(f"error: usage: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: usage: out of memory: {e}", file=sys.stderr)
         return 1
     print(f"{args.command}: wall time {time.monotonic() - t0:.1f}s",
           file=sys.stderr)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .chaos import (
     HSOperator,
+    _binary_exponent,
     _fourth_moment_and_contractions,
     _unit_variance,
     hs_operator,
@@ -153,7 +154,7 @@ def summarize(samples) -> SampleSummary:
     n = x.size
     if n < 8:
         raise ValueError("too few samples to summarize")
-    k = int(np.frexp(max(np.max(x), -np.min(x)))[1])
+    k = _binary_exponent(x)
     y = np.ldexp(x, -k)
     y2 = y * y
     sums = [np.sum(y), np.sum(y2), np.sum(y2 * y), np.sum(y2 * y2)]
@@ -250,7 +251,8 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
         rng = stream(seed, f"limit-report:{i}:{lab}")
         if isinstance(f, HSOperator) or f.order == 2:
             op = f if isinstance(f, HSOperator) else hs_operator(f)
-            v, op, excess = _unit_variance(op)
+            v, k, op, excess = _unit_variance(op)
+            v = math.ldexp(v, 2 * k)
             order, live = 2, not math.isnan(excess)
             m2, m4 = (1.0, 3.0 + excess) if live else (0.0, 0.0)
             contractions = (excess / 48.0 if live else 0.0,)

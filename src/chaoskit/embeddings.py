@@ -420,8 +420,9 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
 
     Raises numpy.linalg.LinAlgError, as embed_kernel2 does, when the
     embedding is too large for a dense kernel or (sum lambda^2)^2 =
-    ||M||_F^4 is outside double range, and when eigvalsh does not
-    converge; its message starts with the stage, "spectrum: ".
+    ||M||_F^4 is outside double range, when eigvalsh does not converge,
+    and when a product of nonzero axis eigenvalues underflows to 0; its
+    message starts with the stage, "spectrum: ".
     """
     _check_capacity(emb.cells, emb.ndim, "spectrum")
     h = emb.model.hurst
@@ -437,6 +438,10 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
                 raise np.linalg.LinAlgError(f"spectrum: {e}") from e
         lam = np.sort(reduce(lambda x, y: np.multiply.outer(x, y).ravel(),
                              spectra))
+        lost = math.prod(map(np.count_nonzero, spectra)) - np.count_nonzero(lam)
+        if lost:
+            raise np.linalg.LinAlgError(f"spectrum: {lost} products of nonzero "
+                                        "axis eigenvalues underflow to 0")
         if not np.isfinite(np.sum(lam * lam) ** 2):
             raise np.linalg.LinAlgError(f"spectrum: {_RANGE_ERROR}")
     lam.flags.writeable = False

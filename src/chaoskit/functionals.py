@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .chaos import (HSOperator, _unit_variance, cumulant, eval_integral,
+from .chaos import (HSOperator, _unit_variance, eval_integral,
                     sample_integral2_spectral)
 from .embeddings import (
     BrownianSheet,
@@ -254,11 +254,12 @@ class EmbeddedFunctional:
         return HSOperator(dim=self.embedding.dim, eigenvalues=lam)
 
     def variance_exact(self) -> float:
-        return cumulant(self.operator, 2) * self.scale**2
+        v, k = _unit_variance(self.operator)[:2]  # kappa_2 = v 4^k
+        return v * math.ldexp(self.scale, k) ** 2
 
     def excess_kurtosis_exact(self) -> float:
         """kappa_4/kappa_2^2, read as diagnose reads it: at unit variance."""
-        return _unit_variance(self.operator)[2]
+        return _unit_variance(self.operator)[3]
 
     def kurtosis_exact(self) -> float:
         return 3.0 + self.excess_kurtosis_exact()
@@ -293,40 +294,23 @@ def embed_on_grid(func, cells: int, grid: str = "uniform",
 def direct_evaluate(func, path: PathSample):
     """Midpoint quadrature of the weighted squared path.
 
-    Cell values are corner averages; the weight enters in factored form
-    (mid^e * value)^2 per axis, which stays inside double range on deep
-    geometric grids where mid^(2e) alone would overflow.  Returns one
-    value per draw in the sample.
+    Each axis in turn averages the cell corners and folds in its weight
+    mid^e: (mid^e * value)^2 stays in double range on deep geometric grids
+    where mid^(2e) would overflow.  The squares are then scaled by the
+    cell volumes, one value per draw in the sample.
     """
     _check_process(func, path)
     nodes = np.asarray(path.nodes, dtype=float)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    w = np.diff(nodes)
     ndim = path.model.ndim
-    vals = path.values
-    single = vals.ndim == ndim
-    if single:
-        vals = vals[None, ...]
-    v = vals
-    for ax in range(1, ndim + 1):
-        lo = np.take(v, np.arange(v.shape[ax] - 1), axis=ax)
-        hi = np.take(v, np.arange(1, v.shape[ax]), axis=ax)
-        v = 0.5 * (lo + hi)
-    # fold mid^e into the value before squaring; cells below a cutoff are
-    # zeroed first so their mid^e (which may not be representable) is
-    # never formed
-    for a, (expo, cutoff) in enumerate(func.axis_weights()):
-        half = np.zeros(mids.size)
-        live = mids >= cutoff if cutoff > 0.0 else np.ones(mids.size, dtype=bool)
-        half[live] = mids[live] ** expo
-        shape = [1] * (ndim + 1)
-        shape[a + 1] = mids.size
-        v = v * half.reshape(shape)
-    sq = v * v
-    for a in range(ndim):
-        shape = [1] * (ndim + 1)
-        shape[a + 1] = w.size
-        sq = sq * w.reshape(shape)
+    single = path.values.ndim == ndim
+    v = path.values[None, ...] if single else path.values
+    for ax, (expo, cutoff) in enumerate(func.axis_weights(), 1):
+        live = mids >= cutoff  # a dead cell's mid^e may be out of range
+        half = np.where(live, mids, 1.0) ** expo * live
+        v = np.moveaxis(v, ax, -1)
+        v = np.moveaxis(0.5 * (v[..., :-1] + v[..., 1:]) * half, -1, ax)
+    sq = v * v * reduce(np.multiply.outer, [np.diff(nodes)] * ndim)
     out = sq.reshape(sq.shape[0], -1).sum(axis=1)
     return float(out[0]) if single else out
 

@@ -406,13 +406,15 @@ def test_spectral_sampler_requires_order2():
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_sample_integral_draws_do_not_depend_on_n_samples(order):
-    # blocks of chaos._SAMPLE_ROWS rows: n = 5000 and 20000 cut the stream
-    # after the first 1000 draws, which read the same normals either way
+    # a block is whole groups of chaos._DRAW_GROUP rows of about
+    # chaos._DRAW_BLOCK normals, 6528 rows at d = 5: n = 6527 and 6529 end
+    # on either side of the first block boundary, and every run's draws
+    # are a prefix of the longest one's
     f = sym(stream(53, f"chaos:rows:{order}").standard_normal((5,) * order))
-    short = sample_integral(f, 1000, stream(53, "chaos:rows:draws"))
-    for n in (5000, 20000):
-        longer = sample_integral(f, n, stream(53, "chaos:rows:draws"))
-        np.testing.assert_array_equal(short, longer[:1000])
+    longest = sample_integral(f, 20000, stream(53, "chaos:rows:draws"))
+    for n in (1000, 6527, 6529):
+        draws = sample_integral(f, n, stream(53, "chaos:rows:draws"))
+        np.testing.assert_array_equal(draws, longest[:n])
 
 
 def test_sample_integral_deterministic_given_stream():

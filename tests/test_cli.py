@@ -10,11 +10,14 @@ command are covered by the module tests.
 
 import csv
 import importlib.util
+import itertools
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -534,12 +537,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["sample", "--family", "sheet-power", "--beta", "inf", "--cells", "16",
          "--out", str(tmp_path)],
     ]
-    for argv in argvs:
+    # --samples below the KS test's 100 draws and --threads below 1 are
+    # refused naming the flag
+    bounds = [
+        ["sample", "--samples", "-5", "--out", str(tmp_path)],
+        ["sample", "--samples", "0", "--out", str(tmp_path)],
+        ["diagnose", "--samples", "50", "--out", str(tmp_path)],
+        ["sweep-fbm", "--threads", "0", "--out", str(tmp_path)],
+        ["validate", "--threads", "-2", "--out", str(tmp_path)],
+    ]
+    for argv in argvs + bounds:
         rc = cli.main(argv)
         assert rc == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: usage:"), argv
         assert len(err.splitlines()) == 1, argv
+        if argv in bounds:
+            assert f"{argv[1]} must be an integer >= " in err, argv
     assert not list(tmp_path.iterdir())
 
     # sweep-sheet's schedule flag is the family's parameter: the other
@@ -712,6 +726,119 @@ def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.startswith(
         "error: numerical: mean: normalization of SheetSingularVariation is "
         "outside double range")
+
+
+def test_out_of_memory_is_one_usage_line(monkeypatch, capsys, tmp_path):
+    # 10^11 draws would ask for 745 GiB; the allocation is not made for
+    # real, since under memory overcommit it can succeed and fail later
+    def _no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "gaussian_limit_report", _no_memory)
+    rc = cli.main(["diagnose", "--samples", "100000000000",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage: out of memory: Unable to allocate")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, excess", [
+    (["sweep-fbm", "--family", "fbm-power", "--schedule", "1e200,1e300"],
+     "excess_exact"),
+    (["sweep-sheet", "--family", "sheet-power", "--dims", "1", "--beta",
+      "1e200,1e300"], "excess_exact"),
+    (["diagnose", "--family", "fbm-power", "--schedule", "1e200,1e300"],
+     "excess_kurtosis"),
+    (["diagnose", "--family", "sheet-power", "--dims", "1", "--schedule",
+      "1e200,1e300"], "excess_kurtosis"),
+])
+def test_exact_columns_stay_in_range_where_the_variance_underflows(
+        tmp_path, capsys, argv, excess):
+    # the one live eigenvalue is about 1/(2 beta + 1), whose square
+    # underflows: the spectrum is scaled by a power of two first
+    assert cli.main(argv + ["--cells", "16", "--samples", "1000",
+                            "--out", str(tmp_path)]) == 0
+    assert "error" not in capsys.readouterr().err
+    rows = _rows(tmp_path, argv[0])
+    assert len(rows) == 2
+    for row in rows:
+        for name, value in row.items():
+            if name not in ("family", "label", "ks_pass") and value:
+                assert np.isfinite(float(value)), name
+        assert float(row[excess]) == pytest.approx(12.0, abs=1e-9)
+        if argv[0] != "diagnose":
+            gap = float(row["variance_exact"]) - float(row["mc_variance"])
+            assert abs(gap) < 4.0 * float(row["se_variance"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-sheet", "--family", "sheet-power", "--dims", "2", "--cells", "4",
+     "--beta", "1e300", "--samples", "1000"],
+    ["diagnose", "--family", "sheet-power", "--dims", "2", "--cells", "4",
+     "--schedule", "1e300"],
+])
+def test_an_underflowing_product_spectrum_is_refused(tmp_path, capsys, argv):
+    # each axis's eigenvalue is about 1e-300, and their product is 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: spectrum: ")
+    assert len(err.splitlines()) == 1
+
+
+# schedule points per family: near and at each end of its parameter domain
+_WALK_POINTS = {
+    "fbm-power": ("1e-15", "0.5", "1000", "1e300"),
+    "fbm-singular": ("2.3e-308", "1e-8", "0.5", "0.999999"),
+    "sheet-power": ("-0.999999", "0", "400", "1e300"),
+    "sheet-singular": ("2.3e-308", "0.5"),
+}
+
+
+def _walk_argvs():
+    """(family, diagnose argv) over every grid, process and schedule point.
+
+    The deep geometric pair, whose fbm spectra are about 1074 x 1074,
+    runs at one Hurst index.
+    """
+    grids = [("uniform", "1"), ("uniform", "16"), ("geometric", "2"),
+             ("geometric", "16"), ("geometric", "1074"), ("geometric", "1075")]
+    for grid, cells in grids:
+        hursts = ("0.5",) if int(cells) > 1000 else ("0.001", "0.5", "0.999")
+        for family, points in _WALK_POINTS.items():
+            flag, values = (("--hurst", hursts) if family.startswith("fbm")
+                            else ("--dims", ("1", "2", "3")))
+            for value, x in itertools.product(values, points):
+                yield family, ["diagnose", "--family", family, flag, value,
+                               "--grid", grid, "--cells", cells,
+                               "--schedule", x, "--samples", "100"]
+
+
+def test_parameter_domain_walk(tmp_path, capsys):
+    # every argv runs with finite exact columns, or is refused as a usage
+    # error that names the parameter, or as a numerical error that names
+    # its stage
+    stage = re.compile(r"error: numerical: (spectrum|kernel|factor|mean): ")
+    for family, argv in _walk_argvs():
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            (row,) = _rows(tmp_path, "diagnose")
+            for name in ("variance", "fourth_moment", "excess_kurtosis",
+                         "contraction_norm_sq_1"):
+                assert np.isfinite(float(row[name])), (argv, name)
+            continue
+        (line,) = err.splitlines()
+        if rc == 1:
+            param = "beta" if family.endswith("power") else "eps"
+            assert line.startswith("error: usage: "), argv
+            assert "cells" in line or param in line, argv
+        else:
+            assert rc == 2 and stage.match(line), argv
 
 
 @pytest.mark.parametrize("command, flag", [("diagnose", "--schedule"),

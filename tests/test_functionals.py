@@ -227,6 +227,38 @@ def test_direct_evaluate_batch():
     assert np.all(vals >= 0.0)
 
 
+def _nested_quadrature(func, nodes, values):
+    """Midpoint quadrature of a two-axis sheet, one cell at a time."""
+    (e0, c0), (e1, c1) = func.axis_weights()
+    total = 0.0
+    for i in range(nodes.size - 1):
+        for j in range(nodes.size - 1):
+            mi = 0.5 * (nodes[i] + nodes[i + 1])
+            mj = 0.5 * (nodes[j] + nodes[j + 1])
+            if mi < c0 or mj < c1:
+                continue
+            corners = values[i:i + 2, j:j + 2]
+            avg = 0.25 * corners.sum()
+            total += ((mi**e0 * mj**e1 * avg) ** 2 * (nodes[i + 1] - nodes[i])
+                      * (nodes[j + 1] - nodes[j]))
+    return total
+
+
+@pytest.mark.parametrize("func", [SheetPowerVariation((0.3, -0.4)),
+                                  SheetSingularVariation(2, 0.05)],
+                         ids=["power", "singular"])
+def test_direct_evaluate_sheet_matches_a_loop_over_cells(func):
+    # non-constant node values on a geometric grid: each axis's average and
+    # weight land on that axis (unequal betas, cutoffs that drop cells)
+    emb = build_embedding(func.model(), 8, "geometric")
+    values = stream(61, "func:sheet-loop").standard_normal((3, 9, 9))
+    got = direct_evaluate(func, PathSample(func.model(), emb.nodes, values))
+    want = [_nested_quadrature(func, emb.nodes, v) for v in values]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    one = direct_evaluate(func, PathSample(func.model(), emb.nodes, values[1]))
+    assert one == pytest.approx(want[1], rel=1e-14)
+
+
 # ----------------------------------------------------------- embeddings
 
 
