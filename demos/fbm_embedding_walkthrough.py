@@ -46,7 +46,7 @@ print(f"max |FF^T - R_H(t_i, t_j)|: {resid:.3e}")
 print(f"Gram mass sum (= var of X(1) = 1^2H): {emb.gram_matrix().sum():.12f}")
 
 xi = rng.standard_normal((40000, emb.dim))
-paths = sample_path(emb, xi).values
+paths = sample_path(emb, xi)
 print("marginal variances vs t^2H on a few nodes (40000 paths):")
 for j in (16, 32, 48, 64):
     t = emb.nodes[j]
@@ -60,7 +60,7 @@ for cells in (64, 256):
     emb = build_embedding(func.model(), cells)
     ef = embed(func, emb)
     xi = stream(123, "demo:fbm:couple").standard_normal((200, emb.dim))
-    direct = direct_evaluate(func, sample_path(emb, xi))
+    direct = direct_evaluate(func, emb, sample_path(emb, xi))
     chaos = ef.value(xi)
     gap = np.median(np.abs(direct - chaos))
     print(f"  {cells:4d} cells: median |direct - chaos| = {gap:.3e} "

@@ -215,7 +215,7 @@ def criterion_6(seed: int) -> tuple:
             emb = build_embedding(func.model(), cells)
             ef = embed(func, emb)
             xi = stream(seed, f"c6:{hurst}:{cells}").standard_normal((100, cells))
-            direct = direct_evaluate(func, sample_path(emb, xi))
+            direct = direct_evaluate(func, emb, sample_path(emb, xi))
             via_chaos = ef.value(xi)
             medians[cells] = float(np.median(np.abs(direct - via_chaos)))
         checks.append(Check(

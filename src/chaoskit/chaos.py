@@ -341,20 +341,25 @@ def _binary_exponent(x) -> int:
     return int(np.frexp(max(np.max(x, initial=0.0), -np.min(x, initial=0.0)))[1])
 
 
-def _unit_variance(op: HSOperator) -> tuple:
-    """(v, k, op at unit variance, its excess kappa_4/kappa_2^2 or NaN).
+def _unit_variance(op: HSOperator, scale: float = 1.0) -> tuple:
+    """(kappa_2 scale^2, op at unit variance, its kappa_4/kappa_2^2 or NaN).
 
-    kappa_2 = v 4^k: a spectrum below 1 is scaled up by 2^-k before its
-    power sums, so an underflowing kappa_2 keeps its excess.  The one
-    place an order-2 spectrum becomes exact columns: at unit variance
-    ||g (x)_1 g||^2 = excess/48 and E[I_2^4] = 3 + excess.
+    Every spectrum is scaled by 2^-k into [-1, 1) before its power sums,
+    so a kappa_2 outside double range keeps its excess, and the powers of
+    two of k and of scale are put back in one final ldexp: kappa_2 scale^2
+    keeps every bit where it is in double range, else reads inf or 0.
+    The one place an order-2 spectrum becomes exact columns: at unit
+    variance ||g (x)_1 g||^2 = excess/48 and E[I_2^4] = 3 + excess.
     """
-    k = min(_binary_exponent(op.eigenvalues), 0)
+    k = _binary_exponent(op.eigenvalues)
     lam = np.ldexp(op.eigenvalues, -k)
     v = cumulant(HSOperator(op.dim, lam), 2)
     unit = HSOperator(op.dim, lam / math.sqrt(v)) if v > 0 else op
     k2 = cumulant(unit, 2)
-    return v, k, unit, cumulant(unit, 4) / (k2 * k2) if k2 > 0 else math.nan
+    m, e = math.frexp(scale)
+    with np.errstate(over="ignore"):
+        var = float(np.ldexp(v * (m * m), 2 * (k + e)))
+    return var, unit, cumulant(unit, 4) / (k2 * k2) if k2 > 0 else math.nan
 
 
 def char_function(op: HSOperator, freq):

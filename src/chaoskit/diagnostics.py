@@ -251,8 +251,7 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
         rng = stream(seed, f"limit-report:{i}:{lab}")
         if isinstance(f, HSOperator) or f.order == 2:
             op = f if isinstance(f, HSOperator) else hs_operator(f)
-            v, k, op, excess = _unit_variance(op)
-            v = math.ldexp(v, 2 * k)
+            v, op, excess = _unit_variance(op)
             order, live = 2, not math.isnan(excess)
             m2, m4 = (1.0, 3.0 + excess) if live else (0.0, 0.0)
             contractions = (excess / 48.0 if live else 0.0,)

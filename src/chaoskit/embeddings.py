@@ -43,7 +43,6 @@ __all__ = [
     "embed_kernel2",
     "kernel2_spectrum",
     "sample_path",
-    "PathSample",
     "DegenerateModelError",
 ]
 
@@ -139,8 +138,8 @@ def geometric_nodes(cells: int, octaves: float | None = None) -> np.ndarray:
         raise ValueError("a geometric grid needs at least two cells")
     if octaves is None:
         octaves = float(cells - 1)
-    if not (octaves > 0.0):
-        raise ValueError(f"octaves must be positive, got {octaves}")
+    if not 0.0 < octaves < math.inf:
+        raise ValueError(f"octaves must be positive and finite, got {octaves}")
     i = np.arange(1, cells + 1, dtype=float)
     expo = -octaves * (1.0 - (i - 1.0) / (cells - 1.0))
     nodes = np.concatenate(([0.0], np.exp2(expo)))
@@ -448,30 +447,14 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """Node values of one or many sampled paths/fields.
-
-    values has shape (cells+1,) * ndim for a single draw, with a leading
-    batch axis for several.  Values at zero coordinates are exactly 0.
-    """
-
-    model: object
-    nodes: np.ndarray
-    values: np.ndarray
-
-    @property
-    def batch(self) -> int | None:
-        extra = self.values.ndim - self.model.ndim
-        return None if extra == 0 else self.values.shape[0]
-
-
-def sample_path(emb: GridEmbedding, xi) -> PathSample:
+def sample_path(emb: GridEmbedding, xi) -> np.ndarray:
     """Map standard-normal coordinates to node values of the model.
 
-    xi has shape (dim,) or (N, dim).  The same xi fed to an embedded
-    kernel's chaos evaluation refers to the same realization, which is
-    what couples direct quadrature and chaos routes.  xi, read as
+    xi has shape (dim,) or (N, dim); the node values have shape
+    (cells+1,) * ndim, with a leading batch axis of N for a batch, and
+    are exactly 0 where any coordinate is node 0.  The same xi fed to an
+    embedded kernel's chaos evaluation refers to the same realization,
+    which is what couples direct quadrature and chaos routes.  xi, read as
     (N,) + (cells,) * ndim, is mapped along each axis in turn by that
     axis's factor F (GridEmbedding.factor), and node 0 is prepended as
     0; on fBm that is xi F'.
@@ -486,6 +469,4 @@ def sample_path(emb: GridEmbedding, xi) -> PathSample:
     for ax in range(1, emb.ndim + 1):
         vals = np.moveaxis(np.moveaxis(vals, ax, -1) @ emb.factor.T, -1, ax)
         vals = np.pad(vals, [(int(a == ax), 0) for a in range(vals.ndim)])
-    if single:
-        vals = vals[0]
-    return PathSample(model=emb.model, nodes=emb.nodes, values=vals)
+    return vals[0] if single else vals

@@ -34,7 +34,6 @@ from .embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
     GridEmbedding,
-    PathSample,
     build_embedding,
     embed_kernel2,
     kernel2_spectrum,
@@ -46,7 +45,6 @@ __all__ = [
     "FbmSingularVariation",
     "SheetPowerVariation",
     "SheetSingularVariation",
-    "chaos_kernel",
     "embed",
     "embed_on_grid",
     "EmbeddedFunctional",
@@ -60,9 +58,10 @@ def _axis_mass(expo: float, cutoff: float, hurst: float):
 
     With q = 2 expo + 2 hurst + 1, m is E of the axis's weight u^(2 expo)
     times X(u)^2.  The closed forms keep their exact operations: 1/q and
-    sqrt(q) at cutoff 0, log(1/cutoff) where q is zero, else
-    -expm1(q log cutoff)/q.  m is inf where the integral diverges, nan
-    where cutoff is outside [0, 1).
+    sqrt(q) at cutoff 0, log(1/cutoff) where q is zero (-log(cutoff)
+    where 1/cutoff overflows, below 2^-1024), else -expm1(q log cutoff)/q.
+    m is inf where the integral diverges, nan where cutoff is outside
+    [0, 1).
     """
     q = 2.0 * expo + 2.0 * hurst + 1.0
     # q is 0 below the rounding of its terms: a singular weight's exponent
@@ -73,8 +72,11 @@ def _axis_mass(expo: float, cutoff: float, hurst: float):
         return (1.0 / q, math.sqrt(q)) if q > 0.0 else (math.inf, 0.0)
     if not 0.0 < cutoff < 1.0:
         return math.nan, math.nan
-    m = (math.log(1.0 / cutoff) if q == 0.0
-         else -math.expm1(q * math.log(cutoff)) / q)
+    if q == 0.0:
+        inv = 1.0 / cutoff
+        m = math.log(inv) if inv < math.inf else -math.log(cutoff)
+    else:
+        m = -math.expm1(q * math.log(cutoff)) / q
     return m, 1.0 / math.sqrt(m)
 
 
@@ -192,18 +194,12 @@ def _check_family(func):
         raise TypeError(f"unknown functional family {type(func).__name__}")
 
 
-def _check_process(func, where):
-    """Refuse func on a GridEmbedding or PathSample of another process."""
+def _check_process(func, emb: GridEmbedding):
+    """Refuse func on an embedding of another process."""
     _check_family(func)
-    if where.model != func.model():
-        raise ValueError(f"{type(where).__name__} of {where.model}, "
-                         f"functional needs {func.model()}")
-
-
-def chaos_kernel(func, emb: GridEmbedding) -> SymTensor:
-    """Order-2 kernel of F - E F in the embedding's coordinates."""
-    _check_process(func, emb)
-    return embed_kernel2(emb, func.axis_weights())
+    if emb.model != func.model():
+        raise ValueError(f"embedding of {emb.model}, functional needs "
+                         f"{func.model()}")
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,8 @@ class EmbeddedFunctional:
 
     @cached_property
     def kernel(self) -> SymTensor:
-        """The dense order-2 kernel (chaos_kernel), built on first use."""
-        return chaos_kernel(self.functional, self.embedding)
+        """The dense order-2 kernel of F - E F, built on first use."""
+        return embed_kernel2(self.embedding, self.functional.axis_weights())
 
     def value(self, xi):
         """Discretized F at coordinates xi (mean + chaos part)."""
@@ -254,12 +250,11 @@ class EmbeddedFunctional:
         return HSOperator(dim=self.embedding.dim, eigenvalues=lam)
 
     def variance_exact(self) -> float:
-        v, k = _unit_variance(self.operator)[:2]  # kappa_2 = v 4^k
-        return v * math.ldexp(self.scale, k) ** 2
+        return _unit_variance(self.operator, self.scale)[0]
 
     def excess_kurtosis_exact(self) -> float:
         """kappa_4/kappa_2^2, read as diagnose reads it: at unit variance."""
-        return _unit_variance(self.operator)[3]
+        return _unit_variance(self.operator)[2]
 
     def kurtosis_exact(self) -> float:
         return 3.0 + self.excess_kurtosis_exact()
@@ -291,26 +286,25 @@ def embed_on_grid(func, cells: int, grid: str = "uniform",
     return embed(func, build_embedding(func.model(), cells, grid, octaves))
 
 
-def direct_evaluate(func, path: PathSample):
+def direct_evaluate(func, emb: GridEmbedding, values):
     """Midpoint quadrature of the weighted squared path.
 
-    Each axis in turn averages the cell corners and folds in its weight
-    mid^e: (mid^e * value)^2 stays in double range on deep geometric grids
-    where mid^(2e) would overflow.  The squares are then scaled by the
-    cell volumes, one value per draw in the sample.
+    values are node values on emb (sample_path(emb, xi)), with or without
+    a leading batch axis.  Each axis in turn averages the cell corners
+    and folds in its weight mid^e: (mid^e * value)^2 stays in double
+    range on deep geometric grids where mid^(2e) would overflow.  The
+    squares are then scaled by the cell volumes, one value per draw.
     """
-    _check_process(func, path)
-    nodes = np.asarray(path.nodes, dtype=float)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    ndim = path.model.ndim
-    single = path.values.ndim == ndim
-    v = path.values[None, ...] if single else path.values
+    _check_process(func, emb)
+    mids = emb.midpoints
+    single = values.ndim == emb.ndim
+    v = values[None, ...] if single else values
     for ax, (expo, cutoff) in enumerate(func.axis_weights(), 1):
         live = mids >= cutoff  # a dead cell's mid^e may be out of range
         half = np.where(live, mids, 1.0) ** expo * live
         v = np.moveaxis(v, ax, -1)
         v = np.moveaxis(0.5 * (v[..., :-1] + v[..., 1:]) * half, -1, ax)
-    sq = v * v * reduce(np.multiply.outer, [np.diff(nodes)] * ndim)
+    sq = v * v * reduce(np.multiply.outer, [emb.widths] * emb.ndim)
     out = sq.reshape(sq.shape[0], -1).sum(axis=1)
     return float(out[0]) if single else out
 

@@ -536,6 +536,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
          "--out", str(tmp_path)],
         ["sample", "--family", "sheet-power", "--beta", "inf", "--cells", "16",
          "--out", str(tmp_path)],
+        # so are infinite octaves, before any node is formed from them
+        ["diagnose", "--family", "fbm-power", "--octaves", "inf",
+         "--out", str(tmp_path)],
     ]
     # --samples below the KS test's 100 draws and --threads below 1 are
     # refused naming the flag
@@ -816,6 +819,58 @@ def _walk_argvs():
                 yield family, ["diagnose", "--family", family, flag, value,
                                "--grid", grid, "--cells", cells,
                                "--schedule", x, "--samples", "100"]
+    for argv in _EDGE_ARGVS:
+        yield argv[argv.index("--family") + 1], argv + ["--samples", "100"]
+
+
+# cutoffs whose 1/eps overflows, though their mass log(1/eps) is finite;
+# the last runs on the deepest geometric grid
+_SUBNORMAL_ARGVS = [
+    ["diagnose", "--family", "fbm-singular", "--schedule", "1e-310"],
+    ["sweep-fbm", "--family", "fbm-singular", "--schedule", "1e-310,5e-324"],
+    ["sweep-sheet", "--family", "sheet-singular", "--eps", "1e-310,5e-324",
+     "--dims", "2", "--cells", "32"],
+    ["diagnose", "--family", "fbm-singular", "--schedule", "5e-324",
+     "--cells", "1074", "--hurst", "0.5"],
+]
+# the walk's open edges: sheets at the dense cap of 8192 coordinates and
+# past 64 axes, 8192 fbm cells with few of them live, subnormal cutoffs and
+# infinite octaves
+_EDGE_ARGVS = [
+    *(["diagnose", "--family", family, "--dims", "13", "--cells", "2"]
+      for family in ("sheet-power", "sheet-singular")),
+    *([command, "--family", family, "--dims", dims, "--cells", "1",
+       "--grid", "uniform"]
+      for command, family in (("diagnose", "sheet-singular"),
+                              ("sample", "sheet-singular"),
+                              ("sweep-sheet", "sheet-power"))
+      for dims in ("64", "65")),
+    ["diagnose", "--family", "fbm-singular", "--cells", "8192",
+     "--octaves", "20", "--schedule", "0.5"],
+    ["diagnose", "--family", "fbm-singular", "--cells", "8192",
+     "--grid", "uniform", "--schedule", "0.999"],
+    *_SUBNORMAL_ARGVS,
+    ["diagnose", "--family", "fbm-power", "--octaves", "inf"],
+]
+# each command's exact columns; sample has none, and its summary moments
+# are checked instead
+_EXACT_COLUMNS = {
+    "diagnose": ("variance", "fourth_moment", "excess_kurtosis",
+                 "contraction_norm_sq_1"),
+    "sweep-fbm": ("variance_exact", "excess_exact", "contraction_ratio"),
+    "sweep-sheet": ("variance_exact", "excess_exact", "contraction_ratio"),
+    "sample": ("mean", "variance", "skewness", "kurtosis"),
+}
+
+
+def _assert_finite_columns(out, argv):
+    command = argv[0]
+    rows = ([_summary(out, command)["results"]] if command == "sample"
+            else _rows(out, command))
+    assert rows, argv
+    for row in rows:
+        for name in _EXACT_COLUMNS[command]:
+            assert np.isfinite(float(row[name])), (argv, name)
 
 
 def test_parameter_domain_walk(tmp_path, capsys):
@@ -827,18 +882,22 @@ def test_parameter_domain_walk(tmp_path, capsys):
         rc = cli.main(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         if rc == 0:
-            (row,) = _rows(tmp_path, "diagnose")
-            for name in ("variance", "fourth_moment", "excess_kurtosis",
-                         "contraction_norm_sq_1"):
-                assert np.isfinite(float(row[name])), (argv, name)
+            _assert_finite_columns(tmp_path, argv)
             continue
         (line,) = err.splitlines()
         if rc == 1:
             param = "beta" if family.endswith("power") else "eps"
             assert line.startswith("error: usage: "), argv
-            assert "cells" in line or param in line, argv
+            assert any(p in line for p in ("cells", "octaves", param)), argv
         else:
             assert rc == 2 and stage.match(line), argv
+
+
+@pytest.mark.parametrize("argv", _SUBNORMAL_ARGVS, ids=[
+    "diagnose", "sweep-fbm", "sweep-sheet", "diagnose-deepest-grid"])
+def test_subnormal_cutoffs_run(tmp_path, argv):
+    assert cli.main(argv + ["--samples", "100", "--out", str(tmp_path)]) == 0
+    _assert_finite_columns(tmp_path, argv)
 
 
 @pytest.mark.parametrize("command, flag", [("diagnose", "--schedule"),

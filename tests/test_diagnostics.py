@@ -2,6 +2,7 @@ import cmath
 import math
 import statistics
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -431,16 +432,28 @@ def test_report_verdict_ignores_labels():
 
 def test_report_degenerate_variance_undecided():
     z = sym(np.zeros((2, 2)))
-    # a variance 2e400 overflows: its rescaled spectrum is zero, not 1/sqrt 2
-    huge = SymTensor(np.array([[1e200]]))
-    with np.errstate(over="ignore"):
-        for f in (z, huge):
-            report = gaussian_limit_report([f, f], samples=200, seed=0)
-            assert report.verdict == "undecided"
-            assert all(math.isnan(row.excess_kurtosis) for row in report)
-            for row in report:
-                assert (row.variance, row.fourth_moment) == (0.0, 0.0)
-                assert row.contraction_norms_sq == (0.0,)
+    report = gaussian_limit_report([z, z], samples=200, seed=0)
+    assert report.verdict == "undecided"
+    assert all(math.isnan(row.excess_kurtosis) for row in report)
+    for row in report:
+        assert (row.variance, row.fourth_moment) == (0.0, 0.0)
+        assert row.contraction_norms_sq == (0.0,)
+
+
+@pytest.mark.parametrize("x", [1e200, 1.7e308])
+def test_report_huge_variance_undecided(x):
+    # v = 2 x^2 overflows, but the spectrum scaled into [-1, 1) keeps its
+    # unit form [1/sqrt 2]; the overflowing variance alone is undecided
+    huge = SymTensor(np.array([[x]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = gaussian_limit_report([huge, huge], samples=200, seed=0)
+    assert report.verdict == "undecided"
+    for row in report:
+        assert row.variance == 1.0
+        assert row.excess_kurtosis == pytest.approx(12.0, rel=1e-15)
+        assert row.fourth_moment == pytest.approx(15.0, rel=1e-15)
+        assert row.contraction_norms_sq == pytest.approx((0.25,), rel=1e-15)
 
 
 def test_report_tiny_variance_undecided():

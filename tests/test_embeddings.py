@@ -447,11 +447,11 @@ def test_sample_path_fbm_marginal_variances():
     emb = build_embedding(FractionalBrownianMotion(hurst), 64)
     xi = stream(3, "emb:fbmpath").standard_normal((20000, 64))
     ps = sample_path(emb, xi)
-    assert ps.batch == 20000
-    assert np.all(ps.values[:, 0] == 0.0)
+    assert ps.shape == (20000, 65)
+    assert np.all(ps[:, 0] == 0.0)
     for node in (32, 64):
         t = emb.nodes[node]
-        v = ps.values[:, node] ** 2
+        v = ps[:, node] ** 2
         se = v.std(ddof=1) / math.sqrt(v.size)
         assert abs(v.mean() - t ** (2 * hurst)) <= 4.0 * se
 
@@ -460,11 +460,11 @@ def test_sample_path_sheet_marginal_variances():
     emb = build_embedding(BrownianSheet(2), 16)
     xi = stream(3, "emb:sheetpath").standard_normal((20000, 256))
     ps = sample_path(emb, xi)
-    assert ps.values.shape == (20000, 17, 17)
-    assert np.all(ps.values[:, 0, :] == 0.0)
-    assert np.all(ps.values[:, :, 0] == 0.0)
+    assert ps.shape == (20000, 17, 17)
+    assert np.all(ps[:, 0, :] == 0.0)
+    assert np.all(ps[:, :, 0] == 0.0)
     for idx, want in (((16, 16), 1.0), ((8, 16), 0.5), ((8, 8), 0.25)):
-        v = ps.values[:, idx[0], idx[1]] ** 2
+        v = ps[:, idx[0], idx[1]] ** 2
         se = v.std(ddof=1) / math.sqrt(v.size)
         assert abs(v.mean() - want) <= 4.0 * se
 
@@ -479,8 +479,7 @@ def test_brownian_motion_is_one_sheet_axis(grid, octaves):
     np.testing.assert_array_equal(bm.factor, sheet.factor)
     assert bm.jitter == sheet.jitter == 0.0
     xi = stream(5, "emb:onepath").standard_normal((50, 64))
-    np.testing.assert_array_equal(sample_path(bm, xi).values,
-                                  sample_path(sheet, xi).values)
+    np.testing.assert_array_equal(sample_path(bm, xi), sample_path(sheet, xi))
     for weights in ([(0.25, 0.0)], [(-1.0, 1e-3)]):
         np.testing.assert_array_equal(kernel2_spectrum(bm, weights),
                                       kernel2_spectrum(sheet, weights))
@@ -499,9 +498,8 @@ def test_spectrum_of_a_sheet_past_64_axes_is_the_axis_product():
 def test_sample_path_single_draw_shape():
     emb = build_embedding(FractionalBrownianMotion(0.5), 8)
     ps = sample_path(emb, stream(3, "emb:single").standard_normal(8))
-    assert ps.values.shape == (9,)
-    assert ps.batch is None
-    assert ps.values[0] == 0.0
+    assert ps.shape == (9,)
+    assert ps[0] == 0.0
 
 
 def test_sample_path_covariance_between_nodes():
@@ -511,7 +509,7 @@ def test_sample_path_covariance_between_nodes():
     xi = stream(9, "emb:cov").standard_normal((40000, 32))
     ps = sample_path(emb, xi)
     s_idx, t_idx = 8, 24
-    prod = ps.values[:, s_idx] * ps.values[:, t_idx]
+    prod = ps[:, s_idx] * ps[:, t_idx]
     want = emb.model.covariance(emb.nodes[s_idx], emb.nodes[t_idx])
     se = prod.std(ddof=1) / math.sqrt(prod.size)
     assert abs(prod.mean() - want) <= 4.0 * se

@@ -10,13 +10,12 @@ from chaoskit.chaos import (
     hs_operator,
     second_moment_exact,
 )
-from chaoskit.embeddings import BrownianSheet, PathSample, build_embedding, sample_path
+from chaoskit.embeddings import BrownianSheet, build_embedding, sample_path
 from chaoskit.functionals import (
     FbmPowerVariation,
     FbmSingularVariation,
     SheetPowerVariation,
     SheetSingularVariation,
-    chaos_kernel,
     direct_evaluate,
     embed,
     embed_on_grid,
@@ -27,9 +26,7 @@ from chaoskit.tensors import norm_sq, scale
 
 
 def _constant_path(emb, value=1.0):
-    shape = (emb.cells + 1,) * emb.ndim
-    return PathSample(model=emb.model, nodes=emb.nodes,
-                      values=np.full(shape, value))
+    return np.full((emb.cells + 1,) * emb.ndim, value)
 
 
 # ------------------------------------------------------------ parameters
@@ -137,7 +134,7 @@ def test_fbm_power_mean_and_kernel_at_half():
     assert f.normalization() == pytest.approx(math.sqrt(2.0))
     assert f.axis_weights() == [(0.0, 0.0)]
     emb = build_embedding(f.model(), 32, "geometric")
-    _assert_rel_close(chaos_kernel(f, emb).coeffs,
+    _assert_rel_close(embed(f, emb).kernel.coeffs,
                       _kernel_oracle(emb, lambda x: 1.0 - x))
 
 
@@ -148,7 +145,7 @@ def test_fbm_singular_mean_and_kernel():
     # H = 1/2: K(s,t) = 1/(eps v s v t) - 1
     assert f.axis_weights() == [(-1.0, eps)]
     emb = build_embedding(f.model(), 32)
-    _assert_rel_close(chaos_kernel(f, emb).coeffs,
+    _assert_rel_close(embed(f, emb).kernel.coeffs,
                       _kernel_oracle(emb, lambda x: 1.0 / np.maximum(x, eps) - 1.0))
 
 
@@ -164,7 +161,7 @@ def test_sheet_singular_mean_and_kernel():
     assert f.axis_weights() == [(-1.0, 1e-2)] * 2
     emb = build_embedding(f.model(), 8, "geometric")
     axis = _kernel_oracle(emb, lambda x: 1.0 / np.maximum(x, 1e-2) - 1.0)
-    _assert_rel_close(chaos_kernel(f, emb).coeffs, np.kron(axis, axis))
+    _assert_rel_close(embed(f, emb).kernel.coeffs, np.kron(axis, axis))
 
 
 # --------------------------------------------------------- direct route
@@ -174,19 +171,19 @@ def test_direct_evaluate_zero_path():
     func = FbmPowerVariation(0.75, 0.0)
     emb = build_embedding(func.model(), 32)
     path = _constant_path(emb, 0.0)
-    assert direct_evaluate(func, path) == 0.0
+    assert direct_evaluate(func, emb, path) == 0.0
 
 
 def test_direct_evaluate_constant_one_power():
     func = FbmPowerVariation(0.6, 0.0)
     emb = build_embedding(func.model(), 32)
-    assert direct_evaluate(func, _constant_path(emb)) == pytest.approx(1.0)
+    assert direct_evaluate(func, emb, _constant_path(emb)) == pytest.approx(1.0)
 
 
 def test_direct_evaluate_constant_one_sheet_power():
     func = SheetPowerVariation((0.0, 0.0))
     emb = build_embedding(func.model(), 16)
-    assert direct_evaluate(func, _constant_path(emb)) == pytest.approx(1.0)
+    assert direct_evaluate(func, emb, _constant_path(emb)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("hurst", [0.6, 0.75])
@@ -198,7 +195,7 @@ def test_direct_evaluate_constant_one_singular(hurst):
     errs = []
     for cells in (256, 1024):
         emb = build_embedding(func.model(), cells)
-        got = direct_evaluate(func, _constant_path(emb))
+        got = direct_evaluate(func, emb, _constant_path(emb))
         errs.append(abs(got - want) / want)
     assert errs[0] < 0.03
     assert errs[1] < errs[0]
@@ -207,7 +204,7 @@ def test_direct_evaluate_constant_one_singular(hurst):
 def test_direct_evaluate_constant_one_sheet_singular():
     func = SheetSingularVariation(1, 1e-1)
     emb = build_embedding(func.model(), 1024)
-    got = direct_evaluate(func, _constant_path(emb))
+    got = direct_evaluate(func, emb, _constant_path(emb))
     assert got == pytest.approx(1.0 / 1e-1 - 1.0, rel=0.01)
 
 
@@ -215,14 +212,14 @@ def test_direct_evaluate_model_mismatch():
     func = FbmPowerVariation(0.75, 0.0)
     emb = build_embedding(BrownianSheet(1), 16)
     with pytest.raises(ValueError):
-        direct_evaluate(func, _constant_path(emb))
+        direct_evaluate(func, emb, _constant_path(emb))
 
 
 def test_direct_evaluate_batch():
     func = FbmPowerVariation(0.7, 0.0)
     emb = build_embedding(func.model(), 32)
     xi = stream(2, "func:batch").standard_normal((5, 32))
-    vals = direct_evaluate(func, sample_path(emb, xi))
+    vals = direct_evaluate(func, emb, sample_path(emb, xi))
     assert vals.shape == (5,)
     assert np.all(vals >= 0.0)
 
@@ -252,10 +249,10 @@ def test_direct_evaluate_sheet_matches_a_loop_over_cells(func):
     # weight land on that axis (unequal betas, cutoffs that drop cells)
     emb = build_embedding(func.model(), 8, "geometric")
     values = stream(61, "func:sheet-loop").standard_normal((3, 9, 9))
-    got = direct_evaluate(func, PathSample(func.model(), emb.nodes, values))
+    got = direct_evaluate(func, emb, values)
     want = [_nested_quadrature(func, emb.nodes, v) for v in values]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    one = direct_evaluate(func, PathSample(func.model(), emb.nodes, values[1]))
+    one = direct_evaluate(func, emb, values[1])
     assert one == pytest.approx(want[1], rel=1e-14)
 
 
@@ -536,6 +533,6 @@ def test_direct_and_chaos_routes_couple(hurst):
         ef = embed(func, emb)
         xi = stream(11, f"func:couple:{hurst}:{cells}").standard_normal(
             (100, cells))
-        direct = direct_evaluate(func, sample_path(emb, xi))
+        direct = direct_evaluate(func, emb, sample_path(emb, xi))
         medians.append(float(np.median(np.abs(direct - ef.value(xi)))))
     assert medians[1] < medians[0]
