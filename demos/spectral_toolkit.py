@@ -61,7 +61,7 @@ print("(three independent routes to the fourth cumulant)")
 print()
 print("== characteristic function vs empirical average ==")
 rng = stream(31, "demo:spectral:cf")
-draws = sample_integral2_spectral(f, 200000, rng)
+draws = sample_integral2_spectral(op, 200000, rng)
 for u in (0.5, 1.0, 2.0):
     phi = char_function(op, u)
     emp = np.exp(1j * u * draws).mean()
@@ -71,7 +71,7 @@ for u in (0.5, 1.0, 2.0):
 print()
 print("== two samplers, one law ==")
 coord = sample_integral(f, 200000, stream(31, "demo:spectral:coord"))
-spec = sample_integral2_spectral(f, 200000, stream(31, "demo:spectral:spec"))
+spec = sample_integral2_spectral(op, 200000, stream(31, "demo:spectral:spec"))
 for name, d in (("coordinate", coord), ("spectral", spec)):
     print(f"  {name:>10}: var {d.var():.4f}, skew "
           f"{((d - d.mean()) ** 3).mean() / d.std() ** 3:+.4f}")

@@ -206,6 +206,8 @@ def product_formula(f: SymTensor, g: SymTensor) -> ChaosElement:
 
 def second_moment_exact(f: SymTensor) -> float:
     """E[I_n(f)^2] = n! * ||f||^2."""
+    if not isinstance(f, SymTensor):
+        raise TypeError("the exact moments need a SymTensor; apply symmetrize() first")
     n = f.order
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -228,6 +230,8 @@ def fourth_moment_exact(f: SymTensor) -> float:
 
 def _fourth_moment_and_contractions(f: SymTensor) -> tuple:
     """E[I_n(f)^4] and ||f (x)_p f||^2 for p = 1..n-1, one contraction each."""
+    if not isinstance(f, SymTensor):
+        raise TypeError("the exact moments need a SymTensor; apply symmetrize() first")
     n = f.order
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -291,36 +295,27 @@ def sample_integral(f: Tensor, n_samples: int,
 
 @dataclass(frozen=True)
 class HSOperator:
-    """Symmetric Hilbert-Schmidt operator on R^dim, held as its spectrum.
+    """Symmetric Hilbert-Schmidt operator, held as its spectrum.
 
     It carries no matrix: power sums, cumulants and draws read
-    eigenvalues only.  eigenvalues may omit structural zeros
-    (size <= dim).  hs_operator builds one from a dense kernel; an
-    embedded functional's comes from embeddings.kernel2_spectrum.
+    eigenvalues only, which may omit structural zeros.  hs_operator
+    builds one from a dense kernel; an embedded functional's comes from
+    embeddings.kernel2_spectrum.
     """
 
-    dim: int
     eigenvalues: np.ndarray
 
 
-def hs_operator(kernel) -> HSOperator:
-    """The spectrum of an order-2 kernel (SymTensor or square array).
+def hs_operator(kernel: SymTensor) -> HSOperator:
+    """The spectrum of an order-2 SymTensor, by one dense eigvalsh.
 
-    One dense eigvalsh.  A SymTensor is exactly symmetric; for other
-    input, asymmetry beyond 1e-10 relative is rejected, and below that
-    the input is symmetrized, since eigensolvers assume it anyway.
+    A SymTensor is exactly symmetric, as eigvalsh assumes (sym() makes one).
     """
-    a = kernel.coeffs if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if not isinstance(kernel, SymTensor):
-        s = np.max(np.abs(a))
-        if s > 0 and np.max(np.abs(a - a.T)) > 1e-10 * s:
-            raise ValueError("matrix is not symmetric (beyond 1e-10 relative)")
-        a = 0.5 * (a + a.T)
-    lam = np.linalg.eigvalsh(a)
+    if not isinstance(kernel, SymTensor) or kernel.order != 2:
+        raise TypeError("hs_operator needs an order-2 SymTensor; apply sym() first")
+    lam = np.linalg.eigvalsh(kernel.coeffs)
     lam.flags.writeable = False
-    return HSOperator(dim=a.shape[0], eigenvalues=lam)
+    return HSOperator(lam)
 
 
 def cumulant(op: HSOperator, order: int) -> float:
@@ -353,8 +348,8 @@ def _unit_variance(op: HSOperator, scale: float = 1.0) -> tuple:
     """
     k = _binary_exponent(op.eigenvalues)
     lam = np.ldexp(op.eigenvalues, -k)
-    v = cumulant(HSOperator(op.dim, lam), 2)
-    unit = HSOperator(op.dim, lam / math.sqrt(v)) if v > 0 else op
+    v = cumulant(HSOperator(lam), 2)
+    unit = HSOperator(lam / math.sqrt(v)) if v > 0 else op
     k2 = cumulant(unit, 2)
     m, e = math.frexp(scale)
     with np.errstate(over="ignore"):
@@ -375,16 +370,15 @@ def char_function(op: HSOperator, freq):
     return complex(out) if np.isscalar(freq) or np.asarray(freq).ndim == 0 else out
 
 
-def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
+def sample_integral2_spectral(op: HSOperator, n_samples: int,
                               rng: np.random.Generator) -> np.ndarray:
     """Draws of an order-2 integral through its eigendecomposition.
 
     I_2(F) equals sum_k lambda_k (eta_k^2 - 1) in distribution with eta
     i.i.d. standard normal, which costs O(rank) per draw instead of O(d^2)
-    work and is the workhorse for the large sweep grids.  f is the kernel
-    or its HSOperator, whose spectrum is then reused; an operator whose
-    eigenvalues omit structural zeros (size below dim) draws only for the
-    eigenvalues it holds.
+    work and is the workhorse for the large sweep grids.  op is the
+    kernel's HSOperator (hs_operator of a dense kernel); it draws only for
+    the eigenvalues it holds, so structural zeros it omits cost nothing.
 
     The squares come two at a time from uniforms (Box-Muller): for a pair
     (a, b), E = (eta_a^2 + eta_b^2)/2 is Exp(1), independent of the angle
@@ -403,11 +397,9 @@ def sample_integral2_spectral(f: SymTensor | HSOperator, n_samples: int,
     gemv reduces each draw's column the same way at any n_samples: draw i
     is bit-identical in every call on the same stream.
     """
-    if not isinstance(f, HSOperator):
-        if f.order != 2:
-            raise ValueError("spectral sampling is for order-2 kernels")
-        f = hs_operator(f)
-    lam = np.append(f.eigenvalues, np.zeros(f.eigenvalues.size % 2))
+    if not isinstance(op, HSOperator):
+        raise TypeError("spectral sampling needs an HSOperator; use hs_operator")
+    lam = np.append(op.eigenvalues, np.zeros(op.eigenvalues.size % 2))
     # the 2 of c = 2t/(1 + t^2) is folded into the angle weights
     s, d2 = lam[0::2] + lam[1::2], 2.0 * (lam[0::2] - lam[1::2])
     m = s.size

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .acceptance import (CRITERION_NAMES, format_criterion, parallel_map,
                          run_criteria)
-from .chaos import sample_integral2_spectral
+from .chaos import hs_operator, sample_integral2_spectral
 from .diagnostics import (
     disjoint_pair_kernel,
     gaussian_limit_report,
@@ -352,7 +352,7 @@ def _cmd_sample(args) -> int:
     rng = stream(args.seed, f"sample:{args.family}")
     built = _build(args, getattr(args, fam.param) if fam.param else None)
     if isinstance(built, SymTensor):
-        draws = sample_integral2_spectral(built, args.samples, rng)
+        draws = sample_integral2_spectral(hs_operator(built), args.samples, rng)
     else:
         draws = built.sample_statistic(args.samples, rng)
 

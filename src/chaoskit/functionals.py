@@ -246,8 +246,8 @@ class EmbeddedFunctional:
         chaos.sample_integral2_spectral).  Neither the kernel nor a
         Cholesky factor is built for it.
         """
-        lam = kernel2_spectrum(self.embedding, self.functional.axis_weights())
-        return HSOperator(dim=self.embedding.dim, eigenvalues=lam)
+        return HSOperator(kernel2_spectrum(self.embedding,
+                                           self.functional.axis_weights()))
 
     def variance_exact(self) -> float:
         return _unit_variance(self.operator, self.scale)[0]

@@ -229,6 +229,8 @@ def contraction_norm_sq(f: SymTensor, p: int) -> float:
     f.  We contract with q = max(p, n-p) so the intermediate tensor has
     order 2*(n - max(p, n-p)) <= n, never larger than f itself.
     """
+    if not isinstance(f, SymTensor):
+        raise TypeError("contraction norms need a SymTensor; apply symmetrize() first")
     n = f.order
     if n < 1:
         raise ValueError("contraction norms need order >= 1")

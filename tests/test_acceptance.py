@@ -13,7 +13,7 @@ import tempfile
 
 import pytest
 
-from chaoskit.acceptance import format_criterion, run_criterion
+from chaoskit.acceptance import format_criterion, run_criteria, run_criterion
 
 SEED = 42
 
@@ -87,3 +87,12 @@ def test_criterion_10_cli_determinism_across_threads(announce, monkeypatch,
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     _check(10, announce)
     assert not list(tmp_path.glob("chaoskit-validate-*"))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: run_criterion(11, 0), id="run_criterion"),
+    pytest.param(lambda: run_criteria([11], 0), id="run_criteria"),
+])
+def test_unknown_criterion_is_refused(call):
+    with pytest.raises(ValueError, match="no criterion 11"):
+        call()

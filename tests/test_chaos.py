@@ -15,6 +15,7 @@ from chaoskit.chaos import (
     excess_kurtosis_exact,
     fourth_moment_exact,
     hermite,
+    hs_operator,
     product_formula,
     sample_integral,
     sample_integral2_spectral,
@@ -25,6 +26,7 @@ from chaoskit.tensors import (
     SymTensor,
     basis_tensor,
     contract,
+    contraction_norm_sq,
     norm_sq,
     sym,
     symmetrize,
@@ -303,7 +305,8 @@ def test_sample_integral_isometry():
 
 def test_spectral_sampler_agrees_in_distribution():
     f = sym(stream(37, "chaos:spec").standard_normal((4, 4)))
-    a = sample_integral2_spectral(f, 100000, stream(37, "chaos:spec:a"))
+    a = sample_integral2_spectral(hs_operator(f), 100000,
+                                  stream(37, "chaos:spec:a"))
     b = sample_integral(f, 100000, stream(37, "chaos:spec:b"))
     for power in (2, 3):
         ma, mb = (a**power).mean(), (b**power).mean()
@@ -319,7 +322,7 @@ def test_spectral_draws_do_not_depend_on_blocking(rank):
     # groups, the last block padded, make every draw read, and reduce, the
     # same uniforms (n = 999 and 1001 end inside a gemv row group)
     lam = stream(43, f"chaos:blocks:{rank}").standard_normal(rank)
-    op = HSOperator(rank, lam)
+    op = HSOperator(lam)
     long = sample_integral2_spectral(op, 100000, stream(43, "chaos:draws"))
     for n in (999, 1000, 1001):
         short = sample_integral2_spectral(op, n, stream(43, "chaos:draws"))
@@ -343,7 +346,7 @@ def test_spectral_draws_of_equal_eigenvalues_are_chi_squared(rank):
     # degrees of freedom (rank 1 pads one 0, rank 2 is one full pair)
     from scipy import stats
 
-    op = HSOperator(rank, np.full(rank, 1.0 / math.sqrt(2.0 * rank)))
+    op = HSOperator(np.full(rank, 1.0 / math.sqrt(2.0 * rank)))
     draws = sample_integral2_spectral(op, 100000,
                                       stream(59, f"chaos:chi2:{rank}"))
     res = stats.kstest(math.sqrt(2.0 * rank) * draws + rank,
@@ -358,7 +361,8 @@ def test_spectral_draws_of_the_paired_product_match_coordinate_draws():
 
     from chaoskit.diagnostics import paired_product_kernel
 
-    spectral = sample_integral2_spectral(paired_product_kernel(), 100000,
+    op = hs_operator(paired_product_kernel())
+    spectral = sample_integral2_spectral(op, 100000,
                                          stream(61, "chaos:pp:spectral"))
     xi = stream(61, "chaos:pp:normals").standard_normal((100000, 2))
     assert stats.ks_2samp(spectral, xi[:, 0] * xi[:, 1]).pvalue > 1e-3
@@ -370,7 +374,7 @@ def test_spectral_draws_match_cumulants_of_an_odd_unequal_spectrum():
     from scipy import stats
 
     lam = np.sort(stream(67, "chaos:kappa:lam").standard_normal(7))
-    op = HSOperator(7, lam)
+    op = HSOperator(lam)
     draws = sample_integral2_spectral(op, 1000000,
                                       stream(67, "chaos:kappa:draws"))
     for j in (2, 3, 4):
@@ -380,7 +384,7 @@ def test_spectral_draws_match_cumulants_of_an_odd_unequal_spectrum():
 
 
 def test_spectral_draws_of_rank_zero_operator_are_zero():
-    draws = sample_integral2_spectral(HSOperator(5, np.empty(0)), 1000,
+    draws = sample_integral2_spectral(HSOperator(np.empty(0)), 1000,
                                       stream(43, "chaos:rank0"))
     np.testing.assert_array_equal(draws, np.zeros(1000))
 
@@ -389,7 +393,7 @@ def test_spectral_sampler_memory_is_bounded():
     # 1e5 draws at rank 512 read 51.2e6 uniforms (410 MB at once); beyond
     # the 0.8 MB output only one 256 KB block, its transposed copy
     # (transformed in place) and a half-size temporary are live
-    op = HSOperator(512, np.full(512, 1.0 / math.sqrt(1024.0)))
+    op = HSOperator(np.full(512, 1.0 / math.sqrt(1024.0)))
     tracemalloc.start()
     try:
         sample_integral2_spectral(op, 100000, stream(47, "chaos:memory"))
@@ -400,8 +404,11 @@ def test_spectral_sampler_memory_is_bounded():
 
 
 def test_spectral_sampler_requires_order2():
-    with pytest.raises(ValueError):
-        sample_integral2_spectral(sym(np.ones(2)), 100, stream(0, "x"))
+    # a kernel enters through hs_operator, which takes order 2 only
+    with pytest.raises(TypeError, match="hs_operator"):
+        sample_integral2_spectral(sym(np.eye(2)), 100, stream(0, "x"))
+    with pytest.raises(TypeError, match="order-2 SymTensor"):
+        hs_operator(sym(np.ones(2)))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -422,3 +429,47 @@ def test_sample_integral_deterministic_given_stream():
     a = sample_integral(f, 5000, stream(41, "chaos:det:draws"))
     b = sample_integral(f, 5000, stream(41, "chaos:det:draws"))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("exact", [
+    second_moment_exact, fourth_moment_exact, excess_kurtosis_exact,
+    contraction_profile, lambda f: contraction_norm_sq(f, 1),
+], ids=["second", "fourth", "excess", "profile", "contraction_norm_sq"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_exact_formulas_refuse_a_plain_tensor(exact, order):
+    # read as symmetric, [[0, 1], [2, 3]] gave E[I_2^2] = 28, where the
+    # symmetric part that I_2 sees has 27
+    f = tensor(np.arange(2.0**order).reshape((2,) * order))
+    with pytest.raises(TypeError, match=r"apply symmetrize\(\) first"):
+        exact(f)
+
+
+_SCALAR, _EYE2 = sym(np.array(1.0)), sym(np.eye(2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: hermite(-1, 0.5), ValueError,
+                 "degree must be a nonnegative integer", id="hermite-negative"),
+    pytest.param(lambda: hermite(1.5, 0.5), ValueError,
+                 "degree must be a nonnegative integer", id="hermite-fractional"),
+    pytest.param(lambda: eval_integral(_EYE2, np.zeros((1, 2, 2))), ValueError,
+                 r"xi must have shape \(d,\) or \(N, d\)", id="eval-3d-xi"),
+    pytest.param(lambda: eval_integral(_EYE2, np.zeros(3)), ValueError,
+                 "kernel dimension 2 vs coordinate dimension 3", id="eval-dim"),
+    pytest.param(lambda: product_formula(_SCALAR, sym(np.ones(2))), ValueError,
+                 "orders must be >= 1", id="product-order0"),
+    pytest.param(lambda: second_moment_exact(_SCALAR), ValueError,
+                 "order must be >= 1", id="second-order0"),
+    pytest.param(lambda: fourth_moment_exact(_SCALAR), ValueError,
+                 "order must be >= 1", id="fourth-order0"),
+    pytest.param(lambda: contraction_profile(_SCALAR), ValueError,
+                 "order must be >= 1", id="profile-order0"),
+    pytest.param(lambda: excess_kurtosis_exact(sym(np.zeros((2, 2)))),
+                 ValueError, "kernel has zero variance", id="excess-zero"),
+    pytest.param(lambda: cumulant(HSOperator(np.ones(2)), 1.5), ValueError,
+                 "cumulant order must be a positive integer, got 1.5",
+                 id="cumulant-fractional"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -81,6 +81,7 @@ def test_validate_criteria_parsing_rejects_out_of_range(tmp_path, capsys):
     # a number n reads as the range n-n
     assert cli._parse_criteria("3") == [3]
     assert cli._parse_criteria("1-9, 3") == list(range(1, 10))
+    assert cli._parse_criteria("all") == list(range(1, 11))  # the default
     for bad in ("0", "11", "2-x", "", "1,0", "1-", "-3", "3-1"):
         rc = cli.main(["validate", "--criteria", bad, "--out", str(tmp_path)])
         assert rc == 1
@@ -491,6 +492,13 @@ def test_config_file_errors(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: usage: argument --config: expected one argument\n")
 
+    noeq = tmp_path / "noeq.cfg"
+    noeq.write_text("samples 100\n")
+    rc = cli.main(["sample", "--config", str(noeq), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: usage: config line 1 is not key=value: 'samples 100'\n")
+
     # a key is one of the command's own flags, spelled out in full
     for command, key in [("sweep-sheet", "hurst"), ("validate", "samples"),
                          ("sample", "config"), ("sample", "cell")]:
@@ -530,6 +538,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["validate", "--samples", "7", "--out", str(tmp_path)],
         # an empty list flag is refused, not read as the default schedule
         ["diagnose", "--schedule", ",", "--out", str(tmp_path)],
+        ["diagnose", "--schedule", "abc", "--out", str(tmp_path)],
         ["sweep-sheet", "--beta=", "--out", str(tmp_path)],
         # a non-finite power exponent is refused by the family
         ["diagnose", "--family", "fbm-power", "--schedule", "inf",
@@ -557,6 +566,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert len(err.splitlines()) == 1, argv
         if argv in bounds:
             assert f"{argv[1]} must be an integer >= " in err, argv
+        if "abc" in argv:
+            assert err == "error: usage: not a comma-separated float list: 'abc'\n"
     assert not list(tmp_path.iterdir())
 
     # sweep-sheet's schedule flag is the family's parameter: the other

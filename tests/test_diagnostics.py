@@ -317,22 +317,21 @@ def test_cumulants_match_moment_formulas():
 
 
 def test_hs_operator_rejects_wrong_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="order-2 SymTensor"):
         hs_operator(sym(np.ones(3)))
 
 
-def test_hs_operator_symmetry_tolerance():
+def test_hs_operator_takes_only_a_symtensor():
+    # a plain Tensor or an array is refused, however close to symmetric;
+    # sym() is the one way in, and its spectrum is the symmetric part's
     base = np.array([[1.0, 0.5], [0.5, 2.0]])
     tiny = base.copy()
-    tiny[0, 1] += 1e-13  # below 1e-10 relative: symmetrized and accepted
-    op = hs_operator(tensor(tiny))
-    assert op.dim == 2
-    np.testing.assert_array_equal(op.eigenvalues,
+    tiny[0, 1] += 1e-13
+    for kernel in (tensor(base), tensor(tiny), base, base.tolist()):
+        with pytest.raises(TypeError, match="apply sym"):
+            hs_operator(kernel)
+    np.testing.assert_array_equal(hs_operator(sym(tiny)).eigenvalues,
                                   np.linalg.eigvalsh(0.5 * (tiny + tiny.T)))
-    bad = base.copy()
-    bad[0, 1] += 1e-3
-    with pytest.raises(ValueError):
-        hs_operator(tensor(bad))
 
 
 def test_spectral_bridge_small():
@@ -355,7 +354,7 @@ def test_char_function_at_zero_is_one():
 def test_char_function_matches_empirical():
     f = sym(stream(3, "diag:cfmc").standard_normal((4, 4)) * 0.4)
     op = hs_operator(f)
-    draws = sample_integral2_spectral(f, 200000, stream(3, "diag:cfmc:d"))
+    draws = sample_integral2_spectral(op, 200000, stream(3, "diag:cfmc:d"))
     for u in (0.5, 1.0, 2.0):
         want = char_function(op, u)
         z = np.exp(1j * u * draws)
@@ -528,3 +527,23 @@ def test_report_excess_nonnegative_invariant():
 def test_report_requires_kernels():
     with pytest.raises(ValueError):
         gaussian_limit_report([], samples=200)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_report_refuses_a_plain_tensor(order):
+    # at order 3 the exact columns read [0..7] as symmetric (excess 73.13)
+    # while the KS column drew from its symmetric part (excess 87)
+    f = tensor(np.arange(2.0**order).reshape((2,) * order))
+    with pytest.raises(TypeError, match=r"apply sym(metrize)?\(\) first"):
+        gaussian_limit_report([f, f])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gaussian_limit_report([sym(np.eye(2))], labels=["a", "b"]),
+                 "labels/kernels length mismatch", id="report-labels"),
+    pytest.param(lambda: disjoint_pair_kernel(0), "need k >= 1",
+                 id="disjoint-pairs-0"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

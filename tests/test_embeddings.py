@@ -513,3 +513,18 @@ def test_sample_path_covariance_between_nodes():
     want = emb.model.covariance(emb.nodes[s_idx], emb.nodes[t_idx])
     se = prod.std(ddof=1) / math.sqrt(prod.size)
     assert abs(prod.mean() - want) <= 4.0 * se
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: BrownianSheet(2).covariance(np.zeros(3), np.zeros(2)),
+                 ValueError, r"points must have shape \(\.\.\., ndim\)",
+                 id="sheet-covariance-width"),
+    pytest.param(lambda: build_embedding(object(), 4), TypeError,
+                 "unsupported model object", id="unknown-model"),
+    pytest.param(lambda: sample_path(build_embedding(FractionalBrownianMotion(0.7), 4),
+                                     np.zeros((2, 5))),
+                 ValueError, r"xi must have shape \(N, 4\)", id="sample-path-xi"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

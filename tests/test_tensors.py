@@ -189,3 +189,20 @@ def test_tensor_equality_and_hash():
 def test_basis_tensor_bounds():
     with pytest.raises(ValueError):
         basis_tensor(2, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: tensor(np.ones(2)).item(),
+                 r"item\(\) is only defined for order 0", id="item"),
+    pytest.param(lambda: inner(tensor(np.ones(2)), tensor(np.ones(3))),
+                 "inner product needs matching order and dimension", id="inner"),
+    pytest.param(lambda: add(tensor(np.ones(2)), tensor(np.ones((2, 2)))),
+                 "addition needs matching order and dimension", id="add"),
+    pytest.param(lambda: contraction_norm_sq(sym(np.array(1.0)), 0),
+                 "contraction norms need order >= 1", id="contraction-order0"),
+    pytest.param(lambda: contraction_norm_sq(sym(np.ones(2)), 2),
+                 "p=2 out of range for order 1", id="contraction-p"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
