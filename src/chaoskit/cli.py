@@ -101,11 +101,10 @@ _BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
 _EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
 
-# family -> its parameter (the flag sample reads and sweep-sheet's schedule
-# flag; None for a constant kernel, whose schedule sets only the repeat
-# count), the flag that sets its process (hurst for fBm, dims for the
-# sheet, None for a kernel), its default schedule, and its kernel or
-# functional at parameter p
+# family -> its parameter (the flag sample reads; None for a constant
+# kernel, whose schedule sets only the repeat count), the flag that sets
+# its process (hurst for fBm, dims for the sheet, None for a kernel), its
+# default schedule, and its kernel or functional at parameter p
 _Family = namedtuple("_Family", "param model schedule make")
 _FAMILIES = {
     "clt-pairs": _Family("k", None, (4, 16, 64, 256),
@@ -123,15 +122,13 @@ _FAMILIES = {
     "sheet-singular": _Family("eps", "dims", _EPS_SCHEDULE,
                               lambda a, p: SheetSingularVariation(a.dims, p)),
 }
-# every model and grid flag with its default (octaves None is cells - 1);
-# only the families with a process read the grid flags
-_DEFAULTS = {"k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75, "dims": 1,
-             "cells": 512, "grid": "geometric", "octaves": None}
+# every model and grid flag with its default (None: the family's schedule,
+# or cells - 1 octaves); only families with a process read the grid flags
+_DEFAULTS = {"schedule": None, "k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75,
+             "dims": 1, "cells": 512, "grid": "geometric", "octaves": None}
 _GRID = ("cells", "grid", "octaves")
-# the defaults a command overrides: sweep-sheet's parameter flag is its
-# schedule (None: the family's), on a finer grid, deeper when geometric
-_OVERRIDES = {"sweep-sheet": {"beta": None, "eps": None, "cells": 1024,
-                              "octaves": 512.0}}
+# defaults a command overrides: sweep-sheet's finer grid, deeper if geometric
+_OVERRIDES = {"sweep-sheet": {"cells": 1024, "octaves": 512.0}}
 
 
 def _read_flags(args):
@@ -139,7 +136,7 @@ def _read_flags(args):
 
     The model and grid flags are parsed as None, so a flag given (on the
     command line or in --config) is told apart from one left out.  octaves
-    stays None on a uniform grid; sweep-sheet's parameter is its schedule.
+    stays None on a uniform grid.
     A --samples below the KS test's 100 or a --threads below 1 is refused.
     """
     for flag, least in (("samples", 100), ("threads", 1)):
@@ -149,7 +146,7 @@ def _read_flags(args):
     if "family" not in vars(args):  # validate
         return
     fam = _FAMILIES[args.family]
-    reads = {fam.param, fam.model} | (set(_GRID) if fam.model else set())
+    reads = {"schedule", fam.param, fam.model, *(_GRID if fam.model else ())}
     defaults = _DEFAULTS | _OVERRIDES.get(args.command, {})
     for flag, default in defaults.items():
         if flag not in vars(args):
@@ -159,21 +156,17 @@ def _read_flags(args):
                 raise UsageError(f"--{flag} is not read by {args.family}")
         elif flag != "octaves" or args.grid == "geometric":
             setattr(args, flag, default)
-    if args.command == "sweep-sheet":  # echoed as the resolved schedule
-        args.schedule = getattr(args, fam.param)
-        del args.beta, args.eps
 
 
 def _build(args, p):
     """The family's kernel at p, or its functional embedded on the grid."""
     fam = _FAMILIES[args.family]
-    if fam.model:  # an oversized grid is refused before its family or nodes
-        _check_capacity(args.cells, args.dims if fam.model == "dims" else 1,
-                        "spectrum")
-    made = fam.make(args, p)
-    if isinstance(made, SymTensor):
-        return made
-    return embed_on_grid(made, args.cells, args.grid, args.octaves)
+    if fam.model is None:
+        return fam.make(args, p)
+    # an oversized grid is refused before its family or nodes
+    _check_capacity(args.cells, args.dims if fam.model == "dims" else 1,
+                    "spectrum")
+    return embed_on_grid(fam.make(args, p), args.cells, args.grid, args.octaves)
 
 
 def _schedule(args):
@@ -249,11 +242,10 @@ def _emit(args, columns, rows, results: dict):
 def _cmd_diagnose(args) -> int:
     xs, params = _schedule(args)
     built = (_build(args, p) for p in params)
-    kernels = [b if isinstance(b, SymTensor) else b.operator for b in built]
-    if isinstance(kernels[0], SymTensor):  # a pair count or a repeat index
-        labels = [str(int(x)) for x in xs]
-    else:
-        labels = [repr(float(x)) for x in xs]
+    if _FAMILIES[args.family].model:  # labelled by the parameter value
+        kernels, labels = [b.operator for b in built], [repr(float(x)) for x in xs]
+    else:  # labelled by a pair count or a repeat index
+        kernels, labels = list(built), [str(int(x)) for x in xs]
 
     report = gaussian_limit_report(kernels, labels, samples=args.samples,
                                    seed=args.seed)
@@ -351,10 +343,10 @@ def _cmd_sample(args) -> int:
     fam = _FAMILIES[args.family]
     rng = stream(args.seed, f"sample:{args.family}")
     built = _build(args, getattr(args, fam.param) if fam.param else None)
-    if isinstance(built, SymTensor):
-        draws = sample_integral2_spectral(hs_operator(built), args.samples, rng)
-    else:
+    if fam.model:
         draws = built.sample_statistic(args.samples, rng)
+    else:
+        draws = sample_integral2_spectral(hs_operator(built), args.samples, rng)
 
     su = summarize(draws)
     ks = ks_against_std_normal(draws)
@@ -443,54 +435,42 @@ def _add_flags(p, command, flags):
         kind, default = type(_DEFAULTS[flag]), defaults[flag]
         if flag == "octaves":
             kind, default = float, f"{default or 'cells-1'} geometric octaves"
-        elif default is None:  # sweep-sheet's schedule, a list
-            kind, default = _float_list, "the family's schedule"
+        text = f"default {default}; only for the families that read it"
+        if flag == "schedule":  # read by every family
+            kind, text = _float_list, (
+                "comma-separated schedule (k values, 2b+2H+1 values, eps "
+                "values, or per-axis beta, by family; default the family's); "
+                "constant families use only its length")
         choices = ("uniform", "geometric") if flag == "grid" else None
-        p.add_argument(f"--{flag}", type=kind, choices=choices,
-                       help=f"default {default}; only for the "
-                            "families that read it")
+        p.add_argument(f"--{flag}", type=kind, choices=choices, help=text)
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="chaoskit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("diagnose", help="Gaussian-limit trend report for a "
-                       "built-in kernel family")
-    p.add_argument("--family", default="clt-pairs", choices=tuple(_FAMILIES))
-    p.add_argument("--schedule", type=_float_list, default=None,
-                   help="comma-separated schedule (k values, 2b+2H+1 values, "
-                        "eps values, or per-axis beta, by family); constant "
-                        "families use only its length")
-    _add_flags(p, "diagnose", ("hurst", "dims"))
-    _add_common(p, samples=10000)
-    p.set_defaults(run=_cmd_diagnose)
-
-    p = sub.add_parser("sweep-fbm", help="moment/KS sweep of the fbm "
-                       "quadratic functionals along the limit schedule")
-    p.add_argument("--family", default="fbm-power",
-                   choices=("fbm-power", "fbm-singular"))
-    p.add_argument("--schedule", type=_float_list, default=None,
-                   help="2b+2H+1 values (power) or eps values (singular)")
-    _add_flags(p, "sweep-fbm", ("hurst",))
-    _add_common(p, samples=100000)
-    p.set_defaults(run=_run_sweep)
-
-    p = sub.add_parser("sweep-sheet", help="moment/KS sweep of the sheet "
-                       "functionals, with the closed-form variance column")
-    p.add_argument("--family", default="sheet-power",
-                   choices=("sheet-power", "sheet-singular"))
-    _add_flags(p, "sweep-sheet", ("beta", "eps", "dims"))
-    _add_common(p, samples=100000)
-    p.set_defaults(run=_run_sweep)
-
-    p = sub.add_parser("sample", help="raw Monte Carlo draws of one "
-                       "built-in statistic")
-    p.add_argument("--family", default="constant-cross",
-                   choices=tuple(_FAMILIES))
-    _add_flags(p, "sample", ("k", "beta", "eps", "hurst", "dims"))
-    _add_common(p, samples=10000)
-    p.set_defaults(run=_cmd_sample)
+    every = tuple(_FAMILIES)
+    # command, help, families, default family, model flags, default draws
+    # and handler; the handler is looked up here, when the parser is built
+    for command, text, families, family, flags, samples, run in [
+        ("diagnose", "Gaussian-limit trend report for a built-in kernel "
+         "family", every, "clt-pairs", ("schedule", "hurst", "dims"), 10000,
+         _cmd_diagnose),
+        ("sweep-fbm", "moment/KS sweep of the fbm quadratic functionals "
+         "along the limit schedule", ("fbm-power", "fbm-singular"),
+         "fbm-power", ("schedule", "hurst"), 100000, _run_sweep),
+        ("sweep-sheet", "moment/KS sweep of the sheet functionals, with the "
+         "closed-form variance column", ("sheet-power", "sheet-singular"),
+         "sheet-power", ("schedule", "dims"), 100000, _run_sweep),
+        ("sample", "raw Monte Carlo draws of one built-in statistic", every,
+         "constant-cross", ("k", "beta", "eps", "hurst", "dims"), 10000,
+         _cmd_sample),
+    ]:
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--family", default=family, choices=families)
+        _add_flags(p, command, flags)
+        _add_common(p, samples=samples)
+        p.set_defaults(run=run)
 
     p = sub.add_parser("validate", help="run the acceptance criteria and "
                        "print pass/fail per criterion")

@@ -31,6 +31,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .chaos import HSOperator
 from .tensors import SymTensor
 
 __all__ = [
@@ -225,7 +226,8 @@ class GridEmbedding:
     and the residual check of L L' against P are one cached computation
     that runs on first use of factor or jitter (sample_path,
     gram_matrix, embed_kernel2), so a degenerate correlation raises
-    DegenerateModelError there, not when the grid is built.  Both the
+    DegenerateModelError there, and more than _MAX_EMBED_DIM cells a
+    LinAlgError ("factor: "), not when the grid is built.  Both the
     jitter and the residual bound are relative to each node's variance.
     Nothing of size cells^ndim is stored.  dim is the number of
     standard-normal coordinates.
@@ -236,6 +238,7 @@ class GridEmbedding:
 
     @cached_property
     def _factor(self):
+        _check_capacity(self.cells, 1, "factor")  # cells x cells at any ndim
         t = self.nodes[1:]
         if self.model.hurst == 0.5:
             return np.tril(np.broadcast_to(np.sqrt(self.widths), (t.size,) * 2)), 0.0
@@ -399,8 +402,8 @@ def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
     return SymTensor(out)
 
 
-def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
-    """Eigenvalues of embed_kernel2(emb, weights) without structural zeros.
+def kernel2_spectrum(emb: GridEmbedding, weights) -> HSOperator:
+    """The HSOperator of embed_kernel2(emb, weights), without structural zeros.
 
     M = kron_a B_a'B_a (embed_kernel2), and the nonzero eigenvalues of
     B_a'B_a are those of the small Gram B_a B_a', one row per live cell
@@ -444,7 +447,7 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> np.ndarray:
         if not np.isfinite(np.sum(lam * lam) ** 2):
             raise np.linalg.LinAlgError(f"spectrum: {_RANGE_ERROR}")
     lam.flags.writeable = False
-    return lam
+    return HSOperator(lam)
 
 
 def sample_path(emb: GridEmbedding, xi) -> np.ndarray:

@@ -28,8 +28,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .chaos import (HSOperator, _unit_variance, eval_integral,
-                    sample_integral2_spectral)
+from .chaos import _unit_variance, eval_integral, sample_integral2_spectral
 from .embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
@@ -246,8 +245,7 @@ class EmbeddedFunctional:
         chaos.sample_integral2_spectral).  Neither the kernel nor a
         Cholesky factor is built for it.
         """
-        return HSOperator(kernel2_spectrum(self.embedding,
-                                           self.functional.axis_weights()))
+        return kernel2_spectrum(self.embedding, self.functional.axis_weights())
 
     def variance_exact(self) -> float:
         return _unit_variance(self.operator, self.scale)[0]

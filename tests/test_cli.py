@@ -195,7 +195,7 @@ def test_diagnose_constant_cross_flags_non_gaussian(tmp_path):
 
 
 def test_sweep_sheet_closed_form_column(tmp_path):
-    rc = cli.main(["sweep-sheet", "--dims", "1", "--beta", "-0.995",
+    rc = cli.main(["sweep-sheet", "--dims", "1", "--schedule", "-0.995",
                    "--cells", "64", "--octaves", "32", "--samples", "400",
                    "--seed", "1", "--out", str(tmp_path)])
     assert rc == 0
@@ -212,7 +212,7 @@ def test_sweep_sheet_closed_form_column(tmp_path):
 
     # a geometric grid left at its default depth echoes it
     out = tmp_path / "default"
-    assert cli.main(["sweep-sheet", "--beta", "-0.9", "--cells", "16",
+    assert cli.main(["sweep-sheet", "--schedule", "-0.9", "--cells", "16",
                      "--samples", "100", "--out", str(out)]) == 0
     assert _summary(out, "sweep-sheet")["config"]["octaves"] == 512.0
 
@@ -403,14 +403,12 @@ def test_every_family_runs_under_every_command_that_takes_it(
     # the config echo is the experiment: every flag but the execution ones
     flags = set(vars(cli._build_parser().parse_args([command])))
     flags -= {"command", "run", "out", "config", "threads"}
-    if command == "sweep-sheet":  # its schedule flag is echoed as resolved
-        flags = flags - {"beta", "eps"} | {"schedule"}
     assert set(_summary(tmp_path, command)["config"]) == flags
 
 
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--family", "sheet-power", "--schedule", "-0.9,-0.95"],
-    ["sweep-sheet", "--beta", "-0.9,-0.95"],
+    ["sweep-sheet", "--schedule", "-0.9,-0.95"],
     ["sample", "--family", "sheet-power", "--beta", "-5e-1"],
 ], ids=["diagnose", "sweep-sheet", "sample"])
 def test_negative_value_follows_its_flag_after_a_space(tmp_path, argv):
@@ -539,7 +537,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # an empty list flag is refused, not read as the default schedule
         ["diagnose", "--schedule", ",", "--out", str(tmp_path)],
         ["diagnose", "--schedule", "abc", "--out", str(tmp_path)],
-        ["sweep-sheet", "--beta=", "--out", str(tmp_path)],
+        ["sweep-sheet", "--schedule=", "--out", str(tmp_path)],
         # a non-finite power exponent is refused by the family
         ["diagnose", "--family", "fbm-power", "--schedule", "inf",
          "--out", str(tmp_path)],
@@ -570,14 +568,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
             assert err == "error: usage: not a comma-separated float list: 'abc'\n"
     assert not list(tmp_path.iterdir())
 
-    # sweep-sheet's schedule flag is the family's parameter: the other
-    # family's flag is named, not silently replaced by the default schedule
+    # sweep-sheet takes its schedule as --schedule: a parameter flag is
+    # not one of its flags, for either family
     for family, flag in [("sheet-singular", "--beta"), ("sheet-power", "--eps")]:
         rc = cli.main(["sweep-sheet", "--family", family, flag, "0.1",
                        "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: usage: {flag} is not read by {family}\n"
+        assert err == f"error: usage: unrecognized arguments: {flag} 0.1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -761,7 +759,7 @@ def test_out_of_memory_is_one_usage_line(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("argv, excess", [
     (["sweep-fbm", "--family", "fbm-power", "--schedule", "1e200,1e300"],
      "excess_exact"),
-    (["sweep-sheet", "--family", "sheet-power", "--dims", "1", "--beta",
+    (["sweep-sheet", "--family", "sheet-power", "--dims", "1", "--schedule",
       "1e200,1e300"], "excess_exact"),
     (["diagnose", "--family", "fbm-power", "--schedule", "1e200,1e300"],
      "excess_kurtosis"),
@@ -789,7 +787,7 @@ def test_exact_columns_stay_in_range_where_the_variance_underflows(
 
 @pytest.mark.parametrize("argv", [
     ["sweep-sheet", "--family", "sheet-power", "--dims", "2", "--cells", "4",
-     "--beta", "1e300", "--samples", "1000"],
+     "--schedule", "1e300", "--samples", "1000"],
     ["diagnose", "--family", "sheet-power", "--dims", "2", "--cells", "4",
      "--schedule", "1e300"],
 ])
@@ -839,7 +837,7 @@ def _walk_argvs():
 _SUBNORMAL_ARGVS = [
     ["diagnose", "--family", "fbm-singular", "--schedule", "1e-310"],
     ["sweep-fbm", "--family", "fbm-singular", "--schedule", "1e-310,5e-324"],
-    ["sweep-sheet", "--family", "sheet-singular", "--eps", "1e-310,5e-324",
+    ["sweep-sheet", "--family", "sheet-singular", "--schedule", "1e-310,5e-324",
      "--dims", "2", "--cells", "32"],
     ["diagnose", "--family", "fbm-singular", "--schedule", "5e-324",
      "--cells", "1074", "--hurst", "0.5"],
@@ -912,7 +910,7 @@ def test_subnormal_cutoffs_run(tmp_path, argv):
 
 
 @pytest.mark.parametrize("command, flag", [("diagnose", "--schedule"),
-                                           ("sweep-sheet", "--eps")])
+                                           ("sweep-sheet", "--schedule")])
 def test_sheets_past_64_axes_run(tmp_path, command, flag):
     # one cell per axis: the spectrum is one product of 65 axis eigenvalues,
     # never an array of 65 dimensions

@@ -241,6 +241,8 @@ def test_gram_matrix_size_guard():
         emb.gram_matrix()
     with pytest.raises(ValueError):
         embed_kernel2(emb, [(0.0, 0.0), (0.0, 0.0)])
+    # the node factor is 128 x 128, so paths still run
+    assert sample_path(emb, np.zeros(16384)).shape == (129, 129)
 
 
 def test_embed_bm_uniform_matches_oracle():
@@ -296,7 +298,7 @@ def test_embed_sheet_is_kron_of_axes():
 
 def _assert_spectrum_matches_dense(emb, weights):
     """kernel2_spectrum's closed form against the dense kernel's."""
-    lam = kernel2_spectrum(emb, weights)
+    lam = kernel2_spectrum(emb, weights).eigenvalues
     dense = hs_operator(embed_kernel2(emb, weights)).eigenvalues
     live = [np.sum(np.append(emb.midpoints[1:], 1.0) > cutoff)
             for _, cutoff in weights]
@@ -370,7 +372,7 @@ def test_blocked_gram_spectrum_is_bitwise_the_full_matrix(model, cells, grid,
     emb = build_embedding(model, cells, grid, octaves)
     if grid == "uniform":
         assert cells % _GRAM_ROWS
-    np.testing.assert_array_equal(kernel2_spectrum(emb, weights),
+    np.testing.assert_array_equal(kernel2_spectrum(emb, weights).eigenvalues,
                                   _full_matrix_spectrum(emb, weights))
 
 
@@ -419,6 +421,22 @@ def test_factor_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("model", [FractionalBrownianMotion(0.7),
+                                   BrownianSheet(1)], ids=["fbm", "brownian"])
+def test_factor_above_the_cap_is_refused_before_it_is_formed(model):
+    # 8193 cells would make a 537 MB correlation and factor; the cap is on
+    # one axis, since the factor is cells x cells at any ndim
+    emb = build_embedding(model, 8193)
+    tracemalloc.start()
+    try:
+        with pytest.raises(np.linalg.LinAlgError, match="^factor: "):
+            emb.factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _GRAM_ROWS * 8193 * 8 / 100  # far below one row block
 
 
 def test_numerical_errors_name_their_stage():
@@ -481,16 +499,17 @@ def test_brownian_motion_is_one_sheet_axis(grid, octaves):
     xi = stream(5, "emb:onepath").standard_normal((50, 64))
     np.testing.assert_array_equal(sample_path(bm, xi), sample_path(sheet, xi))
     for weights in ([(0.25, 0.0)], [(-1.0, 1e-3)]):
-        np.testing.assert_array_equal(kernel2_spectrum(bm, weights),
-                                      kernel2_spectrum(sheet, weights))
+        np.testing.assert_array_equal(kernel2_spectrum(bm, weights).eigenvalues,
+                                      kernel2_spectrum(sheet, weights).eigenvalues)
 
 
 def test_spectrum_of_a_sheet_past_64_axes_is_the_axis_product():
     weights = [(0.25, 0.0)]
-    (one,) = kernel2_spectrum(build_embedding(BrownianSheet(1), 1), weights)
+    (one,) = kernel2_spectrum(build_embedding(BrownianSheet(1), 1),
+                              weights).eigenvalues
     for ndim in (64, 65, 200):
         lam = kernel2_spectrum(build_embedding(BrownianSheet(ndim), 1),
-                               weights * ndim)
+                               weights * ndim).eigenvalues
         assert lam.shape == (1,)
         assert lam[0] == pytest.approx(one**ndim, rel=1e-12)
 
