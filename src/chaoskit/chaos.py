@@ -66,7 +66,7 @@ def hermite(k: int, x):
 
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
 _DRAW_BLOCK = 1 << 15  # variates of one block of draws (256 KB)
-_DRAW_GROUP = 64  # draws are evaluated in whole groups of this many rows
+_DRAW_GROUP = 64  # a block of draws is whole groups of this many columns
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -98,8 +98,9 @@ def eval_integral(f: Tensor, xi) -> np.ndarray | float:
     The cost is O(N d^n).  Rows go through in fixed blocks of at most
     _ROW_BLOCK / d^max(n-s, 1) rows (s the slots of the first step, and
     at least one row), so the array after the first step and, from
-    order 3, the rows' contiguous copy each hold at most _ROW_BLOCK
-    entries whatever N is.
+    order 3, the rows' contiguous (d, rows) copy each hold at most
+    _ROW_BLOCK entries whatever N is; sample_integral's transposed
+    (d, block) fills need no copy while one block of rows covers them.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
@@ -266,22 +267,22 @@ def contraction_profile(f: SymTensor) -> tuple:
 
 
 def _blocked_draws(evaluate, fill, width: int, n_samples: int) -> np.ndarray:
-    """evaluate(x) on blocks x = fill((rows, width)) of ~_DRAW_BLOCK variates.
+    """evaluate(x) on blocks x of ~_DRAW_BLOCK variates, one column per draw.
 
-    fill is a generator's method (rng.standard_normal, rng.random).  Its
-    fill is row-major, so draw i reads variates [i*width, (i+1)*width).
-    A block is whole groups of _DRAW_GROUP rows, at least one; a last
-    block short of a whole group is padded with zero rows up to one and
-    their values dropped, so evaluate never sees a partial row group.
+    fill is a generator's method (rng.standard_normal, rng.random).  One
+    (width, block) buffer, allocated after the output so that freeing it
+    leaves no hole below the output in the heap, is refilled in place,
+    fill(x.shape, out=x), for every block, and evaluate may overwrite it.
+    block is whole groups of _DRAW_GROUP draws, at least one, and depends
+    on width only; every block is whole and the last one's extra draws
+    are dropped.  So draw i is column i % block of block i // block: the
+    same bits at any n_samples, in any thread.
     """
     block = max(_DRAW_GROUP, _DRAW_BLOCK // max(width, 1)) & -_DRAW_GROUP
-    out = np.empty(n_samples)
+    out, x = np.empty(n_samples), np.empty((width, block))
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
-        x = fill((take, width))
-        if take % _DRAW_GROUP:
-            x = np.concatenate([x, np.zeros((-take % _DRAW_GROUP, width))])
-        out[start:start + take] = evaluate(x)[:take]
+        out[start:start + take] = evaluate(fill(x.shape, out=x))[:take]
     return out
 
 
@@ -289,7 +290,7 @@ def sample_integral(f: Tensor, n_samples: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Draws of I_n(f) on fresh normals, in blocks of _blocked_draws."""
     d = f.dim if f.dim is not None else 1
-    return _blocked_draws(lambda xi: eval_integral(f, xi), rng.standard_normal,
+    return _blocked_draws(lambda x: eval_integral(f, x.T), rng.standard_normal,
                           d, n_samples)
 
 
@@ -385,35 +386,33 @@ def sample_integral2_spectral(op: HSOperator, n_samples: int,
     theta, and lambda_a eta_a^2 + lambda_b eta_b^2 = E s + E d cos(2 theta)
     with s = lambda_a + lambda_b, d = lambda_a - lambda_b.  The spectrum
     is paired in its order, a 0 appended at odd rank, and a draw of m
-    pairs reads one row of 2m uniforms U: E = -log(1 - U) from the first
-    m (1 - U is exact for 53-bit uniforms), and c = sin(pi (U - 1/2)),
-    with the arcsine law of cos(2 theta), from the last m, formed as
-    2t/(1 + t^2), t = tan(pi (U - 1/2)/2), within 2 ulp: numpy vectorizes
-    tan but not the float64 sine (1.5 against 11-14 ns on an AVX-512 Xeon
-    core, numpy 2.4).  The draw is sum_j (E_j - 1) s_j + E_j c_j d_j.
+    pairs reads one column of 2m uniforms U: L = log(1 - U) = -E from the
+    first m (1 - U is exact for 53-bit uniforms), and T = tan(pi U / 2)
+    from the last m.  c = (T^2 - 1)/(T^2 + 1) = -cos(pi U) has the arcsine
+    law of cos(2 theta), and E s + E d c = 2 lambda_a E - 2 d E/(1 + T^2),
+    so with q = L/(1 + T^2) a draw is sum_j (-2 lambda_a) L_j + 2 d_j q_j
+    - sum_k lambda_k, one log and one tan per pair: numpy vectorizes tan
+    but not the float64 sine (1.5 against 11-14 ns on an AVX-512 Xeon
+    core, numpy 2.4).
 
-    Uniforms come in the blocks of _blocked_draws, each copied once to
-    (2m, rows), so every transform runs in place on contiguous rows and
-    gemv reduces each draw's column the same way at any n_samples: draw i
-    is bit-identical in every call on the same stream.
+    Uniforms fill the (2m, block) buffer of _blocked_draws, one column per
+    draw.  Seven in-place passes over it leave L and q in its rows, and
+    two gemv calls reduce each column the same way at any n_samples: draw
+    i is bit-identical in every call on the same stream.
     """
     if not isinstance(op, HSOperator):
         raise TypeError("spectral sampling needs an HSOperator; use hs_operator")
     lam = np.append(op.eigenvalues, np.zeros(op.eigenvalues.size % 2))
-    # the 2 of c = 2t/(1 + t^2) is folded into the angle weights
-    s, d2 = lam[0::2] + lam[1::2], 2.0 * (lam[0::2] - lam[1::2])
-    m = s.size
+    a, d2 = -2.0 * lam[0::2], 2.0 * (lam[0::2] - lam[1::2])
+    m, total = a.size, np.sum(op.eigenvalues)
 
     def evaluate(u):
-        v = u.T.copy()
-        e, c = v[:m], v[m:]
-        np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)  # E
-        np.subtract(c, 0.5, out=c)
-        np.tan(np.multiply(c, 0.5 * np.pi, out=c), out=c)  # t
-        w = np.square(c)
-        w += 1.0
-        np.multiply(np.divide(c, w, out=c), e, out=c)  # E c / 2
-        np.subtract(e, 1.0, out=e)
-        return s @ e + d2 @ c
+        e, q = u[:m], u[m:]
+        np.log(np.subtract(1.0, e, out=e), out=e)  # L
+        np.tan(np.multiply(q, 0.5 * np.pi, out=q), out=q)  # T
+        np.square(q, out=q)
+        q += 1.0
+        np.divide(e, q, out=q)  # q
+        return a @ e + d2 @ q - total
 
     return _blocked_draws(evaluate, rng.random, 2 * m, n_samples)

@@ -175,6 +175,7 @@ def _schedule(args):
     xs = list(args.schedule or fam.schedule)
     if fam.param is None:  # a constant kernel: points are repeat indices
         xs = list(range(1, len(xs) + 1))
+    args.schedule = tuple(float(x) for x in xs)  # echo the resolved schedule
     if args.family == "fbm-power":  # points are 2b+2H+1
         return xs, [(x - 2.0 * args.hurst - 1.0) / 2.0 for x in xs]
     return xs, xs
@@ -325,7 +326,6 @@ def _sweep_row(args, index, p):
 
 def _run_sweep(args) -> int:
     xs, params = _schedule(args)  # the beta column reports beta itself
-    args.schedule = tuple(float(x) for x in xs)  # echo the resolved schedule
     rows = parallel_map(lambda i: _sweep_row(args, i, params[i]),
                         len(params), args.threads)
     last = dict(zip((name for name, _, _ in _SWEEP_COLUMNS), rows[-1]))

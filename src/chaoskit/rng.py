@@ -10,7 +10,8 @@ thread parallelism, because concurrent tasks never share a stream.
 Monte Carlo columns spend most of their time drawing variates.  Order-n
 draws take normals, about 17 ns each from this generator against 20 ns
 from numpy's counter-based one, and spectral draws take uniforms, about
-2.4 ns each (one Xeon core, numpy 2.4).
+2.4 ns each; a whole spectral draw costs about 4.7 ns per eigenvalue at
+rank 512, transforms included (one AVX-512 Xeon core, numpy 2.4).
 """
 
 from __future__ import annotations

@@ -318,9 +318,9 @@ def test_spectral_sampler_agrees_in_distribution():
 @pytest.mark.parametrize("rank", [1, 7, 100, 512])
 def test_spectral_draws_do_not_depend_on_blocking(rank):
     # blocks hold chaos._DRAW_BLOCK entries, so n and n = 100000 cut the
-    # stream differently; the generator's row-major fill and whole 64-row
-    # groups, the last block padded, make every draw read, and reduce, the
-    # same uniforms (n = 999 and 1001 end inside a gemv row group)
+    # stream differently; whole blocks of whole 64-draw groups, one column
+    # per draw, make every draw read, and reduce, the same uniforms
+    # (n = 999 and 1001 end inside a 64-draw group)
     lam = stream(43, f"chaos:blocks:{rank}").standard_normal(rank)
     op = HSOperator(lam)
     long = sample_integral2_spectral(op, 100000, stream(43, "chaos:draws"))
@@ -328,16 +328,21 @@ def test_spectral_draws_do_not_depend_on_blocking(rank):
         short = sample_integral2_spectral(op, n, stream(43, "chaos:draws"))
         np.testing.assert_array_equal(short, long[:n])
     # the pair formula: (lam_2j, lam_2j+1), a 0 appended at odd rank, from
-    # one row of 2m uniforms; c = sin(pi (U - 1/2)) as 2t/(1 + t^2), and
-    # each draw reduced over a column of the transposed (2m, n) block
+    # one column of 2m uniforms in whole (2m, block) fills; L = log(1 - U),
+    # T = tan(pi U / 2), q = L/(1 + T^2), and each draw reduced over its
+    # column as (-2 lam_a) L + 2 (lam_a - lam_b) q - sum lam
     m = (rank + 1) // 2
+    block = max(64, chaos._DRAW_BLOCK // (2 * m)) & -64
     pairs = np.append(lam, np.zeros(rank % 2)).reshape(m, 2)
-    s, d = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-    u = stream(43, "chaos:draws").random((1000, 2 * m)).T.copy()
-    e = -np.log(1.0 - u[:m])
-    t = np.tan(0.5 * np.pi * (u[m:] - 0.5))
-    c = 2.0 * t / (1.0 + t * t)
-    np.testing.assert_array_equal(long[:1000], s @ (e - 1.0) + d @ (e * c))
+    a, d2 = -2.0 * pairs[:, 0], 2.0 * (pairs[:, 0] - pairs[:, 1])
+    rng = stream(43, "chaos:draws")
+    ref = []
+    while sum(map(len, ref)) < 1000:
+        u = rng.random((2 * m, block))
+        el = np.log(1.0 - u[:m])
+        q = el / (np.tan(0.5 * np.pi * u[m:]) ** 2 + 1.0)
+        ref.append(a @ el + d2 @ q - np.sum(lam))
+    np.testing.assert_array_equal(long[:1000], np.concatenate(ref)[:1000])
 
 
 @pytest.mark.parametrize("rank", [1, 2, 7, 512])
@@ -391,16 +396,18 @@ def test_spectral_draws_of_rank_zero_operator_are_zero():
 
 def test_spectral_sampler_memory_is_bounded():
     # 1e5 draws at rank 512 read 51.2e6 uniforms (410 MB at once); beyond
-    # the 0.8 MB output only one 256 KB block, its transposed copy
-    # (transformed in place) and a half-size temporary are live
+    # the 0.8 MB output only one 256 KB block is live, refilled and
+    # transformed in place: no transposed copy and no temporary (the
+    # stream is made untraced: a first one imports numpy.random's modules)
     op = HSOperator(np.full(512, 1.0 / math.sqrt(1024.0)))
+    rng = stream(47, "chaos:memory")
     tracemalloc.start()
     try:
-        sample_integral2_spectral(op, 100000, stream(47, "chaos:memory"))
+        sample_integral2_spectral(op, 100000, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100000 * 8 + 4 * chaos._DRAW_BLOCK * 8
+    assert peak < 100000 * 8 + 2 * chaos._DRAW_BLOCK * 8
 
 
 def test_spectral_sampler_requires_order2():
@@ -422,6 +429,19 @@ def test_sample_integral_draws_do_not_depend_on_n_samples(order):
     for n in (1000, 6527, 6529):
         draws = sample_integral(f, n, stream(53, "chaos:rows:draws"))
         np.testing.assert_array_equal(draws, longest[:n])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_sample_integral_evaluates_one_column_per_draw(order):
+    # draw i is eval_integral on column i % block of the whole (d, block)
+    # normal fill i // block, 6528 columns at d = 5; 7000 draws end inside
+    # the second block, whose extra columns are dropped
+    f = sym(stream(71, f"chaos:cols:{order}").standard_normal((5,) * order))
+    block = max(64, chaos._DRAW_BLOCK // 5) & -64
+    draws = sample_integral(f, 7000, stream(71, "chaos:cols:draws"))
+    rng = stream(71, "chaos:cols:draws")
+    ref = [eval_integral(f, rng.standard_normal((5, block)).T) for _ in range(2)]
+    np.testing.assert_array_equal(draws, np.concatenate(ref)[:7000])
 
 
 def test_sample_integral_deterministic_given_stream():

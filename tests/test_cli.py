@@ -340,6 +340,20 @@ def test_diagnose_echo_of_accepted_lines_is_unchanged(tmp_path, family):
         echo, sort_keys=True)
 
 
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_diagnose_echoes_the_default_schedule_it_ran(tmp_path, family):
+    # a left-out --schedule is echoed as the family's schedule (repeat
+    # indices for a constant kernel), as the sweeps echo theirs, not null
+    fam = cli._FAMILIES[family]
+    argv = ["diagnose", "--family", family, "--samples", "100"]
+    if fam.model:
+        argv += ["--cells", "8"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    want = fam.schedule if fam.param else range(1, len(fam.schedule) + 1)
+    assert _summary(tmp_path, "diagnose")["config"]["schedule"] == [
+        float(x) for x in want]
+
+
 def test_bench_command_lines_read_every_flag_they_pass(tmp_path):
     # the benchmark's command lines, its known-defect probes and its
     # warm-up call give no flag their family ignores

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit import reference
+from chaoskit import chaos, reference
 from chaoskit.chaos import (
     excess_kurtosis_exact,
     fourth_moment_exact,
@@ -349,9 +349,9 @@ def test_sample_statistic_draws_two_uniforms_per_eigenvalue_pair(eps):
         def __init__(self, gen):
             self.gen, self.sizes = gen, []
 
-        def random(self, size):
+        def random(self, size, out):
             self.sizes.append(size)
-            return self.gen.random(size)
+            return self.gen.random(size, out=out)
 
         def standard_normal(self, size):
             raise AssertionError("spectral draws take no normals")
@@ -363,8 +363,11 @@ def test_sample_statistic_draws_two_uniforms_per_eigenvalue_pair(eps):
     rng = Recording(stream(7, "func:rank"))
     draws = ef.sample_statistic(10000, rng)
     assert draws.shape == (10000,)
-    assert all(size[1] == width for size in rng.sizes)
-    assert sum(math.prod(size) for size in rng.sizes) == 10000 * width
+    # one reused (width, block) buffer, one column per draw, whole blocks
+    block = max(64, chaos._DRAW_BLOCK // width) & -64
+    assert all(size == (width, block) for size in rng.sizes)
+    assert sum(math.prod(size) for size in rng.sizes) == \
+        math.ceil(10000 / block) * block * width
 
 
 @pytest.mark.parametrize("func, cells", [
