@@ -66,7 +66,7 @@ def hermite(k: int, x):
 
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
 _DRAW_BLOCK = 1 << 15  # variates of one block of draws (256 KB)
-_DRAW_GROUP = 64  # a block of draws is whole groups of this many columns
+_DRAW_GROUP = 64  # to width 512, a block of draws is whole groups of this many
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -247,7 +247,9 @@ def _fourth_moment_and_contractions(f: SymTensor) -> tuple:
 
 
 def excess_kurtosis_exact(f: SymTensor) -> float:
-    """E[I_n(f)^4]/E[I_n(f)^2]^2 - 3 for a nonzero kernel."""
+    """E[I_n(f)^4]/E[I_n(f)^2]^2 - 3 for a nonzero kernel, at any scale:
+    taken of f 2^-k (_unit_range), whose powers of two cancel exactly."""
+    f = _unit_range(f)[0]
     v = second_moment_exact(f)
     if v <= 0.0:
         raise ValueError("kernel has zero variance")
@@ -273,12 +275,15 @@ def _blocked_draws(evaluate, fill, width: int, n_samples: int) -> np.ndarray:
     (width, block) buffer, allocated after the output so that freeing it
     leaves no hole below the output in the heap, is refilled in place,
     fill(x.shape, out=x), for every block, and evaluate may overwrite it.
-    block is whole groups of _DRAW_GROUP draws, at least one, and depends
-    on width only; every block is whole and the last one's extra draws
-    are dropped.  So draw i is column i % block of block i // block: the
-    same bits at any n_samples, in any thread.
+    block is whole groups of _DRAW_GROUP draws up to width 512, and above
+    it the largest power of two <= _DRAW_BLOCK / width, at least 1, so
+    the buffer stays about _DRAW_BLOCK variates at every width below
+    _DRAW_BLOCK.  It depends on width only; every block is whole and the
+    last one's extra draws are dropped.  So draw i is column i % block of
+    block i // block: the same bits at any n_samples, in any thread.
     """
-    block = max(_DRAW_GROUP, _DRAW_BLOCK // max(width, 1)) & -_DRAW_GROUP
+    per = _DRAW_BLOCK // max(width, 1)
+    block = per & -_DRAW_GROUP or 1 << max(per.bit_length() - 1, 0)
     out, x = np.empty(n_samples), np.empty((width, block))
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
@@ -335,6 +340,13 @@ def cumulant(op: HSOperator, order: int) -> float:
 def _binary_exponent(x) -> int:
     """k with every |x| < 2^k (or 0): x 2^-k is exact and lies in [-1, 1)."""
     return int(np.frexp(max(np.max(x, initial=0.0), -np.min(x, initial=0.0)))[1])
+
+
+def _unit_range(f: Tensor) -> tuple:
+    """(f 2^-k, k) with every coefficient of f 2^-k in [-1, 1), k = 0 at
+    f = 0: exact, and of f's type, so a SymTensor stays exactly symmetric."""
+    k = _binary_exponent(f.coeffs)
+    return type(f)(np.ldexp(f.coeffs, -k)), k
 
 
 def _unit_variance(op: HSOperator, scale: float = 1.0) -> tuple:

@@ -13,9 +13,11 @@ are logged to stderr only, never written into the files.
 Exit codes: 0 success, 1 usage, I/O or memory problem, 2 numerical
 failure or a validate run with failing criteria.  Errors print a single
 machine-parsable line to stderr: "error: <usage|numerical>: <detail>".  A
-numerical detail from an embedding starts with its stage: "spectrum"
-(kernel2_spectrum), "kernel" (a dense kernel), "factor" (the node factor)
-or "mean" (an exact mean), as in "error: numerical: spectrum: ...".
+numerical failure is one of two types: every embedding stage raises a
+LinAlgError whose message starts with the stage, "spectrum"
+(kernel2_spectrum), "kernel" (a dense kernel) or "factor" (the node
+factor), and an exact mean an OverflowError starting with "mean", as in
+"error: numerical: spectrum: ...".
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .diagnostics import (
     paired_product_kernel,
     summarize,
 )
-from .embeddings import _MAX_EMBED_DIM, DegenerateModelError, _check_capacity
+from .embeddings import _MAX_EMBED_DIM, _check_capacity
 from .functionals import (
     FbmPowerVariation,
     FbmSingularVariation,
@@ -519,7 +521,7 @@ def main(argv=None) -> int:
         args = _parse(top, argv)
         _read_flags(args)
         code = args.run(args)
-    except (DegenerateModelError, np.linalg.LinAlgError, OverflowError) as e:
+    except (np.linalg.LinAlgError, OverflowError) as e:
         print(f"error: numerical: {e}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, TypeError, OSError) as e:

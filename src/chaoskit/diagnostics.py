@@ -26,6 +26,7 @@ from .chaos import (
     HSOperator,
     _binary_exponent,
     _fourth_moment_and_contractions,
+    _unit_range,
     _unit_variance,
     hs_operator,
     sample_integral,
@@ -234,7 +235,7 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
     "consistent" means the excess kurtosis and every squared contraction
     norm fell to at most half their first-row values (or are negligible)
     and the last kernel passes the KS test; "inconsistent" otherwise;
-    "undecided" when some variance is too degenerate to normalize.  The
+    "undecided" when some unscaled variance is outside (1e-12, 1e12).  The
     rule only compares the endpoints, so any monotone relabeling of the
     schedule reports the same verdict.
     """
@@ -257,12 +258,15 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
             contractions = (excess / 48.0 if live else 0.0,)
             draws = sample_integral2_spectral(op, samples, rng)
         else:
+            f, k = _unit_range(f)  # the ratios of f 2^-k are those of f
             order, v = f.order, second_moment_exact(f)
             g = scale(f, 1.0 / math.sqrt(v)) if v > 0 else f
             m2 = second_moment_exact(g)
             m4, contractions = _fourth_moment_and_contractions(g)
             excess = m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan
             draws = sample_integral(g, samples, rng)
+            with np.errstate(over="ignore"):  # inf or 0 outside double range
+                v = float(np.ldexp(v, 2 * k))
         if not (1e-12 < v < 1e12):
             degenerate = True
         rows.append(KernelDiagnostics(

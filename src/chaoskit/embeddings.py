@@ -44,7 +44,6 @@ __all__ = [
     "embed_kernel2",
     "kernel2_spectrum",
     "sample_path",
-    "DegenerateModelError",
 ]
 
 # dense kernels are (dim x dim); beyond this the quadratic cost is a bug,
@@ -54,18 +53,6 @@ _MAX_EMBED_DIM = 8192
 # factor's residual check; a block is _GRAM_ROWS x k doubles, 512 KB at
 # k = 1024
 _GRAM_ROWS = 64
-
-
-class DegenerateModelError(RuntimeError):
-    """Raised when a node correlation matrix cannot be factored.
-
-    Carries the jitter level at which factorization was abandoned so
-    callers can report how ill-conditioned the model/grid pair is.
-    """
-
-    def __init__(self, message, jitter_last=None):
-        super().__init__(message)
-        self.jitter_last = jitter_last
 
 
 @dataclass(frozen=True)
@@ -188,29 +175,23 @@ def _lower_correlation(t: np.ndarray, h: float, a=None) -> np.ndarray:
 def _cholesky_with_jitter(gram: np.ndarray):
     """Lower Cholesky factor, escalating a diagonal jitter on failure.
 
-    Jitter is eps * mean(diag) with eps doubling from 1e-14; beyond 1e-10
-    the model/grid pair is reported as degenerate rather than silently
+    The first try adds no jitter; then eps * mean(diag) with eps doubling
+    from 1e-14 to 8.2e-11; past that the model/grid pair is reported as
+    degenerate, a LinAlgError ("factor: "), rather than silently
     regularized further.  Returns (L, jitter_used).
     """
     d = gram.shape[0]
     base = float(np.trace(gram)) / d
-    try:
-        return np.linalg.cholesky(gram), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    eps = 1e-14
-    while eps <= 1e-10:
+    for jitter in [0.0] + [math.ldexp(1e-14, i) * base for i in range(14)]:
         try:
-            L = np.linalg.cholesky(gram + (eps * base) * np.eye(d))
-            return L, eps * base
+            shifted = gram + jitter * np.eye(d) if jitter else gram
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
-            eps *= 2.0
-    raise DegenerateModelError(
+            pass
+    raise np.linalg.LinAlgError(
         f"factor: node correlation matrix is not positive definite within "
         f"jitter {1e-10 * base:.3e} (d={d}); refine the grid or move the model "
-        f"away from the degenerate regime",
-        jitter_last=1e-10 * base,
-    )
+        f"away from the degenerate regime")
 
 
 @dataclass(frozen=True)
@@ -225,10 +206,12 @@ class GridEmbedding:
     row differences are the increment factor.  The factor, its jitter
     and the residual check of L L' against P are one cached computation
     that runs on first use of factor or jitter (sample_path,
-    gram_matrix, embed_kernel2), so a degenerate correlation raises
-    DegenerateModelError there, and more than _MAX_EMBED_DIM cells a
-    LinAlgError ("factor: "), not when the grid is built.  Both the
+    gram_matrix, embed_kernel2), not when the grid is built.  Both the
     jitter and the residual bound are relative to each node's variance.
+    Every embedding stage fails as a LinAlgError named by its stage:
+    "factor: " here (too many cells, a correlation the jitter ladder
+    cannot factor, or a residual past 1e-10), "kernel: " and "spectrum: "
+    in embed_kernel2 and kernel2_spectrum.
     Nothing of size cells^ndim is stored.  dim is the number of
     standard-normal coordinates.
     """
@@ -250,11 +233,9 @@ class GridEmbedding:
             diff = np.tril(corr[i:j, :j] - L[i:j, :j] @ L[:j, :j].T, i)
             resid = max(resid, float(np.max(np.abs(diff))))
         if resid > 1e-10:  # P has a unit diagonal
-            raise DegenerateModelError(
+            raise np.linalg.LinAlgError(
                 f"factor: Cholesky reconstruction residual {resid:.3e} exceeds "
-                "tolerance",
-                jitter_last=jitter,
-            )
+                "tolerance")
         L *= t[:, None] ** self.model.hurst
         return L, jitter
 

@@ -271,6 +271,17 @@ def test_excess_kurtosis_nonnegative():
             assert excess_kurtosis_exact(f) >= -1e-9
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1e160, 1e200])
+def test_excess_kurtosis_exact_is_scale_free(s):
+    # the raw moments of a * s leave double range (v * v underflows to 0
+    # at 1e-160, a contraction overflows at 1e160); the ratio of
+    # a * s 2^-k does not, and at a power-of-two scale it keeps every bit
+    a = stream(31, "chaos:excess-scale").uniform(-1.0, 1.0, (4, 4, 4))
+    want = excess_kurtosis_exact(sym(a))
+    assert excess_kurtosis_exact(sym(a * s)) == pytest.approx(want, rel=1e-14)
+    assert excess_kurtosis_exact(sym(np.ldexp(a, math.frexp(s)[1]))) == want
+
+
 def test_contraction_profile_cross_kernel():
     # ||f (x)_1 f||^2 = 1/8 for the normalized cross kernel
     cross = symmetrize(basis_tensor(2, 0, 1))
@@ -408,6 +419,20 @@ def test_spectral_sampler_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100000 * 8 + 2 * chaos._DRAW_BLOCK * 8
+
+
+def test_spectral_sampler_memory_is_bounded_above_width_512():
+    # a block of whole 64-draw groups would hold 64 * 4096 uniforms (2.1 MB)
+    # at rank 4096; a block of 8 draws keeps the buffer at _DRAW_BLOCK
+    op = HSOperator(np.full(4096, 1.0 / math.sqrt(8192.0)))
+    rng = stream(47, "chaos:memory-wide")
+    tracemalloc.start()
+    try:
+        sample_integral2_spectral(op, 100, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chaos._DRAW_BLOCK * 8
 
 
 def test_spectral_sampler_requires_order2():

@@ -25,7 +25,6 @@ import pytest
 import chaoskit.cli as cli
 from chaoskit import embeddings
 from chaoskit.acceptance import Check, CriterionResult
-from chaoskit.embeddings import DegenerateModelError
 from chaoskit.functionals import FbmPowerVariation, embed_on_grid
 from chaoskit.tensors import norm_sq
 
@@ -727,8 +726,8 @@ def test_grids_at_the_midpoint_limit_run(tmp_path, family, cells):
 
 def test_numerical_errors_exit_two(monkeypatch, capsys, tmp_path):
     def _boom(args):
-        raise DegenerateModelError("covariance not positive definite",
-                                   jitter_last=1e-10)
+        raise np.linalg.LinAlgError("factor: node correlation matrix is not "
+                                    "positive definite")
 
     monkeypatch.setattr(cli, "_cmd_sample", _boom)
     rc = cli.main(["sample", "--out", str(tmp_path)])

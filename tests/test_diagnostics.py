@@ -439,6 +439,9 @@ def test_report_degenerate_variance_undecided():
         assert row.contraction_norms_sq == (0.0,)
 
 
+_CUBE = stream(37, "diag:order3").uniform(-1.0, 1.0, (3, 3, 3))
+
+
 @pytest.mark.parametrize("x", [1e200, 1.7e308])
 def test_report_huge_variance_undecided(x):
     # v = 2 x^2 overflows, but the spectrum scaled into [-1, 1) keeps its
@@ -453,6 +456,26 @@ def test_report_huge_variance_undecided(x):
         assert row.excess_kurtosis == pytest.approx(12.0, rel=1e-15)
         assert row.fourth_moment == pytest.approx(15.0, rel=1e-15)
         assert row.contraction_norms_sq == pytest.approx((0.25,), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1e160, 1e200])
+def test_report_order3_rows_are_scale_free(s):
+    # the raw variance of f leaves double range at these scales, and a row
+    # read from f 2^-k does not; only the verdict sees the unscaled
+    # variance, which lies outside (1e-12, 1e12)
+    want = gaussian_limit_report([sym(_CUBE)], samples=200, seed=0).rows[0]
+    cube = sym(_CUBE * s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = gaussian_limit_report([cube, cube], samples=200, seed=0)
+    assert report.verdict == "undecided"
+    for row in report:
+        assert row.variance == pytest.approx(1.0, rel=1e-14)
+        assert row.excess_kurtosis == pytest.approx(want.excess_kurtosis,
+                                                    rel=1e-14)
+        assert row.fourth_moment == pytest.approx(want.fourth_moment, rel=1e-14)
+        assert row.contraction_norms_sq == pytest.approx(
+            want.contraction_norms_sq, rel=1e-14)
 
 
 def test_report_tiny_variance_undecided():
