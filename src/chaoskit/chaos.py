@@ -248,12 +248,11 @@ def _fourth_moment_and_contractions(f: SymTensor) -> tuple:
 
 def excess_kurtosis_exact(f: SymTensor) -> float:
     """E[I_n(f)^4]/E[I_n(f)^2]^2 - 3 for a nonzero kernel, at any scale:
-    taken of f 2^-k (_unit_range), whose powers of two cancel exactly."""
-    f = _unit_range(f)[0]
-    v = second_moment_exact(f)
-    if v <= 0.0:
+    the excess of its unit-variance row (_unit_variance)."""
+    excess = _unit_variance(f)[4]
+    if math.isnan(excess):
         raise ValueError("kernel has zero variance")
-    return fourth_moment_exact(f) / (v * v) - 3.0
+    return excess
 
 
 def contraction_profile(f: SymTensor) -> tuple:
@@ -342,32 +341,39 @@ def _binary_exponent(x) -> int:
     return int(np.frexp(max(np.max(x, initial=0.0), -np.min(x, initial=0.0)))[1])
 
 
-def _unit_range(f: Tensor) -> tuple:
-    """(f 2^-k, k) with every coefficient of f 2^-k in [-1, 1), k = 0 at
-    f = 0: exact, and of f's type, so a SymTensor stays exactly symmetric."""
-    k = _binary_exponent(f.coeffs)
-    return type(f)(np.ldexp(f.coeffs, -k)), k
+def _unit_variance(f, scale: float = 1.0) -> tuple:
+    """The exact row of f, an HSOperator or a SymTensor of any order:
+    (kappa_2 scale^2, g, E g^2, E g^4, excess, ||g (x)_p g||^2 for p < n).
 
-
-def _unit_variance(op: HSOperator, scale: float = 1.0) -> tuple:
-    """(kappa_2 scale^2, op at unit variance, its kappa_4/kappa_2^2 or NaN).
-
-    Every spectrum is scaled by 2^-k into [-1, 1) before its power sums,
-    so a kappa_2 outside double range keeps its excess, and the powers of
-    two of k and of scale are put back in one final ldexp: kappa_2 scale^2
-    keeps every bit where it is in double range, else reads inf or 0.
-    The one place an order-2 spectrum becomes exact columns: at unit
-    variance ||g (x)_1 g||^2 = excess/48 and E[I_2^4] = 3 + excess.
+    g is f at unit variance, of f's type: the one place a kernel becomes
+    exact columns.  f is first scaled by 2^-k into [-1, 1) (exact; a
+    SymTensor stays symmetric), so a kappa_2 outside double range keeps
+    its ratios, and k and scale's exponent come back in one final ldexp:
+    kappa_2 scale^2 keeps every bit in double range, else reads inf or 0.
+    A zero kernel gives g = f, zero moments and NaN excess.  A spectrum's
+    ratios are cumulants: at unit variance ||g (x)_1 g||^2 = excess/48.
     """
-    k = _binary_exponent(op.eigenvalues)
-    lam = np.ldexp(op.eigenvalues, -k)
-    v = cumulant(HSOperator(lam), 2)
-    unit = HSOperator(lam / math.sqrt(v)) if v > 0 else op
-    k2 = cumulant(unit, 2)
+    if isinstance(f, HSOperator):
+        k = _binary_exponent(f.eigenvalues)
+        lam = np.ldexp(f.eigenvalues, -k)
+        v = cumulant(HSOperator(lam), 2)
+        g = HSOperator(lam / math.sqrt(v)) if v > 0 else f
+        k2 = cumulant(g, 2)
+        excess = cumulant(g, 4) / (k2 * k2) if k2 > 0 else math.nan
+        m2, m4, norms = ((1.0, 3.0 + excess, (excess / 48.0,)) if k2 > 0
+                         else (0.0, 0.0, (0.0,)))
+    else:  # of f's type, so second_moment_exact refuses a plain Tensor
+        k = _binary_exponent(f.coeffs)
+        f = type(f)(np.ldexp(f.coeffs, -k))
+        v = second_moment_exact(f)
+        g = SymTensor(f.coeffs * (1.0 / math.sqrt(v))) if v > 0 else f
+        m2 = second_moment_exact(g)
+        m4, norms = _fourth_moment_and_contractions(g)
+        excess = m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan
     m, e = math.frexp(scale)
     with np.errstate(over="ignore"):
         var = float(np.ldexp(v * (m * m), 2 * (k + e)))
-    return var, unit, cumulant(unit, 4) / (k2 * k2) if k2 > 0 else math.nan
+    return var, g, m2, m4, excess, norms
 
 
 def char_function(op: HSOperator, freq):

@@ -244,11 +244,11 @@ def _emit(args, columns, rows, results: dict):
 
 def _cmd_diagnose(args) -> int:
     xs, params = _schedule(args)
-    built = (_build(args, p) for p in params)
+    kernels = [_build(args, p) for p in params]
     if _FAMILIES[args.family].model:  # labelled by the parameter value
-        kernels, labels = [b.operator for b in built], [repr(float(x)) for x in xs]
+        labels = [repr(float(x)) for x in xs]
     else:  # labelled by a pair count or a repeat index
-        kernels, labels = list(built), [str(int(x)) for x in xs]
+        labels = [str(int(x)) for x in xs]
 
     report = gaussian_limit_report(kernels, labels, samples=args.samples,
                                    seed=args.seed)

@@ -25,16 +25,14 @@ import numpy as np
 from .chaos import (
     HSOperator,
     _binary_exponent,
-    _fourth_moment_and_contractions,
-    _unit_range,
     _unit_variance,
     hs_operator,
     sample_integral,
     sample_integral2_spectral,
-    second_moment_exact,
 )
+from .functionals import EmbeddedFunctional
 from .rng import stream
-from .tensors import SymTensor, scale, sym
+from .tensors import SymTensor, sym
 
 __all__ = [
     "KSResult",
@@ -228,18 +226,21 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
                           seed: int = 0) -> SequenceReport:
     """Per-kernel moment/contraction/KS diagnostics plus a trend verdict.
 
-    kernels holds SymTensor and, for order 2, HSOperator (an embedded
-    functional's operator needs no dense kernel).  Each is rescaled to
-    unit variance so the three views are comparable; an order-2 row is
-    read from one spectrum, as the sweeps' exact columns are.  Verdict
-    "consistent" means the excess kurtosis and every squared contraction
-    norm fell to at most half their first-row values (or are negligible)
-    and the last kernel passes the KS test; "inconsistent" otherwise;
-    "undecided" when some unscaled variance is outside (1e-12, 1e12).  The
-    rule only compares the endpoints, so any monotone relabeling of the
-    schedule reports the same verdict.
+    kernels holds SymTensor and, for order 2, HSOperator or
+    EmbeddedFunctional (read as its normalized statistic).  Each row is
+    one chaos._unit_variance call, the kernel at unit variance, so the
+    three views are comparable.  Verdict "consistent" means the excess
+    kurtosis and every squared contraction norm fell to at most half
+    their first-row values (or are negligible) and the last kernel passes
+    the KS test; "inconsistent" otherwise; "undecided" when some
+    statistic's variance is outside (1e-12, 1e12).  The rule only
+    compares the endpoints, so any monotone relabeling of the schedule
+    reports the same verdict.
     """
-    kernels = list(kernels)
+    # every spectrum is formed before the first draw: kernel2_spectrum's
+    # large temporaries then reuse one heap region, not gaps draws leave
+    kernels = [(f.operator, f.scale) if isinstance(f, EmbeddedFunctional)
+               else (f, 1.0) for f in kernels]
     if not kernels:
         raise ValueError("empty kernel sequence")
     if labels is None:
@@ -248,30 +249,19 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
         raise ValueError("labels/kernels length mismatch")
     rows = []
     degenerate = False
-    for i, (f, lab) in enumerate(zip(kernels, labels)):
+    for i, ((f, s), lab) in enumerate(zip(kernels, labels)):
         rng = stream(seed, f"limit-report:{i}:{lab}")
-        if isinstance(f, HSOperator) or f.order == 2:
-            op = f if isinstance(f, HSOperator) else hs_operator(f)
-            v, op, excess = _unit_variance(op)
-            order, live = 2, not math.isnan(excess)
-            m2, m4 = (1.0, 3.0 + excess) if live else (0.0, 0.0)
-            contractions = (excess / 48.0 if live else 0.0,)
-            draws = sample_integral2_spectral(op, samples, rng)
-        else:
-            f, k = _unit_range(f)  # the ratios of f 2^-k are those of f
-            order, v = f.order, second_moment_exact(f)
-            g = scale(f, 1.0 / math.sqrt(v)) if v > 0 else f
-            m2 = second_moment_exact(g)
-            m4, contractions = _fourth_moment_and_contractions(g)
-            excess = m4 / (m2 * m2) - 3.0 if m2 > 0 else math.nan
-            draws = sample_integral(g, samples, rng)
-            with np.errstate(over="ignore"):  # inf or 0 outside double range
-                v = float(np.ldexp(v, 2 * k))
+        if isinstance(f, SymTensor) and f.order == 2:
+            f = hs_operator(f)
+        v, g, m2, m4, excess, contractions = _unit_variance(f, s)
+        spectral = isinstance(g, HSOperator)
+        draws = (sample_integral2_spectral if spectral else sample_integral)(
+            g, samples, rng)
         if not (1e-12 < v < 1e12):
             degenerate = True
         rows.append(KernelDiagnostics(
             label=str(lab),
-            order=order,
+            order=2 if spectral else g.order,
             variance=m2,
             fourth_moment=m4,
             excess_kurtosis=excess,

@@ -252,7 +252,7 @@ class EmbeddedFunctional:
 
     def excess_kurtosis_exact(self) -> float:
         """kappa_4/kappa_2^2, read as diagnose reads it: at unit variance."""
-        return _unit_variance(self.operator)[2]
+        return _unit_variance(self.operator)[4]
 
     def kurtosis_exact(self) -> float:
         return 3.0 + self.excess_kurtosis_exact()

@@ -193,6 +193,29 @@ def test_diagnose_constant_cross_flags_non_gaussian(tmp_path):
     assert _summary(tmp_path, "diagnose")["results"]["verdict"] == "inconsistent"
 
 
+@pytest.mark.parametrize("argv, verdict", [
+    # raw kappa_2 3.1e4, normalized variance 2.9e-13
+    (["--family", "sheet-singular", "--dims", "6", "--cells", "4",
+      "--schedule", "1e-300"], "undecided"),
+    # raw kappa_2 6.4e-13, normalized variance 1.2e-6
+    (["--family", "sheet-power", "--dims", "3", "--cells", "20",
+      "--schedule", "60"], "inconsistent"),
+], ids=["sheet-singular", "sheet-power"])
+def test_diagnose_verdict_reads_the_normalized_variance(tmp_path, argv,
+                                                        verdict):
+    # the degeneracy rule reads the variance of the statistic the rows
+    # describe: sweep-sheet's variance_exact on the same grid
+    d1, d2 = tmp_path / "diagnose", tmp_path / "sweep"
+    assert cli.main(["diagnose", *argv, "--samples", "100",
+                     "--out", str(d1)]) == 0
+    assert _summary(d1, "diagnose")["results"]["verdict"] == verdict
+    octaves = str(int(argv[argv.index("--cells") + 1]) - 1)
+    assert cli.main(["sweep-sheet", *argv, "--octaves", octaves,
+                     "--samples", "100", "--out", str(d2)]) == 0
+    v = float(_rows(d2, "sweep-sheet")[0]["variance_exact"])
+    assert (1e-12 < v < 1e12) is (verdict != "undecided")
+
+
 def test_sweep_sheet_closed_form_column(tmp_path):
     rc = cli.main(["sweep-sheet", "--dims", "1", "--schedule", "-0.995",
                    "--cells", "64", "--octaves", "32", "--samples", "400",

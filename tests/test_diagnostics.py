@@ -539,6 +539,16 @@ def test_report_contracts_each_higher_order_kernel_once(order, d, monkeypatch):
             assert got == pytest.approx(brute, rel=1e-12)
 
 
+@pytest.mark.parametrize("order, d", [(1, 5), (3, 4), (4, 3)])
+def test_excess_kurtosis_exact_is_the_report_rows_excess(order, d):
+    # both read one chaos._unit_variance row, so they agree bit for bit
+    rng = stream(43, f"diag:one-row:{order}:{d}")
+    for _ in range(5):
+        f = sym(rng.standard_normal((d,) * order))
+        row = gaussian_limit_report([f], samples=200, seed=0).rows[0]
+        assert excess_kurtosis_exact(f) == row.excess_kurtosis
+
+
 def test_report_excess_nonnegative_invariant():
     rng = stream(19, "diag:excnn")
     kernels = [sym(rng.standard_normal((4, 4))) for _ in range(5)]
