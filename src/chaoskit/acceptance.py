@@ -51,12 +51,9 @@ from .functionals import (
 )
 from .rng import stream
 from .tensors import (
-    SymTensor,
-    add,
     basis_tensor,
     contraction_norm_sq,
     norm_sq,
-    scale,
     sym,
     symmetrize,
 )
@@ -314,16 +311,12 @@ def criterion_9(seed: int) -> tuple:
     cells = 256
     emb = build_embedding(FbmPowerVariation(hurst, 1.0).model(), cells)
     xi = stream(seed, "c9").standard_normal((4000, cells))
-    # terminal value squared: B(1)^2 = 1 + I_2(v v'), v the last factor row
-    v = emb.factor[-1]
-    endpoint_kernel = SymTensor(np.outer(v, v))
+    v = emb.factor[-1]  # the last factor row: X(1) = xi . v
     gaps = []
     for beta in (1.0, 4.0, 16.0):
-        func = FbmPowerVariation(hurst, beta)
-        ef = embed(func, emb)
+        ef = embed(FbmPowerVariation(hurst, beta), emb)
         x = 2.0 * beta + 2.0 * hurst + 1.0
-        combined = add(scale(ef.kernel, x), scale(endpoint_kernel, -1.0))
-        diff = (x * ef.mean - 1.0) + eval_integral(combined, xi)
+        diff = x * ef.value(xi) - (xi @ v) ** 2
         gaps.append(float(np.mean(diff * diff)))
     return (Check("mc-squared-gap-decreasing", _strictly_decreasing(gaps),
                   gaps[-1],

@@ -13,11 +13,11 @@ are logged to stderr only, never written into the files.
 Exit codes: 0 success, 1 usage, I/O or memory problem, 2 numerical
 failure or a validate run with failing criteria.  Errors print a single
 machine-parsable line to stderr: "error: <usage|numerical>: <detail>".  A
-numerical failure is one of two types: every embedding stage raises a
-LinAlgError whose message starts with the stage, "spectrum"
-(kernel2_spectrum), "kernel" (a dense kernel) or "factor" (the node
-factor), and an exact mean an OverflowError starting with "mean", as in
-"error: numerical: spectrum: ...".
+numerical failure is one of two types: each embedding stage a command
+runs raises a LinAlgError whose message starts with the stage,
+"spectrum" (kernel2_spectrum) or "factor" (the node factor, built by
+validate's criteria 6 and 9), and an exact mean an OverflowError
+starting with "mean", as in "error: numerical: spectrum: ...".
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ its covariance is diag(t^H) P diag(t^H), with P the closed-form
 correlation of _fbm_correlation, and F = t^H L with L L' = P; an axis
 with H = 1/2 has the exact Brownian factor sqrt(w_j), j <= i.
 The factor is built only when coordinates are asked for (paths, the
-Gram matrix, dense kernels).  The tail-mass kernels of weighted
-quadratic functionals are assembled in the same coordinates from their
-per-axis weights, in factored form M = B'B, so paths and chaos elements
-can be evaluated on shared draws.
+Gram matrix, embedded coordinates).  The tail-mass kernel of a weighted
+quadratic functional is held in the same coordinates by its per-axis
+factors, M = kron_a B_a'B_a, so paths and chaos elements can be
+evaluated on shared draws.
 
 The exact spectrum of such a kernel needs no coordinates at all: the
 small per-axis Gram B B' is the same node covariance restricted to the
@@ -32,7 +32,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .chaos import HSOperator
-from .tensors import SymTensor
 
 __all__ = [
     "FractionalBrownianMotion",
@@ -41,7 +40,6 @@ __all__ = [
     "geometric_nodes",
     "GridEmbedding",
     "build_embedding",
-    "embed_kernel2",
     "kernel2_spectrum",
     "sample_path",
 ]
@@ -206,12 +204,12 @@ class GridEmbedding:
     row differences are the increment factor.  The factor, its jitter
     and the residual check of L L' against P are one cached computation
     that runs on first use of factor or jitter (sample_path,
-    gram_matrix, embed_kernel2), not when the grid is built.  Both the
+    gram_matrix, EmbeddedFunctional.value), not when the grid is built.  Both the
     jitter and the residual bound are relative to each node's variance.
     Every embedding stage fails as a LinAlgError named by its stage:
     "factor: " here (too many cells, a correlation the jitter ladder
-    cannot factor, or a residual past 1e-10), "kernel: " and "spectrum: "
-    in embed_kernel2 and kernel2_spectrum.
+    cannot factor, or a residual past 1e-10), "spectrum: " in
+    kernel2_spectrum and "coordinates: " in EmbeddedFunctional.value.
     Nothing of size cells^ndim is stored.  dim is the number of
     standard-normal coordinates.
     """
@@ -350,62 +348,31 @@ def _check_capacity(cells: int, ndim: int, stage: str):
             f"{stage}: embedding dimension {dim} too large for a dense kernel")
 
 
-_RANGE_ERROR = "kernel is outside double range (||M||_F^4 is not finite)"
-
-
-def embed_kernel2(emb: GridEmbedding, weights) -> SymTensor:
-    """Order-2 tail-mass kernel of a weighted quadratic functional.
-
-    The tail mass g(x) = integral of the weight over [max(x, cutoff), 1],
-    collocated on cell midpoints m_i, is semiseparable:
-    C = sum_l step_l 1_{<=l} 1_{<=l}' (see _tail_steps).  Conjugated by
-    the increment factor dF, whose partial sums are the node factor F,
-    it is M = B'B per axis with B = sqrt(step)[:, None] * F[live], PSD by
-    construction, and the Kronecker product of the axes for the sheet.
-    Cells below a cutoff have step 0 and drop out, which bounds the rank
-    of B'B by structure alone.  The result is the order-2 kernel of the
-    embedded chaos part, i.e. I_2(M)(xi) reproduces the centered
-    functional on the grid.
-
-    Raises numpy.linalg.LinAlgError when the dense kernel would be too
-    large, or when ||M||_F^4 is outside double range: every exact
-    order-2 moment is a power sum of the spectrum bounded by it.  Its
-    message starts with the stage, "kernel: ".
-    """
-    _check_capacity(emb.cells, emb.ndim, "kernel")
-    with np.errstate(all="ignore"):
-        factors = [(b ** (0.5 * p) * g)[:, None] * emb.factor[live]
-                   for live, b, p, g in _tail_steps(emb, weights)]
-        # each b'b is a rank-k update, exactly symmetric
-        out = reduce(np.kron, [b.T @ b for b in factors])
-        if not np.isfinite(np.linalg.norm(out) ** 4):
-            raise np.linalg.LinAlgError(f"kernel: {_RANGE_ERROR}")
-    return SymTensor(out)
-
-
 def kernel2_spectrum(emb: GridEmbedding, weights) -> HSOperator:
-    """The HSOperator of embed_kernel2(emb, weights), without structural zeros.
+    """The HSOperator of the tail-mass kernel M, without structural zeros.
 
-    M = kron_a B_a'B_a (embed_kernel2), and the nonzero eigenvalues of
-    B_a'B_a are those of the small Gram B_a B_a', one row per live cell
-    (nonzero step).  F F' is the path covariance at the cells' right
-    nodes t, so B_a B_a' = diag(a) P diag(a) with P = _fbm_correlation
-    at the live t (H = model.hurst) and a_i = s_i t_i^H, s the
-    square-root steps.  a is formed as t^(H + p/2) (b/t)^(p/2) g (see
-    _tail_steps), whose exponents are combined so it stays representable
-    where s and t^H alone are not.  No Cholesky factor or jitter is
-    formed.  Of each Gram only the lower triangle, which eigvalsh reads,
-    is filled, by row blocks (_lower_correlation).
+    M = kron_a B_a'B_a, B_a = sqrt(step)[:, None] * F[live], is the tail
+    mass C = sum_l step_l 1_{<=l} 1_{<=l}' (_tail_steps) conjugated by the
+    increment factor dF: PSD by construction, and never formed.  The nonzero
+    eigenvalues of B_a'B_a are those of the small Gram B_a B_a', one row per
+    live cell (nonzero step).  F F' is the path covariance at the cells'
+    right nodes t, so B_a B_a' = diag(a) P diag(a) with P = _fbm_correlation
+    at the live t (H = model.hurst) and a_i = s_i t_i^H, s the square-root
+    steps.  a is formed as t^(H + p/2) (b/t)^(p/2) g (see _tail_steps),
+    whose exponents are combined so it stays representable where s and t^H
+    alone are not.  No Cholesky factor or jitter is formed.  Of each Gram
+    only the lower triangle, which eigvalsh reads, is filled, by row blocks
+    (_lower_correlation).
     M's eigenvalues are the products of the per-axis spectra:
     prod_a k_a values, ascending and read-only, flattened after each
     outer product (a numpy array has at most 64 axes).  The count comes
     from the live rows alone, never from a cutoff on the eigenvalues.
 
-    Raises numpy.linalg.LinAlgError, as embed_kernel2 does, when the
-    embedding is too large for a dense kernel or (sum lambda^2)^2 =
-    ||M||_F^4 is outside double range, when eigvalsh does not converge,
-    and when a product of nonzero axis eigenvalues underflows to 0; its
-    message starts with the stage, "spectrum: ".
+    Raises numpy.linalg.LinAlgError when the embedding is too large for
+    a dense kernel or (sum lambda^2)^2 = ||M||_F^4 is outside double
+    range, when eigvalsh does not converge, and when a product of
+    nonzero axis eigenvalues underflows to 0; its message starts with
+    the stage, "spectrum: ".
     """
     _check_capacity(emb.cells, emb.ndim, "spectrum")
     h = emb.model.hurst
@@ -426,7 +393,8 @@ def kernel2_spectrum(emb: GridEmbedding, weights) -> HSOperator:
             raise np.linalg.LinAlgError(f"spectrum: {lost} products of nonzero "
                                         "axis eigenvalues underflow to 0")
         if not np.isfinite(np.sum(lam * lam) ** 2):
-            raise np.linalg.LinAlgError(f"spectrum: {_RANGE_ERROR}")
+            raise np.linalg.LinAlgError("spectrum: kernel is outside double "
+                                        "range (||M||_F^4 is not finite)")
     lam.flags.writeable = False
     return HSOperator(lam)
 
@@ -435,22 +403,24 @@ def sample_path(emb: GridEmbedding, xi) -> np.ndarray:
     """Map standard-normal coordinates to node values of the model.
 
     xi has shape (dim,) or (N, dim); the node values have shape
-    (cells+1,) * ndim, with a leading batch axis of N for a batch, and
-    are exactly 0 where any coordinate is node 0.  The same xi fed to an
-    embedded kernel's chaos evaluation refers to the same realization,
-    which is what couples direct quadrature and chaos routes.  xi, read as
-    (N,) + (cells,) * ndim, is mapped along each axis in turn by that
-    axis's factor F (GridEmbedding.factor), and node 0 is prepended as
-    0; on fBm that is xi F'.
+    (cells+1,) * ndim, with a leading batch axis of N for a batch: each
+    axis's factor F (GridEmbedding.factor) applied in turn (_map_axes;
+    on fBm xi F'), then node 0 prepended as exactly 0.  The same xi fed
+    to EmbeddedFunctional.value refers to the same realization, which
+    couples direct quadrature and chaos routes.
     """
+    vals = _map_axes(emb, xi, [emb.factor] * emb.ndim)
+    vals = np.pad(vals, [(0, 0)] + [(1, 0)] * emb.ndim)
+    return vals[0] if np.ndim(xi) == 1 else vals
+
+
+def _map_axes(emb: GridEmbedding, xi, mats) -> np.ndarray:
+    """xi, (dim,) or (N, dim) read as (N,) + (cells,) * ndim, mapped along
+    axis a by mats[a] (k_a x cells): shape (N, k_1, ..., k_ndim)."""
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    if single:
-        xi = xi[None, :]
-    if xi.ndim != 2 or xi.shape[1] != emb.dim:
+    if xi.ndim not in (1, 2) or xi.shape[-1] != emb.dim:
         raise ValueError(f"xi must have shape (N, {emb.dim})")
-    vals = xi.reshape(xi.shape[:1] + (emb.cells,) * emb.ndim)
-    for ax in range(1, emb.ndim + 1):
-        vals = np.moveaxis(np.moveaxis(vals, ax, -1) @ emb.factor.T, -1, ax)
-        vals = np.pad(vals, [(int(a == ax), 0) for a in range(vals.ndim)])
-    return vals[0] if single else vals
+    vals = xi.reshape((-1,) + (emb.cells,) * emb.ndim)
+    for ax, m in enumerate(mats, 1):
+        vals = np.moveaxis(np.moveaxis(vals, ax, -1) @ m.T, -1, ax)
+    return vals

@@ -15,9 +15,9 @@ and the normalized fluctuation approaches a Gaussian limit; the
 toolkit's diagnostics quantify how fast.
 
 Two evaluation routes share one source of randomness: direct midpoint
-quadrature of a sampled path, and evaluation of the embedded order-2
-kernel at the same coordinates.  Their gap is pure discretization error
-and shrinks under grid refinement.
+quadrature of a sampled path, and the embedded order-2 kernel M = B'B
+as ||B xi||^2 - ||B||_F^2 at the same coordinates.  Their gap is pure
+discretization error and shrinks under grid refinement.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .chaos import _unit_variance, eval_integral, sample_integral2_spectral
+from .chaos import _ROW_BLOCK, _unit_variance, sample_integral2_spectral
 from .embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
     GridEmbedding,
+    _map_axes,
+    _tail_steps,
     build_embedding,
-    embed_kernel2,
     kernel2_spectrum,
 )
-from .tensors import SymTensor
 
 __all__ = [
     "FbmPowerVariation",
@@ -203,14 +203,13 @@ def _check_process(func, emb: GridEmbedding):
 
 @dataclass(frozen=True)
 class EmbeddedFunctional:
-    """A functional frozen onto a grid: mean, normalization, kernel, spectrum.
+    """A functional frozen onto a grid: mean, normalization, spectrum.
 
     All exact quantities below are moments of the discretized statistic
-    normalization * I_2(kernel), not of the continuum limit; the
-    difference is the object under study.  They and the draws read the
-    closed-form spectrum (operator); the dense kernel and the embedding's
-    Cholesky factor are built only when coordinates are asked for
-    (value, statistic, kernel).
+    normalization * I_2(M), not of the continuum limit; the difference
+    is the object under study.  They and the draws read the closed-form
+    spectrum (operator); M's per-axis factors and the embedding's
+    Cholesky factor are built only for coordinates (value, statistic).
     """
 
     functional: object
@@ -219,21 +218,38 @@ class EmbeddedFunctional:
     scale: float
 
     @cached_property
-    def kernel(self) -> SymTensor:
-        """The dense order-2 kernel of F - E F, built on first use."""
-        return embed_kernel2(self.embedding, self.functional.axis_weights())
+    def _factors(self) -> tuple:
+        """(B_a = sqrt(step) F[live] per axis, ||B||_F^2) of M = kron_a B_a'B_a."""
+        emb, weights = self.embedding, self.functional.axis_weights()
+        with np.errstate(all="ignore"):
+            factors = [(b ** (0.5 * p) * g)[:, None] * emb.factor[live]
+                       for live, b, p, g in _tail_steps(emb, weights)]
+            trace = math.prod(float(np.sum(b * b)) for b in factors)
+        if not math.isfinite(trace):
+            raise np.linalg.LinAlgError("coordinates: kernel trace ||B||_F^2 is "
+                                        "outside double range")
+        return factors, trace
+
+    def _chaos(self, xi):
+        """I_2(M)(xi) = ||B xi||^2 - ||B||_F^2, on blocks of ~_ROW_BLOCK entries."""
+        (factors, trace), batch = self._factors, np.atleast_2d(xi)
+        rows = max(1, _ROW_BLOCK // self.embedding.dim)
+        out = np.empty(len(batch))
+        for i in range(0, len(batch), rows):
+            y = _map_axes(self.embedding, batch[i:i + rows], factors)
+            out[i:i + rows] = (y * y).reshape(len(y), -1).sum(axis=1) - trace
+        return float(out[0]) if np.ndim(xi) == 1 else out
 
     def value(self, xi):
         """Discretized F at coordinates xi (mean + chaos part)."""
-        return self.mean + eval_integral(self.kernel, xi)
+        return self.mean + self._chaos(xi)
 
     def statistic(self, xi):
-        """Normalized fluctuation scale * I_2(kernel) at xi.
+        """Normalized fluctuation scale * I_2(M) at xi.
 
-        Note statistic(0) = -scale * trace(kernel): the chaos part is a
-        centered quadratic, so the zero path sits below the mean.
+        statistic(0) = -scale * trace(M): the zero path sits below the mean.
         """
-        return self.scale * eval_integral(self.kernel, xi)
+        return self.scale * self._chaos(xi)
 
     @cached_property
     def operator(self):
@@ -247,12 +263,16 @@ class EmbeddedFunctional:
         """
         return kernel2_spectrum(self.embedding, self.functional.axis_weights())
 
+    @cached_property
+    def _row(self) -> tuple:  # the one exact row; its excess is scale-free
+        return _unit_variance(self.operator, self.scale)
+
     def variance_exact(self) -> float:
-        return _unit_variance(self.operator, self.scale)[0]
+        return self._row[0]
 
     def excess_kurtosis_exact(self) -> float:
         """kappa_4/kappa_2^2, read as diagnose reads it: at unit variance."""
-        return _unit_variance(self.operator)[4]
+        return self._row[4]
 
     def kurtosis_exact(self) -> float:
         return 3.0 + self.excess_kurtosis_exact()

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .tensors import Tensor
+from .tensors import SymTensor, Tensor, sym
 
 __all__ = [
     "hermite_coefficients",
@@ -25,6 +25,7 @@ __all__ = [
     "contraction_bruteforce",
     "symmetrize_bruteforce",
     "sheet_power_variance_quadrature",
+    "tail_mass_kernel2",
 ]
 
 
@@ -190,3 +191,19 @@ def sheet_power_variance_quadrature(betas, tol: float = 1e-10) -> float:
         axis, _ = integrate.quad(lower, 0.0, 1.0, epsabs=tol, epsrel=tol)
         out *= 2.0 * axis * (2.0 * b + 2.0)
     return out
+
+
+def tail_mass_kernel2(emb, weights) -> SymTensor:
+    """The dense kernel of axis weights [(expo, cutoff), ...] on emb.
+
+    Per axis dF' C dF, dF the row differences of emb.factor and C_ij the
+    closed-form mass of u^(2 expo) over [max(m_i, m_j, cutoff), 1] at the
+    midpoints m, not square-root steps; the Kronecker product of the axes.
+    """
+    m, incr = emb.midpoints, np.diff(emb.factor, axis=0, prepend=0.0)
+    out = np.ones((1, 1))
+    for expo, cutoff in weights:
+        lo, p = np.maximum(np.maximum.outer(m, m), cutoff), 2.0 * expo + 1.0
+        c = -np.log(lo) if p == 0.0 else (1.0 - lo**p) / p
+        out = np.kron(out, incr.T @ c @ incr)
+    return sym(out)

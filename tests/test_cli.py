@@ -26,6 +26,7 @@ import chaoskit.cli as cli
 from chaoskit import embeddings
 from chaoskit.acceptance import Check, CriterionResult
 from chaoskit.functionals import FbmPowerVariation, embed_on_grid
+from chaoskit.reference import tail_mass_kernel2
 from chaoskit.tensors import norm_sq
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -660,6 +661,10 @@ def test_oversized_grid_refused_before_its_nodes(monkeypatch, capsys,
         "for a dense kernel\n")
 
 
+def _dense_kernel(ef):
+    return tail_mass_kernel2(ef.embedding, ef.functional.axis_weights())
+
+
 def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
     # first cells of width 2^-1000 and 2^-720: increment variances that
     # underflow once needed a Cholesky jitter that put the kernel out of
@@ -683,11 +688,11 @@ def test_deep_fbm_power_grids_give_finite_spectra(capsys, tmp_path):
     assert variance == pytest.approx(0.2750366, rel=1e-6)
     # the dense route through the node factor gives the same value
     ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 16, "geometric", 720.0)
-    assert 2.0 * ef.scale**2 * norm_sq(ef.kernel) == pytest.approx(
+    assert 2.0 * ef.scale**2 * norm_sq(_dense_kernel(ef)) == pytest.approx(
         0.2750366, rel=1e-6)
     # at 716 octaves: cells below 2^-716 change the variance by about 1e-4
     ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 16, "geometric", 716.0)
-    dense = 2.0 * ef.scale**2 * norm_sq(ef.kernel)
+    dense = 2.0 * ef.scale**2 * norm_sq(_dense_kernel(ef))
     assert dense == pytest.approx(0.2750712, rel=1e-6)
     assert variance == pytest.approx(dense, rel=2e-4)
 

@@ -493,7 +493,9 @@ def test_report_tiny_variance_undecided():
 
 def test_report_order2_rows_match_tensor_route():
     efs = [embed_on_grid(FbmPowerVariation(0.75, b), 64) for b in (-0.3, 0.5)]
-    kernels = [ef.kernel for ef in efs]
+    kernels = [reference.tail_mass_kernel2(ef.embedding,
+                                           ef.functional.axis_weights())
+               for ef in efs]
     report = gaussian_limit_report(kernels, samples=200, seed=0)
     # the embedded functionals' closed-form operators give the same rows
     from_ops = gaussian_limit_report([ef.operator for ef in efs], samples=200,

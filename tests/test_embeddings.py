@@ -1,24 +1,25 @@
 import math
 import tracemalloc
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chaoskit.chaos import hs_operator
+from chaoskit.chaos import eval_integral, hs_operator
 from chaoskit.embeddings import (
     BrownianSheet,
     FractionalBrownianMotion,
     build_embedding,
-    embed_kernel2,
     geometric_nodes,
     kernel2_spectrum,
     sample_path,
     uniform_nodes,
 )
 from chaoskit.embeddings import _GRAM_ROWS, _fbm_correlation, _tail_steps
+from chaoskit.functionals import EmbeddedFunctional
+from chaoskit.reference import tail_mass_kernel2
 from chaoskit.rng import stream
-from chaoskit.tensors import norm_sq
 
 
 def test_fbm_covariance_values():
@@ -204,22 +205,22 @@ def test_sheet_gram_is_kron_of_axis_volumes():
     assert emb.dim == 64
 
 
-def _tail_mass_oracle(emb, expo, cutoff=0.0):
-    """Collocation C[i,j] = integral of u^(2 expo) over [max(m_i, m_j, cutoff), 1]."""
-    mids = emb.midpoints
-    lo = np.maximum(np.maximum(mids[:, None], mids[None, :]), cutoff)
-    p = 2.0 * expo + 1.0
-    return -np.log(lo) if p == 0.0 else (1.0 - lo**p) / p
-
-
-def _conjugated_oracle(emb, expo, cutoff=0.0):
-    c = _tail_mass_oracle(emb, expo, cutoff)
-    incr = np.diff(emb.factor, axis=0, prepend=0.0)
-    return incr.T @ c @ incr
-
-
 def _assert_rel_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def _embedded(emb, weights):
+    """The weights' tail-mass functional on emb, at mean 0 and scale 1."""
+    func = SimpleNamespace(axis_weights=lambda: weights)
+    return EmbeddedFunctional(functional=func, embedding=emb, mean=0.0,
+                              scale=1.0)
+
+
+def _assert_statistic_matches_reference(emb, weights, draws=200):
+    """The factored coordinate route against the dense reference kernel."""
+    xi = stream(4, f"emb:oracle:{emb.dim}").standard_normal((draws, emb.dim))
+    want = eval_integral(tail_mass_kernel2(emb, weights), xi)
+    _assert_rel_close(_embedded(emb, weights).statistic(xi), want)
 
 
 def test_sheet_embedding_stores_no_cell_volumes():
@@ -238,36 +239,33 @@ def test_gram_matrix_size_guard():
     assert emb.dim == 16384
     with pytest.raises(ValueError):
         emb.gram_matrix()
-    with pytest.raises(ValueError):
-        embed_kernel2(emb, [(0.0, 0.0), (0.0, 0.0)])
-    # the node factor is 128 x 128, so paths still run
+    # the node factor is 128 x 128, so paths and coordinates still run
     assert sample_path(emb, np.zeros(16384)).shape == (129, 129)
+    assert math.isfinite(_embedded(emb, [(0.0, 0.0)] * 2).value(np.zeros(16384)))
 
 
 def test_embed_bm_uniform_matches_oracle():
     emb = build_embedding(FractionalBrownianMotion(0.5), 16)
-    m = embed_kernel2(emb, [(0.0, 0.0)])
-    _assert_rel_close(m.coeffs, _conjugated_oracle(emb, 0.0))
+    _assert_statistic_matches_reference(emb, [(0.0, 0.0)])
 
 
 def test_embed_geometric_fbm_cutoff_matches_oracle():
     # cells below the cutoff drop out of the factor but not of the kernel
     emb = build_embedding(FractionalBrownianMotion(0.75), 64, "geometric")
-    m = embed_kernel2(emb, [(-1.25, 1e-3)])
-    _assert_rel_close(m.coeffs, _conjugated_oracle(emb, -1.25, 1e-3))
+    _assert_statistic_matches_reference(emb, [(-1.25, 1e-3)])
 
 
 def test_embed_removable_power_matches_oracle():
     # 2 expo + 1 = 0: the tail mass is -log max(s, t)
     emb = build_embedding(FractionalBrownianMotion(0.6), 32, "geometric", 16.0)
-    m = embed_kernel2(emb, [(-0.5, 0.0)])
-    _assert_rel_close(m.coeffs, _conjugated_oracle(emb, -0.5))
+    _assert_statistic_matches_reference(emb, [(-0.5, 0.0)])
 
 
 def test_embed_fbm_d1_is_tail_mass():
     emb = build_embedding(FractionalBrownianMotion(0.7), 1)
-    m = embed_kernel2(emb, [(1.0, 0.0)])
+    m = tail_mass_kernel2(emb, [(1.0, 0.0)])
     np.testing.assert_allclose(m.coeffs, [[(1.0 - 0.5**3) / 3.0]], rtol=1e-15)
+    _assert_statistic_matches_reference(emb, [(1.0, 0.0)])
 
 
 def test_embed_max_kernel_variance_refines_to_one():
@@ -275,30 +273,30 @@ def test_embed_max_kernel_variance_refines_to_one():
     gaps = []
     for d in (64, 256):
         emb = build_embedding(FractionalBrownianMotion(0.5), d)
-        m = embed_kernel2(emb, [(0.0, 0.0)])
-        gaps.append(abs(6.0 * norm_sq(m) - 1.0))
+        lam = kernel2_spectrum(emb, [(0.0, 0.0)]).eigenvalues
+        gaps.append(abs(6.0 * np.sum(lam * lam) - 1.0))
     assert gaps[0] < 0.05
     assert gaps[1] < gaps[0]
 
 
 def test_embed_rejects_wrong_axis_count():
     emb = build_embedding(BrownianSheet(2), 8)
-    with pytest.raises(ValueError):
-        embed_kernel2(emb, [(0.0, 0.0)])
+    ef = _embedded(emb, [(0.0, 0.0)])
+    for route in (ef.value, ef.statistic):
+        with pytest.raises(ValueError, match="got 1 axis weights for 2 axes"):
+            route(np.zeros(64))
 
 
 def test_embed_sheet_is_kron_of_axes():
     emb = build_embedding(BrownianSheet(2), 8, "geometric")
     weights = [(-0.9, 0.0), (-1.0, 1e-2)]
-    m = embed_kernel2(emb, weights)
-    want = np.kron(*(_conjugated_oracle(emb, e, c) for e, c in weights))
-    _assert_rel_close(m.coeffs, want)
+    _assert_statistic_matches_reference(emb, weights)
 
 
 def _assert_spectrum_matches_dense(emb, weights):
     """kernel2_spectrum's closed form against the dense kernel's."""
     lam = kernel2_spectrum(emb, weights).eigenvalues
-    dense = hs_operator(embed_kernel2(emb, weights)).eigenvalues
+    dense = hs_operator(tail_mass_kernel2(emb, weights)).eigenvalues
     live = [np.sum(np.append(emb.midpoints[1:], 1.0) > cutoff)
             for _, cutoff in weights]
     assert lam.size == math.prod(live)
@@ -445,16 +443,18 @@ def test_numerical_errors_name_their_stage():
     big = build_embedding(BrownianSheet(2), 1024, "geometric", 512.0)
     # steps of order 2^157 on a 63-octave grid: ||M||_F^4 overflows
     deep = build_embedding(FractionalBrownianMotion(0.75), 64, "geometric")
+    # steps past double range: ||B||_F^2 is not finite
+    deeper = _embedded(deep, [(-50.0, 0.0)])
     failures = [
         ("spectrum: embedding", lambda: kernel2_spectrum(big, [(-0.9, 0.0)] * 2)),
-        ("kernel: embedding", lambda: embed_kernel2(big, [(-0.9, 0.0)] * 2)),
         ("factor: embedding",
          lambda: build_embedding(FractionalBrownianMotion(0.7), 8193).factor),
         ("spectrum: kernel is outside",
          lambda: kernel2_spectrum(deep, [(-5.0, 0.0)])),
-        ("kernel: kernel is outside", lambda: embed_kernel2(deep, [(-5.0, 0.0)])),
         # Gram entries past double range: eigvalsh fails inside the spectrum
         ("spectrum: ", lambda: kernel2_spectrum(deep, [(-50.0, 0.0)])),
+        ("coordinates: kernel trace", lambda: deeper.value(np.zeros(64))),
+        ("coordinates: kernel trace", lambda: deeper.statistic(np.zeros(64))),
         ("factor: node correlation matrix is not positive definite",
          lambda: _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))),
     ]

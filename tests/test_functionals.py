@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chaoskit import chaos, reference
+from chaoskit import chaos, functionals, reference
 from chaoskit.chaos import (
+    eval_integral,
     excess_kurtosis_exact,
     fourth_moment_exact,
     hs_operator,
@@ -21,8 +23,9 @@ from chaoskit.functionals import (
     embed_on_grid,
     sheet_power_variance_exact,
 )
+from chaoskit.reference import tail_mass_kernel2
 from chaoskit.rng import stream
-from chaoskit.tensors import norm_sq, scale
+from chaoskit.tensors import scale, sym
 
 
 def _constant_path(emb, value=1.0):
@@ -115,16 +118,21 @@ def test_mean_and_normalization_follow_from_the_weights():
 # ------------------------------------------------------- means / kernels
 
 
-def _kernel_oracle(emb, tail_mass):
-    """Collocate a per-axis tail mass on midpoints and conjugate it."""
-    mids = emb.midpoints
-    c = tail_mass(np.maximum(mids[:, None], mids[None, :]))
-    incr = np.diff(emb.factor, axis=0, prepend=0.0)
-    return incr.T @ c @ incr
+def _kernel(ef):
+    """The dense reference kernel of an embedded functional."""
+    return tail_mass_kernel2(ef.embedding, ef.functional.axis_weights())
 
 
 def _assert_rel_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def _assert_value_matches_reference(ef):
+    """value and statistic on shared draws against I_2(reference kernel)."""
+    xi = stream(6, "func:oracle").standard_normal((200, ef.embedding.dim))
+    chaos_part = eval_integral(_kernel(ef), xi)
+    _assert_rel_close(ef.value(xi), ef.mean + chaos_part)
+    _assert_rel_close(ef.statistic(xi), ef.scale * chaos_part)
 
 
 def test_fbm_power_mean_and_kernel_at_half():
@@ -134,8 +142,7 @@ def test_fbm_power_mean_and_kernel_at_half():
     assert f.normalization() == pytest.approx(math.sqrt(2.0))
     assert f.axis_weights() == [(0.0, 0.0)]
     emb = build_embedding(f.model(), 32, "geometric")
-    _assert_rel_close(embed(f, emb).kernel.coeffs,
-                      _kernel_oracle(emb, lambda x: 1.0 - x))
+    _assert_value_matches_reference(embed(f, emb))
 
 
 def test_fbm_singular_mean_and_kernel():
@@ -145,8 +152,7 @@ def test_fbm_singular_mean_and_kernel():
     # H = 1/2: K(s,t) = 1/(eps v s v t) - 1
     assert f.axis_weights() == [(-1.0, eps)]
     emb = build_embedding(f.model(), 32)
-    _assert_rel_close(embed(f, emb).kernel.coeffs,
-                      _kernel_oracle(emb, lambda x: 1.0 / np.maximum(x, eps) - 1.0))
+    _assert_value_matches_reference(embed(f, emb))
 
 
 def test_sheet_power_mean():
@@ -160,8 +166,7 @@ def test_sheet_singular_mean_and_kernel():
     # per axis K(s,t) = 1/(eps v s v t) - 1
     assert f.axis_weights() == [(-1.0, 1e-2)] * 2
     emb = build_embedding(f.model(), 8, "geometric")
-    axis = _kernel_oracle(emb, lambda x: 1.0 / np.maximum(x, 1e-2) - 1.0)
-    _assert_rel_close(embed(f, emb).kernel.coeffs, np.kron(axis, axis))
+    _assert_value_matches_reference(embed(f, emb))
 
 
 # --------------------------------------------------------- direct route
@@ -268,8 +273,37 @@ def test_embed_requires_matching_model():
 
 def test_statistic_at_zero_noise_is_minus_scaled_trace():
     ef = embed_on_grid(FbmPowerVariation(0.7, 0.0), 32)
-    want = -ef.scale * np.trace(ef.kernel.coeffs)
+    want = -ef.scale * np.trace(_kernel(ef).coeffs)
     assert ef.statistic(np.zeros(32)) == pytest.approx(want, rel=1e-12)
+
+
+def test_coordinate_route_runs_past_the_dense_cap():
+    # a uniform sheet at beta = (0, 0): 128^2 cells are 16384 coordinates,
+    # twice the cap of a dense kernel, and the direct-vs-chaos gap on
+    # shared draws shrinks under refinement
+    func = SheetPowerVariation((0.0, 0.0))
+    gaps = []
+    for cells in (32, 128):
+        ef = embed_on_grid(func, cells)
+        xi = stream(5, f"func:sheetcap:{cells}").standard_normal((64, cells**2))
+        direct = direct_evaluate(func, ef.embedding, sample_path(ef.embedding, xi))
+        gaps.append(float(np.median(np.abs(direct - ef.value(xi)))))
+    assert gaps[1] < gaps[0] / 2.0
+
+
+def test_value_memory_is_bounded():
+    # draws go through in blocks of about chaos._ROW_BLOCK entries, so the
+    # working memory stays below xi's own 33.6 MB
+    ef = embed_on_grid(SheetPowerVariation((0.0, 0.0)), 128)
+    ef.value(np.zeros(128**2))  # the factors, built once, are not counted
+    xi = stream(5, "func:sheetmem").standard_normal((256, 128**2))
+    tracemalloc.start()
+    try:
+        ef.value(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xi.nbytes
 
 
 def test_value_mean_and_variance_mc():
@@ -286,7 +320,7 @@ def test_value_mean_and_variance_mc():
 
 def test_embedded_moments_consistent_with_chaos_route():
     ef = embed_on_grid(FbmPowerVariation(0.75, -0.3), 48)
-    g = scale(ef.kernel, ef.scale)
+    g = scale(_kernel(ef), ef.scale)
     v = second_moment_exact(g)
     assert ef.variance_exact() == pytest.approx(v, rel=1e-12)
     kurt = fourth_moment_exact(g) / v**2
@@ -327,7 +361,7 @@ def test_factored_spectrum_has_live_rank(eps, rank):
     # criterion 8's grid: only the cells above eps carry a row of B
     ef = embed_on_grid(FbmSingularVariation(0.75, eps), 512, "geometric", 511)
     lam = ef.operator.eigenvalues
-    dense = hs_operator(ef.kernel).eigenvalues
+    dense = hs_operator(_kernel(ef)).eigenvalues
     assert lam.size == rank
     assert dense.size == 512  # the structural zeros are left out of lam
     for j in (2, 4):
@@ -337,7 +371,7 @@ def test_factored_spectrum_has_live_rank(eps, rank):
 def test_factored_sheet_spectrum_matches_dense_kron():
     ef = embed_on_grid(SheetPowerVariation((-0.9, -0.9)), 16, "geometric", 8)
     lam = ef.operator.eigenvalues
-    dense = hs_operator(ef.kernel).eigenvalues
+    dense = hs_operator(_kernel(ef)).eigenvalues
     assert lam.size == dense.size == 256
     scale_ = np.max(np.abs(dense))
     assert np.max(np.abs(np.sort(lam) - dense)) <= 1e-12 * scale_
@@ -386,7 +420,24 @@ def test_exact_moments_and_draws_build_no_coordinates(func, cells, monkeypatch):
     assert ef.excess_kurtosis_exact() > 0.0
     assert ef.contraction_ratio() > 0.0
     assert ef.sample_statistic(100, stream(7, "func:nocoord")).shape == (100,)
-    assert "kernel" not in vars(ef)
+    assert "_factors" not in vars(ef)
+
+
+def test_sweep_makes_one_exact_row_per_point(monkeypatch, tmp_path):
+    import chaoskit.cli as cli
+
+    calls = []
+    unit_variance = functionals._unit_variance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return unit_variance(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_unit_variance", counting)
+    argv = ["sweep-fbm", "--family", "fbm-power", "--samples", "100",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(calls) == 4  # one per schedule point
 
 
 def test_diagnose_takes_one_eigvalsh_per_point(monkeypatch, tmp_path):
@@ -423,10 +474,12 @@ def test_fbm_power_default_depth_matches_half_depth():
 
 
 def test_fbm_power_default_depth_dense_kernel_matches_operator():
-    # the coordinate route on the same 1024-cell, 1023-octave grid: the
-    # node factor needs no jitter, so the dense kernel stays in range
+    # the coordinate route's factor B on the same 1024-cell, 1023-octave
+    # grid: the node factor needs no jitter, so M = B'B stays in range
     ef = embed_on_grid(FbmPowerVariation(0.75, -1.2), 1024, "geometric")
-    dense = hs_operator(ef.kernel).eigenvalues
+    (b,), trace = ef._factors
+    dense = hs_operator(sym(b.T @ b)).eigenvalues
+    assert trace == pytest.approx(np.sum(dense), rel=1e-12)
     lam = ef.operator.eigenvalues
     for j in (2, 4):
         assert np.sum(dense**j) == pytest.approx(np.sum(lam**j), rel=1e-12)
@@ -477,7 +530,8 @@ def test_variance_growth_rate_of_singular_functional():
         for eps in (1e-2, 1e-3, 1e-4):
             ef = embed_on_grid(FbmSingularVariation(hurst, eps), 512,
                                "geometric", 511.0)
-            qs.append(2.0 * norm_sq(ef.kernel) / math.log(1.0 / eps))
+            lam = ef.operator.eigenvalues
+            qs.append(2.0 * np.sum(lam * lam) / math.log(1.0 / eps))
         for a, b in zip(qs, qs[1:]):
             assert 0.7 <= b / a <= 1.3
 
