@@ -61,6 +61,9 @@ from .tensors import (
 __all__ = ["Check", "CriterionResult", "CRITERION_NAMES", "run_criterion",
            "run_criteria", "format_criterion", "parallel_map"]
 
+_BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
+_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -151,12 +154,13 @@ def criterion_3(seed: int) -> tuple:
     """The averaged disjoint-pair family turns Gaussian at rate 1/k."""
     ks = (4, 16, 64, 256)
     kernels = [disjoint_pair_kernel(k) for k in ks]
-    exc = [excess_kurtosis_exact(f) for f in kernels]
+    # spectral excess, tensor-route contraction: two independent decay checks
+    ops = [hs_operator(f) for f in kernels]
+    exc = [excess_kurtosis_exact(op) for op in ops]
     con = [contraction_norm_sq(f, 1) for f in kernels]
     exc_factor = min(a / b for a, b in zip(exc, exc[1:]))
     con_factor = min(a / b for a, b in zip(con, con[1:]))
-    draws = sample_integral2_spectral(hs_operator(kernels[-1]), 10000,
-                                      stream(seed, "c3:ks"))
+    draws = sample_integral2_spectral(ops[-1], 10000, stream(seed, "c3:ks"))
     ksr = ks_against_std_normal(draws)
     return (
         Check("excess-decay-factor", exc_factor >= 3.0, exc_factor,
@@ -273,11 +277,10 @@ def criterion_8(seed: int) -> tuple:
     are not yet Gaussian, which the final-point targets record.
     """
     hurst = 0.75
-    xs = (1e-1, 10**-1.5, 1e-2, 10**-2.5)
-    epss = (1e-1, 1e-2, 1e-3, 1e-4)
     schedules = {
-        "beta": [FbmPowerVariation(hurst, (x - 2.0 * hurst - 1.0) / 2.0) for x in xs],
-        "eps": [FbmSingularVariation(hurst, e) for e in epss],
+        "beta": [FbmPowerVariation(hurst, (x - 2.0 * hurst - 1.0) / 2.0)
+                 for x in _BETA_SCHEDULE],
+        "eps": [FbmSingularVariation(hurst, e) for e in _EPS_SCHEDULE],
     }
     checks = []
     for label, fams in schedules.items():

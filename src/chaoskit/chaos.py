@@ -246,9 +246,9 @@ def _fourth_moment_and_contractions(f: SymTensor) -> tuple:
     return total, tuple(norms)
 
 
-def excess_kurtosis_exact(f: SymTensor) -> float:
+def excess_kurtosis_exact(f: SymTensor | HSOperator) -> float:
     """E[I_n(f)^4]/E[I_n(f)^2]^2 - 3 for a nonzero kernel, at any scale:
-    the excess of its unit-variance row (_unit_variance)."""
+    its unit-variance row's excess (_unit_variance; spectral at order 2)."""
     excess = _unit_variance(f)[4]
     if math.isnan(excess):
         raise ValueError("kernel has zero variance")
@@ -345,14 +345,16 @@ def _unit_variance(f, scale: float = 1.0) -> tuple:
     """The exact row of f, an HSOperator or a SymTensor of any order:
     (kappa_2 scale^2, g, E g^2, E g^4, excess, ||g (x)_p g||^2 for p < n).
 
-    g is f at unit variance, of f's type: the one place a kernel becomes
-    exact columns.  f is first scaled by 2^-k into [-1, 1) (exact; a
-    SymTensor stays symmetric), so a kappa_2 outside double range keeps
-    its ratios, and k and scale's exponent come back in one final ldexp:
-    kappa_2 scale^2 keeps every bit in double range, else reads inf or 0.
-    A zero kernel gives g = f, zero moments and NaN excess.  A spectrum's
-    ratios are cumulants: at unit variance ||g (x)_1 g||^2 = excess/48.
+    g is f at unit variance, of f's type, or an HSOperator for an order-2
+    SymTensor: the one place a kernel becomes exact columns.  f is first
+    scaled by 2^-k into [-1, 1) (exact; a SymTensor stays symmetric), so
+    a kappa_2 outside double range keeps its ratios, and k and scale's
+    exponent come back in one final ldexp: kappa_2 scale^2 keeps every
+    bit in double range, else reads inf or 0.  A zero kernel gives g = f,
+    zero moments and NaN excess.  A spectrum's ratios are cumulants: at
+    unit variance ||g (x)_1 g||^2 = excess/48.
     """
+    f = hs_operator(f) if isinstance(f, SymTensor) and f.order == 2 else f
     if isinstance(f, HSOperator):
         k = _binary_exponent(f.eigenvalues)
         lam = np.ldexp(f.eigenvalues, -k)

@@ -4,11 +4,11 @@ Every command writes three files into --out: <command>.csv (the data,
 header row, '.'-decimal, repr floats, \\n line endings), a sidecar
 <command>.schema.json documenting the columns, and <command>.summary.json
 echoing the experiment configuration plus library versions and headline
-results.  Outputs are bit-identical for identical experiment config and
-seed, independent of --threads and --out: every Monte Carlo stream is
-keyed by (seed, tag, schedule index), results are assembled in schedule
-order, and execution facts (thread count, output directory, wall time)
-are logged to stderr only, never written into the files.
+results.  At one numpy/BLAS build and BLAS thread count, outputs are
+bit-identical for identical experiment config and seed, independent of
+--threads and --out: every Monte Carlo stream is keyed by (seed, tag,
+schedule index), results are assembled in schedule order, and execution
+facts (thread count, output directory, wall time) go to stderr only.
 
 Exit codes: 0 success, 1 usage, I/O or memory problem, 2 numerical
 failure or a validate run with failing criteria.  Errors print a single
@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import (CRITERION_NAMES, format_criterion, parallel_map,
-                         run_criteria)
+from .acceptance import (_BETA_SCHEDULE, _EPS_SCHEDULE, CRITERION_NAMES,
+                         format_criterion, parallel_map, run_criteria)
 from .chaos import hs_operator, sample_integral2_spectral
 from .diagnostics import (
     disjoint_pair_kernel,
@@ -99,8 +99,6 @@ def _pairs(k):
     return disjoint_pair_kernel(int(k))
 
 
-_BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
-_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
 
 # family -> its parameter (the flag sample reads; None for a constant

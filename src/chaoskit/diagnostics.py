@@ -11,7 +11,7 @@ draws.
 A single order-2 integral, by contrast, is never Gaussian (its fourth
 moment exceeds 3 unless the kernel vanishes), and the operator view
 makes that quantitative: cumulants are explicit in the kernel's
-eigenvalues (chaos.hs_operator).  The report takes each order-2 row from
+eigenvalues (chaos.HSOperator).  The report takes each order-2 row from
 that one spectrum at unit variance, as the sweeps' exact columns do.
 """
 
@@ -26,7 +26,6 @@ from .chaos import (
     HSOperator,
     _binary_exponent,
     _unit_variance,
-    hs_operator,
     sample_integral,
     sample_integral2_spectral,
 )
@@ -228,14 +227,14 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
 
     kernels holds SymTensor and, for order 2, HSOperator or
     EmbeddedFunctional (read as its normalized statistic).  Each row is
-    one chaos._unit_variance call, the kernel at unit variance, so the
-    three views are comparable.  Verdict "consistent" means the excess
-    kurtosis and every squared contraction norm fell to at most half
-    their first-row values (or are negligible) and the last kernel passes
-    the KS test; "inconsistent" otherwise; "undecided" when some
-    statistic's variance is outside (1e-12, 1e12).  The rule only
-    compares the endpoints, so any monotone relabeling of the schedule
-    reports the same verdict.
+    one chaos._unit_variance call (as excess_kurtosis_exact is; order 2
+    reads one spectrum), the kernel at unit variance, so the three views
+    are comparable.  Verdict "consistent" means the excess kurtosis and
+    every squared contraction norm fell to at most half their first-row
+    values (or are negligible) and the last kernel passes the KS test;
+    "inconsistent" otherwise; "undecided" when some statistic's variance
+    is outside (1e-12, 1e12).  The rule only compares the endpoints, so
+    any monotone relabeling of the schedule reports the same verdict.
     """
     # every spectrum is formed before the first draw: kernel2_spectrum's
     # large temporaries then reuse one heap region, not gaps draws leave
@@ -251,8 +250,6 @@ def gaussian_limit_report(kernels, labels=None, samples: int = 10000,
     degenerate = False
     for i, ((f, s), lab) in enumerate(zip(kernels, labels)):
         rng = stream(seed, f"limit-report:{i}:{lab}")
-        if isinstance(f, SymTensor) and f.order == 2:
-            f = hs_operator(f)
         v, g, m2, m4, excess, contractions = _unit_variance(f, s)
         spectral = isinstance(g, HSOperator)
         draws = (sample_integral2_spectral if spectral else sample_integral)(

@@ -44,8 +44,8 @@ __all__ = [
     "sample_path",
 ]
 
-# dense kernels are (dim x dim); beyond this the quadratic cost is a bug,
-# not a use case
+# the dense cap on cells^ndim (a k x k node factor, Gram and eigvalsh per
+# axis, a cells^ndim product spectrum) and on clt-pairs' 2k coordinates
 _MAX_EMBED_DIM = 8192
 # rows of one block of a per-axis Gram (_lower_correlation) and of the
 # factor's residual check; a block is _GRAM_ROWS x k doubles, 512 KB at

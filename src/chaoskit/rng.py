@@ -5,8 +5,8 @@ tag names the consumer.  A stream is a PCG64DXSM generator, the one
 numpy recommends for many parallel streams, seeded through SeedSequence
 with a 128-bit key hashed from both, so streams are independent of each
 other and of the order in which the program creates them.  Re-running
-with the same seed reproduces every draw bit for bit, including under
-thread parallelism, because concurrent tasks never share a stream.
+with the same seed reproduces every variate bit for bit, threads or not
+(tasks never share a stream), and every draw at one BLAS thread count.
 Monte Carlo columns spend most of their time drawing variates.  Order-n
 draws take normals, about 17 ns each from this generator against 20 ns
 from numpy's counter-based one, and spectral draws take uniforms, about

@@ -11,9 +11,12 @@ repository README.
 
 import tempfile
 
+import numpy as np
 import pytest
 
-from chaoskit.acceptance import format_criterion, run_criteria, run_criterion
+from chaoskit import chaos, tensors
+from chaoskit.acceptance import (criterion_3, format_criterion, run_criteria,
+                                 run_criterion)
 
 SEED = 42
 
@@ -55,6 +58,27 @@ def test_criterion_02_moments_match_oracle_and_simulation(announce):
 
 def test_criterion_03_fourth_moment_convergence(announce):
     _check(3, announce)
+
+
+def test_criterion_03_forms_one_spectrum_per_kernel(monkeypatch):
+    # the excess and the draws read each kernel's one eigvalsh; only the
+    # contraction check takes the tensor route
+    calls = {"eigvalsh": 0, "contract": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counting("eigvalsh", np.linalg.eigvalsh))
+    contract = counting("contract", tensors.contract)
+    monkeypatch.setattr(tensors, "contract", contract)
+    monkeypatch.setattr(chaos, "contract", contract)
+    checks = criterion_3(SEED)
+    assert calls == {"eigvalsh": 4, "contract": 4}
+    assert [c.observed for c in checks] == [4.0, 4.0, 0.006818711877092154]
 
 
 def test_criterion_04_non_gaussian_family_detected(announce):

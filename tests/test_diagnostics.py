@@ -541,7 +541,7 @@ def test_report_contracts_each_higher_order_kernel_once(order, d, monkeypatch):
             assert got == pytest.approx(brute, rel=1e-12)
 
 
-@pytest.mark.parametrize("order, d", [(1, 5), (3, 4), (4, 3)])
+@pytest.mark.parametrize("order, d", [(1, 5), (2, 3), (2, 6), (3, 4), (4, 3)])
 def test_excess_kurtosis_exact_is_the_report_rows_excess(order, d):
     # both read one chaos._unit_variance row, so they agree bit for bit
     rng = stream(43, f"diag:one-row:{order}:{d}")

@@ -81,3 +81,13 @@ def test_readme_quoted_errors_are_printed_verbatim(tmp_path, capsys):
         rc = cli.main(argv + ["--out", str(tmp_path)])
         assert rc == (1 if line.startswith("error: usage:") else 2), argv
         assert capsys.readouterr().err == line + "\n"
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text()
+    layout = text[text.index("## Layout"):]
+    block = re.search(r"^```\n(.*?)^```$", layout,
+                      re.MULTILINE | re.DOTALL).group(1)
+    named = set(re.findall(r"^  ([a-z_]+\.py) ", block, re.MULTILINE))
+    modules = {p.name for p in (README.parent / "src" / "chaoskit").glob("*.py")}
+    assert named == modules - {"__init__.py"}
