@@ -39,7 +39,8 @@ for x in (1e-1, 10**-1.5, 1e-2, 10**-2.5):
     print(f"{x:9.4f}  {beta:+.4f}   {ef.excess_kurtosis_exact():12.6f}"
           f"   {ef.contraction_ratio():.6e}")
 print("both certificates head to zero with x, which forces the law of")
-print("the normalized statistic toward N(0, 1).")
+print("the normalized statistic, over the square root of its exact")
+print("variance, toward N(0, 1).")
 
 print()
 print("== sheet power functional, n = 1 axis: a quantitative limit ==")

@@ -66,7 +66,6 @@ def hermite(k: int, x):
 
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
 _DRAW_BLOCK = 1 << 15  # variates of one block of draws (256 KB)
-_DRAW_GROUP = 64  # to width 512, a block of draws is whole groups of this many
 
 
 def eval_integral(f: Tensor, xi) -> np.ndarray | float:
@@ -274,15 +273,14 @@ def _blocked_draws(evaluate, fill, width: int, n_samples: int) -> np.ndarray:
     (width, block) buffer, allocated after the output so that freeing it
     leaves no hole below the output in the heap, is refilled in place,
     fill(x.shape, out=x), for every block, and evaluate may overwrite it.
-    block is whole groups of _DRAW_GROUP draws up to width 512, and above
-    it the largest power of two <= _DRAW_BLOCK / width, at least 1, so
-    the buffer stays about _DRAW_BLOCK variates at every width below
-    _DRAW_BLOCK.  It depends on width only; every block is whole and the
-    last one's extra draws are dropped.  So draw i is column i % block of
-    block i // block: the same bits at any n_samples, in any thread.
+    block is the largest power of two <= _DRAW_BLOCK / width, at least 1,
+    so the buffer holds between _DRAW_BLOCK / 2 and _DRAW_BLOCK variates
+    at every width up to _DRAW_BLOCK.  It depends on width only; every
+    block is whole and the last one's extra draws are dropped.  So draw i
+    is column i % block of block i // block: the same bits at any
+    n_samples, in any thread.
     """
-    per = _DRAW_BLOCK // max(width, 1)
-    block = per & -_DRAW_GROUP or 1 << max(per.bit_length() - 1, 0)
+    block = 1 << max((_DRAW_BLOCK // max(width, 1)).bit_length() - 1, 0)
     out, x = np.empty(n_samples), np.empty((width, block))
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
@@ -293,6 +291,7 @@ def _blocked_draws(evaluate, fill, width: int, n_samples: int) -> np.ndarray:
 def sample_integral(f: Tensor, n_samples: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Draws of I_n(f) on fresh normals, in blocks of _blocked_draws."""
+    f = f if isinstance(f, SymTensor) else symmetrize(f)  # once, not per block
     d = f.dim if f.dim is not None else 1
     return _blocked_draws(lambda x: eval_integral(f, x.T), rng.standard_normal,
                           d, n_samples)

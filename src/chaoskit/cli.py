@@ -194,8 +194,6 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
     return str(v)
 
 
@@ -299,7 +297,8 @@ _SWEEP_COLUMNS = [
     ("se_variance", "float", "jackknife standard error of mc_variance"),
     ("se_skewness", "float", "jackknife standard error of mc_skewness"),
     ("se_kurtosis", "float", "jackknife standard error of mc_kurtosis"),
-    ("ks_statistic", "float", "Kolmogorov-Smirnov distance to standard normal"),
+    ("ks_statistic", "float", "Kolmogorov-Smirnov distance to standard "
+     "normal of the draws at unit variance, over sqrt(variance_exact)"),
     ("ks_threshold", "float", "5% rejection threshold 1.358/sqrt(N)"),
     ("ks_pass", "bool", "true when ks_statistic < ks_threshold"),
 ]
@@ -310,7 +309,7 @@ def _sweep_row(args, index, p):
     draws = ef.sample_statistic(
         args.samples, stream(args.seed, f"{args.command}:{args.family}:{index}"))
     su = summarize(draws)
-    ks = ks_against_std_normal(draws)
+    ks = ks_against_std_normal(draws / math.sqrt(ef.variance_exact()))
     param = _FAMILIES[args.family].param
     closed = (sheet_power_variance_exact(ef.functional.betas)
               if args.family == "sheet-power" else None)
@@ -343,13 +342,13 @@ def _cmd_sample(args) -> int:
     fam = _FAMILIES[args.family]
     rng = stream(args.seed, f"sample:{args.family}")
     built = _build(args, getattr(args, fam.param) if fam.param else None)
-    if fam.model:
+    if fam.model:  # KS reads the draws at unit variance
         draws = built.sample_statistic(args.samples, rng)
-    else:
+        ks = ks_against_std_normal(draws / math.sqrt(built.variance_exact()))
+    else:  # a kernel family's draws are at unit variance already
         draws = sample_integral2_spectral(hs_operator(built), args.samples, rng)
-
+        ks = ks_against_std_normal(draws)
     su = summarize(draws)
-    ks = ks_against_std_normal(draws)
     columns = [
         ("index", "int", "draw index"),
         ("value", "float", "one draw of the normalized statistic"),

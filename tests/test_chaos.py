@@ -328,10 +328,10 @@ def test_spectral_sampler_agrees_in_distribution():
 
 @pytest.mark.parametrize("rank", [1, 7, 100, 512])
 def test_spectral_draws_do_not_depend_on_blocking(rank):
-    # blocks hold chaos._DRAW_BLOCK entries, so n and n = 100000 cut the
-    # stream differently; whole blocks of whole 64-draw groups, one column
-    # per draw, make every draw read, and reduce, the same uniforms
-    # (n = 999 and 1001 end inside a 64-draw group)
+    # blocks hold at most chaos._DRAW_BLOCK entries, so n and n = 100000
+    # cut the stream differently; whole blocks of a power of two of draws,
+    # one column per draw, make every draw read, and reduce, the same
+    # uniforms (n = 999 and 1001 end inside a block at every rank here)
     lam = stream(43, f"chaos:blocks:{rank}").standard_normal(rank)
     op = HSOperator(lam)
     long = sample_integral2_spectral(op, 100000, stream(43, "chaos:draws"))
@@ -343,7 +343,7 @@ def test_spectral_draws_do_not_depend_on_blocking(rank):
     # T = tan(pi U / 2), q = L/(1 + T^2), and each draw reduced over its
     # column as (-2 lam_a) L + 2 (lam_a - lam_b) q - sum lam
     m = (rank + 1) // 2
-    block = max(64, chaos._DRAW_BLOCK // (2 * m)) & -64
+    block = 1 << max((chaos._DRAW_BLOCK // (2 * m)).bit_length() - 1, 0)
     pairs = np.append(lam, np.zeros(rank % 2)).reshape(m, 2)
     a, d2 = -2.0 * pairs[:, 0], 2.0 * (pairs[:, 0] - pairs[:, 1])
     rng = stream(43, "chaos:draws")
@@ -422,8 +422,8 @@ def test_spectral_sampler_memory_is_bounded():
 
 
 def test_spectral_sampler_memory_is_bounded_above_width_512():
-    # a block of whole 64-draw groups would hold 64 * 4096 uniforms (2.1 MB)
-    # at rank 4096; a block of 8 draws keeps the buffer at _DRAW_BLOCK
+    # a block of 64 draws would hold 64 * 4096 uniforms (2.1 MB) at rank
+    # 4096; a block of 8 draws keeps the buffer at _DRAW_BLOCK
     op = HSOperator(np.full(4096, 1.0 / math.sqrt(8192.0)))
     rng = stream(47, "chaos:memory-wide")
     tracemalloc.start()
@@ -445,13 +445,13 @@ def test_spectral_sampler_requires_order2():
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_sample_integral_draws_do_not_depend_on_n_samples(order):
-    # a block is whole groups of chaos._DRAW_GROUP rows of about
-    # chaos._DRAW_BLOCK normals, 6528 rows at d = 5: n = 6527 and 6529 end
-    # on either side of the first block boundary, and every run's draws
-    # are a prefix of the longest one's
+    # a block is the largest power of two of rows within chaos._DRAW_BLOCK
+    # normals, 4096 rows at d = 5: n = 4095 and 4097 end on either side of
+    # the first block boundary, and every run's draws are a prefix of the
+    # longest one's
     f = sym(stream(53, f"chaos:rows:{order}").standard_normal((5,) * order))
     longest = sample_integral(f, 20000, stream(53, "chaos:rows:draws"))
-    for n in (1000, 6527, 6529):
+    for n in (1000, 4095, 4097):
         draws = sample_integral(f, n, stream(53, "chaos:rows:draws"))
         np.testing.assert_array_equal(draws, longest[:n])
 
@@ -459,14 +459,67 @@ def test_sample_integral_draws_do_not_depend_on_n_samples(order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_sample_integral_evaluates_one_column_per_draw(order):
     # draw i is eval_integral on column i % block of the whole (d, block)
-    # normal fill i // block, 6528 columns at d = 5; 7000 draws end inside
+    # normal fill i // block, 4096 columns at d = 5; 7000 draws end inside
     # the second block, whose extra columns are dropped
     f = sym(stream(71, f"chaos:cols:{order}").standard_normal((5,) * order))
-    block = max(64, chaos._DRAW_BLOCK // 5) & -64
+    block = 1 << max((chaos._DRAW_BLOCK // 5).bit_length() - 1, 0)
     draws = sample_integral(f, 7000, stream(71, "chaos:cols:draws"))
     rng = stream(71, "chaos:cols:draws")
     ref = [eval_integral(f, rng.standard_normal((5, block)).T) for _ in range(2)]
     np.testing.assert_array_equal(draws, np.concatenate(ref)[:7000])
+
+
+class _RecordingFills:
+    """A generator whose fills record the (width, block) buffer they fill."""
+
+    def __init__(self, gen):
+        self.gen, self.sizes = gen, []
+
+    def standard_normal(self, size, out):
+        self.sizes.append(size)
+        return self.gen.standard_normal(size, out=out)
+
+    def random(self, size, out):
+        self.sizes.append(size)
+        return self.gen.random(size, out=out)
+
+
+@pytest.mark.parametrize("widths", [range(1, 1025),
+                                    [8191, 8193, 10000, 16384, 16385,
+                                     32768, 32769, 40000]],
+                         ids=["1-1024", "above-8190"])
+def test_every_width_fills_blocks_of_the_largest_power_of_two(widths):
+    # one rule at every width: a block is the largest power of two of draws
+    # within chaos._DRAW_BLOCK variates, at least 1, for the normals of
+    # sample_integral and the uniforms of the spectral sampler alike
+    for width in widths:
+        block = 1
+        while 2 * block * width <= chaos._DRAW_BLOCK:
+            block *= 2
+        f = sym(np.full(width, 1.0 / math.sqrt(width)))
+        rng = _RecordingFills(stream(73, f"chaos:widths:{width}"))
+        sample_integral(f, 2, rng)
+        if width % 2 == 0:
+            op = HSOperator(np.full(width, 1.0 / math.sqrt(2.0 * width)))
+            sample_integral2_spectral(op, 2, rng)
+        assert rng.sizes and all(size == (width, block) for size in rng.sizes)
+
+
+def test_sample_integral_symmetrizes_a_plain_tensor_once(monkeypatch):
+    # 10^5 draws at d = 12 take many blocks; a plain kernel is symmetrized
+    # once before them, and its draws are those of its symmetric part
+    f = tensor(stream(79, "chaos:plain").standard_normal((12,) * 3))
+    want = sample_integral(symmetrize(f), 100000, stream(79, "chaos:plain:draws"))
+    calls = []
+
+    def counting(t):
+        calls.append(t.order)
+        return symmetrize(t)
+
+    monkeypatch.setattr(chaos, "symmetrize", counting)
+    draws = sample_integral(f, 100000, stream(79, "chaos:plain:draws"))
+    assert calls == [3]
+    np.testing.assert_array_equal(draws, want)
 
 
 def test_sample_integral_deterministic_given_stream():

@@ -12,6 +12,7 @@ import csv
 import importlib.util
 import itertools
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -25,8 +26,11 @@ import pytest
 import chaoskit.cli as cli
 from chaoskit import embeddings
 from chaoskit.acceptance import Check, CriterionResult
-from chaoskit.functionals import FbmPowerVariation, embed_on_grid
+from chaoskit.diagnostics import ks_against_std_normal
+from chaoskit.functionals import (FbmPowerVariation, FbmSingularVariation,
+                                  embed_on_grid)
 from chaoskit.reference import tail_mass_kernel2
+from chaoskit.rng import stream
 from chaoskit.tensors import norm_sq
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -176,6 +180,36 @@ def test_sweep_summary_reads_the_last_row_by_name(tmp_path, command, family):
     res = _summary(tmp_path, command)["results"]
     assert repr(res["final_mc_kurtosis"]) == last["mc_kurtosis"]
     assert res["final_ks_pass"] is (last["ks_pass"] == "true")
+
+
+def test_sweep_and_sample_ks_read_the_draws_at_unit_variance(tmp_path):
+    # the normalized statistic has variance variance_exact, not 1: KS is
+    # taken on the row's draws over sqrt(variance_exact), bit for bit
+    d1, d2 = tmp_path / "sweep", tmp_path / "sample"
+    assert cli.main(["sweep-fbm", "--family", "fbm-power", "--cells", "32",
+                     "--samples", "500", "--schedule", "1e-1,1e-2",
+                     "--seed", "5", "--out", str(d1)]) == 0
+    cfg = _summary(d1, "sweep-fbm")["config"]
+    for i, row in enumerate(_rows(d1, "sweep-fbm")):
+        func = FbmPowerVariation(cfg["hurst"], float(row["beta"]))
+        ef = embed_on_grid(func, cfg["cells"], cfg["grid"], cfg["octaves"])
+        draws = ef.sample_statistic(500, stream(5, f"sweep-fbm:fbm-power:{i}"))
+        assert float(row["variance_exact"]) == ef.variance_exact() != 1.0
+        ks = ks_against_std_normal(draws / math.sqrt(ef.variance_exact()))
+        assert float(row["ks_statistic"]) == ks.statistic
+        assert (row["ks_pass"] == "true") is ks.passed
+    assert cli.main(["sample", "--family", "fbm-singular", "--eps", "0.01",
+                     "--cells", "64", "--samples", "2000", "--seed", "3",
+                     "--out", str(d2)]) == 0
+    cfg = _summary(d2, "sample")["config"]
+    ef = embed_on_grid(FbmSingularVariation(cfg["hurst"], cfg["eps"]),
+                       cfg["cells"], cfg["grid"], cfg["octaves"])
+    draws = ef.sample_statistic(2000, stream(3, "sample:fbm-singular"))
+    assert [float(r["value"]) for r in _rows(d2, "sample")] == draws.tolist()
+    ks = ks_against_std_normal(draws / math.sqrt(ef.variance_exact()))
+    res = _summary(d2, "sample")["results"]
+    assert res["ks_statistic"] == ks.statistic
+    assert res["ks_pass"] is ks.passed
 
 
 # ------------------------------------------------------------- commands

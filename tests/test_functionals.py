@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from chaoskit.chaos import (
     hs_operator,
     second_moment_exact,
 )
-from chaoskit.embeddings import BrownianSheet, build_embedding, sample_path
+from chaoskit.embeddings import (
+    BrownianSheet,
+    FractionalBrownianMotion,
+    build_embedding,
+    sample_path,
+)
 from chaoskit.functionals import (
     FbmPowerVariation,
     FbmSingularVariation,
@@ -167,6 +173,42 @@ def test_sheet_singular_mean_and_kernel():
     assert f.axis_weights() == [(-1.0, 1e-2)] * 2
     emb = build_embedding(f.model(), 8, "geometric")
     _assert_value_matches_reference(embed(f, emb))
+
+
+@dataclass(frozen=True)
+class _CutPowerVariation(functionals._WeightedSquare):
+    """A family made by the recipe: fields, model() and axis_weights().
+
+    F = integral over [cutoff, 1] of t^(2 beta) X_t^2 dt, a power weight
+    with a cutoff, which no built-in family has.
+    """
+
+    hurst: float
+    beta: float
+    cutoff: float
+
+    def model(self):
+        return FractionalBrownianMotion(self.hurst)
+
+    def axis_weights(self):
+        return [(self.beta, self.cutoff)]
+
+
+def test_a_new_family_with_a_cut_power_weight():
+    # H = 0.6 and weight u^(-1/2) on [0.05, 1]: q = 2 beta + 2H + 1 = 1.7,
+    # so E F = (1 - c^q)/q, the axis mass at q != 0 and cutoff > 0
+    f = _CutPowerVariation(0.6, -0.25, 0.05)
+    q = 1.7
+    assert f.mean_exact() == pytest.approx((1.0 - 0.05**q) / q, rel=1e-14)
+    assert f.normalization() == pytest.approx(
+        1.0 / math.sqrt(f.mean_exact()), rel=1e-15)
+    ef = embed_on_grid(f, 24, "geometric")
+    g = scale(_kernel(ef), ef.scale)
+    assert ef.variance_exact() == pytest.approx(second_moment_exact(g),
+                                                rel=1e-12)
+    assert ef.excess_kurtosis_exact() == pytest.approx(
+        excess_kurtosis_exact(g), rel=1e-12)
+    _assert_value_matches_reference(ef)
 
 
 # --------------------------------------------------------- direct route
@@ -398,7 +440,7 @@ def test_sample_statistic_draws_two_uniforms_per_eigenvalue_pair(eps):
     draws = ef.sample_statistic(10000, rng)
     assert draws.shape == (10000,)
     # one reused (width, block) buffer, one column per draw, whole blocks
-    block = max(64, chaos._DRAW_BLOCK // width) & -64
+    block = 1 << max((chaos._DRAW_BLOCK // width).bit_length() - 1, 0)
     assert all(size == (width, block) for size in rng.sizes)
     assert sum(math.prod(size) for size in rng.sizes) == \
         math.ceil(10000 / block) * block * width
