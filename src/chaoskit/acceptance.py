@@ -379,13 +379,12 @@ def parallel_map(worker, count: int, threads: int) -> list:
     """[worker(0), ..., worker(count - 1)] on up to threads threads.
 
     Results are assembled by index, so their order never depends on
-    thread timing; reading every result re-raises a worker's exception.
+    thread timing; the first failing index re-raises, cancelling unstarted ones.
     """
     if threads <= 1 or count <= 1:
         return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(worker, i) for i in range(count)]
-        return [f.result() for f in futs]
+        return list(pool.map(worker, range(count)))
 
 
 def run_criteria(numbers, seed: int, threads: int = 1):

@@ -297,7 +297,7 @@ def sample_integral(f: Tensor, n_samples: int,
                           d, n_samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HSOperator:
     """Symmetric Hilbert-Schmidt operator, held as its spectrum.
 

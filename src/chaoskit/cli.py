@@ -176,25 +176,23 @@ def _schedule(args):
     if fam.param is None:  # a constant kernel: points are repeat indices
         xs = list(range(1, len(xs) + 1))
     args.schedule = tuple(float(x) for x in xs)  # echo the resolved schedule
-    if args.family == "fbm-power":  # points are 2b+2H+1
-        return xs, [(x - 2.0 * args.hurst - 1.0) / 2.0 for x in xs]
-    return xs, xs
+    if args.family != "fbm-power":
+        return xs, xs
+    # x = 2b+2H+1 must come back from b to 1e-9, the exact columns' tolerance
+    betas = [(x - 2.0 * args.hurst - 1.0) / 2.0 for x in xs]
+    for x, b in zip(xs, betas):
+        q = 2.0 * b + 2.0 * args.hurst + 1.0
+        if abs(q - x) > 1e-9 * abs(x):
+            raise UsageError(f"fbm-power schedule point {x!r} is below the "
+                             f"resolution of beta: 2 beta + 2H + 1 = {q!r}")
+    return xs, betas
 
 
 # ---------------------------------------------------------------- output
 
 
-# cell types the csv module already writes as _cell would: str as is,
-# int as str, float as repr (np.float64, a float subclass, is not one)
-_CSV_NATIVE = frozenset((str, int, float))
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    return str(v)
+def _bool(v) -> str:  # csv itself writes None as "" and a float as repr
+    return "true" if v else "false"
 
 
 def _emit(args, columns, rows, results: dict):
@@ -209,8 +207,7 @@ def _emit(args, columns, rows, results: dict):
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([c[0] for c in columns])
-        for row in rows:
-            w.writerow([v if type(v) in _CSV_NATIVE else _cell(v) for v in row])
+        w.writerows(rows)
     schema = {
         "file": csv_path.name,
         "empty_cell": "field not applicable to this row",
@@ -221,8 +218,7 @@ def _emit(args, columns, rows, results: dict):
         json.dumps(schema, indent=2, sort_keys=True) + "\n")
     summary = {
         "command": command,
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in vars(args).items()
+        "config": {k: v for k, v in vars(args).items()
                    if k not in ("command", "run", "out", "config", "threads")},
         "versions": {
             "chaoskit": __version__,
@@ -266,7 +262,7 @@ def _cmd_diagnose(args) -> int:
         con = r.contraction_norms_sq[0] if r.contraction_norms_sq else None
         rows.append((i, r.label, r.order, r.variance, r.fourth_moment,
                      r.excess_kurtosis, con, r.ks.statistic, r.ks.threshold,
-                     r.ks.passed))
+                     _bool(r.ks.passed)))
     _emit(args, columns, rows, {"verdict": report.verdict, "rows": len(rows)})
     print(f"diagnose: verdict {report.verdict}", file=sys.stderr)
     return 0
@@ -320,7 +316,7 @@ def _sweep_row(args, index, p):
             ef.contraction_ratio(), ef.operator.eigenvalues.size,
             su.mean, su.variance, su.skewness, su.kurtosis,
             su.se_mean, su.se_variance, su.se_skewness, su.se_kurtosis,
-            ks.statistic, ks.threshold, ks.passed)
+            ks.statistic, ks.threshold, _bool(ks.passed))
 
 
 def _run_sweep(args) -> int:
@@ -331,7 +327,7 @@ def _run_sweep(args) -> int:
     results = {
         "rows": len(rows),
         "final_mc_kurtosis": last["mc_kurtosis"],
-        "final_ks_pass": last["ks_pass"],
+        "final_ks_pass": last["ks_pass"] == "true",
     }
     _emit(args, _SWEEP_COLUMNS, rows, results)
     print(f"{args.command}: {len(rows)} schedule points", file=sys.stderr)
@@ -373,10 +369,14 @@ def _parse_criteria(text: str):
     for part in filter(None, map(str.strip, text.split(","))):
         lo, dash, hi = part.partition("-")
         try:
-            nums.update(range(int(lo), int(hi if dash else lo) + 1))
+            lo, hi = int(lo), int(hi if dash else lo)
         except ValueError:
             raise UsageError(f"bad criteria range {part!r}")
-    if not nums or not nums <= CRITERION_NAMES.keys():
+        if not 1 <= lo <= hi <= len(CRITERION_NAMES):  # before range()
+            raise UsageError(f"criteria must be in 1..{len(CRITERION_NAMES)}, "
+                             f"lo <= hi, got {part!r}")
+        nums.update(range(lo, hi + 1))
+    if not nums:
         raise UsageError(f"criteria must be in 1..{len(CRITERION_NAMES)}, "
                          f"got {text!r}")
     return sorted(nums)
@@ -395,7 +395,7 @@ def _cmd_validate(args) -> int:
         ("observed", "float", "measured value of the sub-check"),
         ("target", "string", "pass condition, with context values"),
     ]
-    rows = [(r.number, r.name, c.name, c.passed, c.observed, c.target)
+    rows = [(r.number, r.name, c.name, _bool(c.passed), c.observed, c.target)
             for r in results for c in r.checks]
     all_passed = all(r.passed for r in results)
     summary = {

@@ -192,7 +192,7 @@ def _cholesky_with_jitter(gram: np.ndarray):
         f"away from the degenerate regime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridEmbedding:
     """Finite orthonormal coordinates for a model on a grid.
 

@@ -201,7 +201,7 @@ def _check_process(func, emb: GridEmbedding):
                          f"{func.model()}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddedFunctional:
     """A functional frozen onto a grid: mean, normalization, spectrum.
 

@@ -86,10 +86,28 @@ def test_validate_criteria_parsing_rejects_out_of_range(tmp_path, capsys):
     assert cli._parse_criteria("3") == [3]
     assert cli._parse_criteria("1-9, 3") == list(range(1, 10))
     assert cli._parse_criteria("all") == list(range(1, 11))  # the default
-    for bad in ("0", "11", "2-x", "", "1,0", "1-", "-3", "3-1"):
+    # a reversed part is refused, not dropped
+    for bad in ("0", "11", "2-x", "", "1,0", "1-", "-3", "3-1", "5-3",
+                "1,5-3"):
         rc = cli.main(["validate", "--criteria", bad, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: usage:")
+
+
+def test_validate_criteria_are_bounded_before_their_range_is_built(
+        tmp_path, capsys):
+    # 1-10^12 is refused on its ends, never built as a range
+    argv = ["validate", "--criteria", "1-1000000000000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and peak < 1e6
+    assert capsys.readouterr().err.startswith(
+        "error: usage: criteria must be in 1..10")
+    assert not list(tmp_path.iterdir())
 
 
 def test_validate_failing_criterion_exits_two(tmp_path, monkeypatch, capsys):
@@ -180,6 +198,36 @@ def test_sweep_summary_reads_the_last_row_by_name(tmp_path, command, family):
     res = _summary(tmp_path, command)["results"]
     assert repr(res["final_mc_kurtosis"]) == last["mc_kurtosis"]
     assert res["final_ks_pass"] is (last["ks_pass"] == "true")
+
+
+def test_emit_writes_the_data_rows_in_one_writerows_call(tmp_path,
+                                                         monkeypatch):
+    # csv itself writes every cell: an int as decimal, a float as its repr
+    calls, real = [], csv.writer
+
+    class Recorder:
+        def __init__(self, fh, **kw):
+            self.w = real(fh, **kw)
+
+        def writerow(self, row):
+            calls.append(("writerow", list(row)))
+            self.w.writerow(row)
+
+        def writerows(self, rows):
+            assert iter(rows) is rows  # streamed, never held as a list
+            rows = list(rows)
+            calls.append(("writerows", rows))
+            self.w.writerows(rows)
+
+    monkeypatch.setattr(cli.csv, "writer", Recorder)
+    assert cli.main(["sample", "--samples", "500", "--out", str(tmp_path)]) == 0
+    assert [name for name, _ in calls] == ["writerow", "writerows"]
+    assert calls[0][1] == ["index", "value"]
+    rows = calls[1][1]
+    assert [i for i, _ in rows] == list(range(500))
+    assert all(type(v) is float for _, v in rows)
+    lines = (tmp_path / "sample.csv").read_text().splitlines()
+    assert lines[1:] == [f"{i},{v!r}" for i, v in rows]
 
 
 def test_sweep_and_sample_ks_read_the_draws_at_unit_variance(tmp_path):
@@ -955,6 +1003,21 @@ def _assert_finite_columns(out, argv):
     for row in rows:
         for name in _EXACT_COLUMNS[command]:
             assert np.isfinite(float(row[name])), (argv, name)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "sweep-fbm"])
+def test_fbm_power_points_below_beta_resolution_are_refused(tmp_path, capsys,
+                                                            command):
+    # at H = 0.75, beta = (x - 2.5)/2 gives x = 1e-13 back as 2 beta + 2.5
+    # off by 8e-4 relative; x = 1e-3 comes back within 1.1e-13
+    argv = [command, "--family", "fbm-power", "--hurst", "0.75", "--cells",
+            "16", "--samples", "100", "--out", str(tmp_path)]
+    assert cli.main(argv + ["--schedule", "1e-3"]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--schedule", "1e-3,1e-13"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: usage: fbm-power schedule point 1e-13 ")
+    assert "beta" in line
 
 
 def test_parameter_domain_walk(tmp_path, capsys):

@@ -18,6 +18,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=300)
+    # -W error: the warning filter of pyproject.toml stops at the subprocess
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

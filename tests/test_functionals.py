@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -640,3 +641,13 @@ def test_direct_and_chaos_routes_couple(hurst):
 def test_embed_on_grid_refuses_an_unknown_family():
     with pytest.raises(TypeError, match="unknown functional family object"):
         embed_on_grid(object(), 4)
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # a generated == or hash would compare the arrays field by field, and
+    # raise; these records are equal to themselves only
+    ef = embed_on_grid(FbmPowerVariation(0.75, 0.0), 8)
+    for x in (ef, ef.embedding, ef.operator):
+        twin = copy.deepcopy(x)
+        assert x == x and x != twin, type(x).__name__
+        assert {x, x} == {x} and len({x, twin}) == 2, type(x).__name__
