@@ -61,8 +61,14 @@ from .tensors import (
 __all__ = ["Check", "CriterionResult", "CRITERION_NAMES", "run_criterion",
            "run_criteria", "format_criterion", "parallel_map"]
 
+# configurations a check shares with a CLI default
 _BETA_SCHEDULE = (1e-1, 10**-1.5, 1e-2, 10**-2.5)  # values of 2b+2H+1
 _EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+_PAIR_SCHEDULE = (4, 16, 64, 256)  # criterion 3's pair counts k
+_KS_DRAWS = 10000  # draws of each KS test of criteria 3 and 4
+_MC_DRAWS = 100000  # Monte Carlo draws per point of criteria 7 and 8
+_SHEET_CELLS, _SHEET_OCTAVES = 1024, 512.0  # criterion 7's geometric grid
+_HURST, _FBM_CELLS = 0.75, 512  # criterion 8's fBm on a geometric grid
 
 
 @dataclass(frozen=True)
@@ -152,15 +158,14 @@ def criterion_2(seed: int) -> tuple:
 
 def criterion_3(seed: int) -> tuple:
     """The averaged disjoint-pair family turns Gaussian at rate 1/k."""
-    ks = (4, 16, 64, 256)
-    kernels = [disjoint_pair_kernel(k) for k in ks]
+    kernels = [disjoint_pair_kernel(k) for k in _PAIR_SCHEDULE]
     # spectral excess, tensor-route contraction: two independent decay checks
     ops = [hs_operator(f) for f in kernels]
     exc = [excess_kurtosis_exact(op) for op in ops]
     con = [contraction_norm_sq(f, 1) for f in kernels]
     exc_factor = min(a / b for a, b in zip(exc, exc[1:]))
     con_factor = min(a / b for a, b in zip(con, con[1:]))
-    draws = sample_integral2_spectral(ops[-1], 10000, stream(seed, "c3:ks"))
+    draws = sample_integral2_spectral(ops[-1], _KS_DRAWS, stream(seed, "c3:ks"))
     ksr = ks_against_std_normal(draws)
     return (
         Check("excess-decay-factor", exc_factor >= 3.0, exc_factor,
@@ -178,7 +183,7 @@ def criterion_4(seed: int) -> tuple:
     m4, op = fourth_moment_exact(f), hs_operator(f)
     fails = 0
     for i in range(20):
-        draws = sample_integral2_spectral(op, 10000, stream(seed, f"c4:{i}"))
+        draws = sample_integral2_spectral(op, _KS_DRAWS, stream(seed, f"c4:{i}"))
         fails += not ks_against_std_normal(draws).passed
     return (
         Check("fourth-moment-is-9", abs(m4 - 9.0) <= 1e-9, m4, "= 9 to 1e-9"),
@@ -262,8 +267,8 @@ def criterion_7(seed: int) -> tuple:
                             f"-> {target} (within 2% at 2b+2=1e-3; "
                             f"values {[round(v, 6) for v in vals]})"))
     func = SheetPowerVariation((-0.995,))
-    ef = embed_on_grid(func, 1024, "geometric", 512.0)
-    su = summarize(ef.sample_statistic(100000, stream(seed, "c7:mc")))
+    ef = embed_on_grid(func, _SHEET_CELLS, "geometric", _SHEET_OCTAVES)
+    su = summarize(ef.sample_statistic(_MC_DRAWS, stream(seed, "c7:mc")))
     checks.append(_mc_matches_exact("mc-kurtosis-near-critical", su.kurtosis,
                                     ef.kurtosis_exact(), su.se_kurtosis, 3.0))
     return tuple(checks)
@@ -276,18 +281,18 @@ def criterion_8(seed: int) -> tuple:
     every Monte Carlo estimate must agree with it; the schedule endpoints
     are not yet Gaussian, which the final-point targets record.
     """
-    hurst = 0.75
     schedules = {
-        "beta": [FbmPowerVariation(hurst, (x - 2.0 * hurst - 1.0) / 2.0)
+        "beta": [FbmPowerVariation(_HURST, (x - 2.0 * _HURST - 1.0) / 2.0)
                  for x in _BETA_SCHEDULE],
-        "eps": [FbmSingularVariation(hurst, e) for e in _EPS_SCHEDULE],
+        "eps": [FbmSingularVariation(_HURST, e) for e in _EPS_SCHEDULE],
     }
     checks = []
     for label, fams in schedules.items():
         excs, exact, ses, ratios = [], [], [], []
         for i, fam in enumerate(fams):
-            ef = embed_on_grid(fam, 512, "geometric", 511.0)
-            su = summarize(ef.sample_statistic(100000, stream(seed, f"c8:{label}:{i}")))
+            ef = embed_on_grid(fam, _FBM_CELLS, "geometric", _FBM_CELLS - 1.0)
+            su = summarize(ef.sample_statistic(_MC_DRAWS,
+                                               stream(seed, f"c8:{label}:{i}")))
             excs.append(su.excess_kurtosis)
             exact.append(ef.excess_kurtosis_exact())
             ses.append(su.se_kurtosis)

@@ -169,13 +169,10 @@ class ChaosElement:
 
 
 def eval_chaos_element(c: ChaosElement, xi):
+    """The sum of the terms' eval_integral values: a float or an (N,) array."""
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    vals = xi[None, :] if single else xi
-    out = np.zeros(vals.shape[0])
-    for f in c.terms.values():
-        out = out + eval_integral(f, vals)
-    return float(out[0]) if single else out
+    zero = 0.0 if xi.ndim == 1 else np.zeros(len(xi))
+    return sum((eval_integral(f, xi) for f in c.terms.values()), zero)
 
 
 def product_formula(f: SymTensor, g: SymTensor) -> ChaosElement:

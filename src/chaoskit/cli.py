@@ -36,8 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import (_BETA_SCHEDULE, _EPS_SCHEDULE, CRITERION_NAMES,
-                         format_criterion, parallel_map, run_criteria)
+from .acceptance import (_BETA_SCHEDULE, _EPS_SCHEDULE, _FBM_CELLS, _HURST,
+                         _KS_DRAWS, _MC_DRAWS, _PAIR_SCHEDULE, _SHEET_CELLS,
+                         _SHEET_OCTAVES, CRITERION_NAMES, format_criterion,
+                         parallel_map, run_criteria)
 from .chaos import hs_operator, sample_integral2_spectral
 from .diagnostics import (
     disjoint_pair_kernel,
@@ -107,8 +109,7 @@ _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
 # default schedule, and its kernel or functional at parameter p
 _Family = namedtuple("_Family", "param model schedule make")
 _FAMILIES = {
-    "clt-pairs": _Family("k", None, (4, 16, 64, 256),
-                         lambda a, p: _pairs(p)),
+    "clt-pairs": _Family("k", None, _PAIR_SCHEDULE, lambda a, p: _pairs(p)),
     "constant-cross": _Family(None, None, (1, 2, 3, 4),
                               lambda a, p: paired_product_kernel()),
     "rank-one": _Family(None, None, (1, 2, 3, 4), lambda a, p: SymTensor(
@@ -124,11 +125,12 @@ _FAMILIES = {
 }
 # every model and grid flag with its default (None: the family's schedule,
 # or cells - 1 octaves); only families with a process read the grid flags
-_DEFAULTS = {"schedule": None, "k": 64, "beta": 0.0, "eps": 1e-2, "hurst": 0.75,
-             "dims": 1, "cells": 512, "grid": "geometric", "octaves": None}
+_DEFAULTS = {"schedule": None, "k": 64, "beta": 0.0, "eps": 1e-2,
+             "hurst": _HURST, "dims": 1, "cells": _FBM_CELLS, "grid": "geometric",
+             "octaves": None}
 _GRID = ("cells", "grid", "octaves")
 # defaults a command overrides: sweep-sheet's finer grid, deeper if geometric
-_OVERRIDES = {"sweep-sheet": {"cells": 1024, "octaves": 512.0}}
+_OVERRIDES = {"sweep-sheet": {"cells": _SHEET_CELLS, "octaves": _SHEET_OCTAVES}}
 
 
 def _read_flags(args):
@@ -453,16 +455,16 @@ def _build_parser() -> _Parser:
     # and handler; the handler is looked up here, when the parser is built
     for command, text, families, family, flags, samples, run in [
         ("diagnose", "Gaussian-limit trend report for a built-in kernel "
-         "family", every, "clt-pairs", ("schedule", "hurst", "dims"), 10000,
+         "family", every, "clt-pairs", ("schedule", "hurst", "dims"), _KS_DRAWS,
          _cmd_diagnose),
         ("sweep-fbm", "moment/KS sweep of the fbm quadratic functionals "
          "along the limit schedule", ("fbm-power", "fbm-singular"),
-         "fbm-power", ("schedule", "hurst"), 100000, _run_sweep),
+         "fbm-power", ("schedule", "hurst"), _MC_DRAWS, _run_sweep),
         ("sweep-sheet", "moment/KS sweep of the sheet functionals, with the "
          "closed-form variance column", ("sheet-power", "sheet-singular"),
-         "sheet-power", ("schedule", "dims"), 100000, _run_sweep),
+         "sheet-power", ("schedule", "dims"), _MC_DRAWS, _run_sweep),
         ("sample", "raw Monte Carlo draws of one built-in statistic", every,
-         "constant-cross", ("k", "beta", "eps", "hurst", "dims"), 10000,
+         "constant-cross", ("k", "beta", "eps", "hurst", "dims"), _KS_DRAWS,
          _cmd_sample),
     ]:
         p = sub.add_parser(command, help=text)

@@ -47,19 +47,13 @@ __all__ = [
 
 # asymptotic 5% point of the Kolmogorov distribution
 _KS_COEFF = 1.358
-# draws per chunk of summarize's delete-one statistics and of the KS
-# test's first stage (64 KB)
+# draws per chunk of summarize's delete-one statistics (64 KB)
 _JACKKNIFE_CHUNK = 1 << 13
 _SQRT_HALF = math.sqrt(0.5)
-# Abramowitz & Stegun 7.1.26: erfc(z) = t (a1 + a2 t + ... + a5 t^4)
-# exp(-z^2) + e with t = 1/(1 + p z) and |e| <= 1.5e-7 for z >= 0;
-# coefficients from a5 down to a1, for Horner's rule
-_AS_P = 0.3275911
-_AS_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
-# a draw whose first-stage deviation is this close to the largest gets the
-# exact CDF: the first-stage CDF is within 7.5e-8, so the true largest
-# deviation is always among them
-_KS_MARGIN = 1e-6
+# sorted draws per block of the KS statistic, and the rounding slack of
+# its block bounds
+_KS_BLOCK = 32
+_KS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,15 +64,10 @@ class KSResult:
     passed: bool
 
 
-def _normal_cdf_approx(x):
-    """Phi(x) to within 7.5e-8 by A&S 7.1.26, elementwise; NaN stays NaN."""
-    z = np.abs(x) * _SQRT_HALF
-    t = 1.0 / (1.0 + _AS_P * z)
-    poly = _AS_A[0]
-    for a in _AS_A[1:]:
-        poly = poly * t + a
-    tail = 0.5 * t * poly * np.exp(-z * z)  # Phi(-|x|)
-    return np.where(x < 0, tail, 1.0 - tail)
+def _normal_cdf(x):
+    """Phi at each value of the array x by libm: 0.5 erfc(-x/sqrt(2))."""
+    return np.fromiter((0.5 * math.erfc(-v * _SQRT_HALF) for v in x.tolist()),
+                       float, x.size)
 
 
 def _ks_deviations(cdf, i, n):
@@ -90,30 +79,32 @@ def ks_against_std_normal(samples) -> KSResult:
     """One-sample Kolmogorov test against N(0, 1) at the 5% level.
 
     Uses the asymptotic threshold 1.358/sqrt(N), hence the floor on N.
-    The statistic is the one the CDF 0.5 erfc(-x/sqrt(2)) gives at every
-    draw, bit for bit, in two stages: an approximate CDF, _JACKKNIFE_CHUNK
-    sorted draws at a time, marks each draw whose deviation is within
-    _KS_MARGIN of the largest (NaN marks every draw it reaches), and the
-    exact CDF is taken at the marked draws alone.
+    The statistic is the one libm's CDF 0.5 erfc(-x/sqrt(2)) gives at
+    every draw, bit for bit.  The CDF is taken at the first and last of
+    each block of _KS_BLOCK sorted draws, ranks lo+1 to hi+1; Phi is
+    monotone, so no deviation in the block exceeds
+    max((hi+1)/n - Phi(first), Phi(last) - lo/n).  Only the blocks whose
+    bound reaches the largest deviation at a block end, less _KS_SLACK,
+    get the CDF draw by draw.  The slack covers libm's erfc, which is
+    within an ulp or so but not promised monotone, so Phi may step back
+    by a few 1e-16; every other step of the bound is monotone in
+    floating point.  A NaN draw sorts last and
+    makes that largest deviation NaN, so every block is kept and the
+    statistic is NaN, which fails.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 100:
         raise ValueError(f"KS test needs at least 100 samples, got {n}")
-    top, ranks, devs = -np.inf, [], []
-    for lo in range(0, n, _JACKKNIFE_CHUNK):
-        c = x[lo:lo + _JACKKNIFE_CHUNK]
-        i = np.arange(lo + 1, lo + c.size + 1)
-        dev = _ks_deviations(_normal_cdf_approx(c), i, n)
-        top = np.maximum(top, np.max(dev))
-        near = ~(dev < top - _KS_MARGIN)  # within the margin of the top so far
-        ranks.append(i[near])
-        devs.append(dev[near])
-    i = np.concatenate(ranks)
-    i = i[~(np.concatenate(devs) < top - _KS_MARGIN)]
-    cdf = np.array([0.5 * math.erfc(-v * _SQRT_HALF)
-                    for v in x[i - 1].tolist()])
-    d = float(np.max(_ks_deviations(cdf, i, n)))
+    lo = np.arange(0, n, _KS_BLOCK)
+    hi = np.minimum(lo + _KS_BLOCK, n) - 1
+    ends = np.concatenate([lo, hi])
+    cdf = _normal_cdf(x[ends])
+    top = np.max(_ks_deviations(cdf, ends + 1, n))
+    bound = np.maximum((hi + 1) / n - cdf[:lo.size], cdf[lo.size:] - lo / n)
+    i = (lo[~(bound < top - _KS_SLACK)][:, None] + np.arange(_KS_BLOCK)).ravel()
+    i = i[i < n]
+    d = float(np.max(_ks_deviations(_normal_cdf(x[i]), i + 1, n)))
     thr = _KS_COEFF / math.sqrt(n)
     return KSResult(statistic=d, n_samples=n, threshold=thr, passed=d < thr)
 

@@ -209,7 +209,8 @@ class GridEmbedding:
     Every embedding stage fails as a LinAlgError named by its stage:
     "factor: " here (too many cells, a correlation the jitter ladder
     cannot factor, or a residual past 1e-10), "spectrum: " in
-    kernel2_spectrum and "coordinates: " in EmbeddedFunctional.value.
+    kernel2_spectrum, "gram: " in gram_matrix and "coordinates: " in
+    EmbeddedFunctional.value.
     Nothing of size cells^ndim is stored.  dim is the number of
     standard-normal coordinates.
     """

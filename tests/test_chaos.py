@@ -157,6 +157,11 @@ def test_chaos_element_mean_and_call():
     assert c.mean == 2.5
     xi = np.array([[1.0, 7.0], [0.0, 0.0]])
     np.testing.assert_allclose(c(xi), [3.5, 2.5])
+    # a point gives a float and rows an array, with or without terms
+    assert type(c(xi[0])) is float and c(xi[0]) == 3.5
+    empty = ChaosElement({})
+    assert type(empty(xi[0])) is float and empty(xi[0]) == 0.0
+    assert isinstance(empty(xi), np.ndarray) and empty(xi).tolist() == [0.0, 0.0]
 
 
 def test_chaos_element_order_mismatch():

@@ -96,10 +96,17 @@ def _ks_draws(case):
         return np.concatenate([rng.standard_normal(3000),
                                [np.inf] * 5, [-np.inf] * 7])
     if case == "quantiles":
-        # every deviation is 1/(2n) up to rounding, far below the first
-        # stage's error, so its largest draw is no guide to the true one
+        # every deviation is 1/(2n) up to rounding, far below a block's
+        # width 32/n, so every block's bound reaches the largest deviation
         inv = statistics.NormalDist().inv_cdf
         return np.array([inv((i + 0.5) / 1000) for i in range(1000)])
+    if case == "inner-max":
+        # quantiles lifted by a bump of 0.01 at rank 5017, inside a block:
+        # the largest deviation is there, and blocks far from it are pruned
+        inv = statistics.NormalDist().inv_cdf
+        return np.array([inv((i + 0.5) / 10000
+                             + 0.01 * math.exp(-((i - 5016) / 200) ** 2))
+                         for i in range(10000)])
     raise ValueError(case)
 
 
@@ -113,13 +120,20 @@ def _ks_all_points(x, cdf_of):
 
 
 @pytest.mark.parametrize("case", ["normal", "heavy", "product", "constant",
-                                  "n100", "ties", "infinite", "quantiles"])
+                                  "n100", "ties", "infinite", "quantiles",
+                                  "inner-max"])
 def test_ks_statistic_is_the_exact_cdf_at_every_draw(case):
-    # the two stages give the libm statistic bit for bit, and scipy's ndtr
-    # (cephes) agrees in the last digits
+    # the block bounds give the libm statistic bit for bit, and scipy's
+    # ndtr (cephes) agrees in the last digits
     from scipy.special import ndtr
 
     x = _ks_draws(case)
+    if case == "inner-max":  # the premise: neither end of its block
+        s = np.sort(x)
+        i = np.arange(1, s.size + 1)
+        cdf = ndtr(s)
+        j = int(np.argmax(np.maximum(i / s.size - cdf, cdf - (i - 1) / s.size)))
+        assert 0 < j % diagnostics._KS_BLOCK < diagnostics._KS_BLOCK - 1
     got = ks_against_std_normal(x).statistic
     libm = _ks_all_points(x, lambda s: np.array(
         [0.5 * math.erfc(-v * math.sqrt(0.5)) for v in s.tolist()]))
@@ -127,16 +141,18 @@ def test_ks_statistic_is_the_exact_cdf_at_every_draw(case):
     assert abs(got - _ks_all_points(x, ndtr)) <= 1e-15
 
 
-def test_ks_first_stage_cdf_error():
-    # A&S 7.1.26 bounds erfc's error by 1.5e-7, so Phi's by 7.5e-8
-    x = np.linspace(-40.0, 40.0, 800001)
-    exact = np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in x.tolist()])
-    assert np.max(np.abs(diagnostics._normal_cdf_approx(x) - exact)) < 1e-7
+def test_ks_nan_draws_give_a_nan_statistic_that_fails():
+    x = stream(100, "diag:ksnan").standard_normal(10000)
+    x[::1000] = np.nan
+    res = ks_against_std_normal(x)
+    assert math.isnan(res.statistic)
+    assert not res.passed
 
 
 def test_ks_memory_is_bounded():
-    # the sorted copy plus chunk-sized temporaries; the CDF, rank and both
-    # one-sided differences as n-length arrays peaked at 4.07 MB
+    # the sorted copy plus the blocks' ends and the kept blocks' draws; the
+    # CDF, rank and both one-sided differences as n-length arrays peaked
+    # at 4.07 MB
     x = stream(100, "diag:ksmemory").standard_normal(100000)
     tracemalloc.start()
     try:
