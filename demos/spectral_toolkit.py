@@ -78,6 +78,7 @@ for name, d in (("coordinate", coord), ("spectral", spec)):
           f"{((d - d.mean()) ** 3).mean() / d.std() ** 3:+.4f}")
 print(f"  exact     : var {var:.4f}, skew "
       f"{cumulant(op, 3) / var ** 1.5:+.4f}")
-print("the spectral route draws d uniforms per sample, a radius and an")
-print("angle for each pair of eigenvalues, instead of evaluating a d x d")
-print("quadratic form on d normals, so big sweeps use it.")
+print("both routes draw d uniforms per sample.  The spectral one takes a")
+print("radius and an angle for each pair of eigenvalues; the coordinate")
+print("one makes d normals from them and evaluates a d x d quadratic form")
+print("on them, so big sweeps use the spectral route.")

@@ -263,35 +263,77 @@ def contraction_profile(f: SymTensor) -> tuple:
     return tuple(math.sqrt(contraction_norm_sq(f, p)) for p in range(1, n))
 
 
-def _blocked_draws(evaluate, fill, width: int, n_samples: int) -> np.ndarray:
-    """evaluate(x) on blocks x of ~_DRAW_BLOCK variates, one column per draw.
+def _blocked_draws(evaluate, rng, width: int, n_samples: int) -> np.ndarray:
+    """evaluate(x) on blocks x of ~_DRAW_BLOCK uniforms, one column per draw.
 
-    fill is a generator's method (rng.standard_normal, rng.random).  One
-    (width, block) buffer, allocated after the output so that freeing it
-    leaves no hole below the output in the heap, is refilled in place,
-    fill(x.shape, out=x), for every block, and evaluate may overwrite it.
-    block is the largest power of two <= _DRAW_BLOCK / width, at least 1,
-    so the buffer holds between _DRAW_BLOCK / 2 and _DRAW_BLOCK variates
-    at every width up to _DRAW_BLOCK.  It depends on width only; every
-    block is whole and the last one's extra draws are dropped.  So draw i
-    is column i % block of block i // block: the same bits at any
-    n_samples, in any thread.
+    One (width, block) buffer, allocated after the output so that freeing
+    it leaves no hole below the output in the heap, is refilled in place
+    with uniforms, rng.random(x.shape, out=x), for every block, and
+    evaluate may overwrite it.  block is the largest power of two
+    <= _DRAW_BLOCK / width, at least 1, so the buffer holds between
+    _DRAW_BLOCK / 2 and _DRAW_BLOCK variates at every width up to
+    _DRAW_BLOCK.  It depends on width only; every block is whole and the
+    last one's extra draws are dropped.  So draw i is column i % block of
+    block i // block: the same bits at any n_samples, in any thread.
     """
     block = 1 << max((_DRAW_BLOCK // max(width, 1)).bit_length() - 1, 0)
     out, x = np.empty(n_samples), np.empty((width, block))
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
-        out[start:start + take] = evaluate(fill(x.shape, out=x))[:take]
+        out[start:start + take] = evaluate(rng.random(x.shape, out=x))[:take]
     return out
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals, in place, from a flat array of an even number of
+    uniforms U in [0, 1), paired across its halves (Box-Muller).
+
+    The first half becomes radii R = sqrt(-2 log(1 - U)) (1 - U is exact
+    for 53-bit uniforms, and never 0), the second half half-angle
+    tangents T = tan(pi (U - 1/2)) of an angle uniform on [-pi, pi).
+    With s = R / (1 + T^2), entry k of the first half becomes
+    s (2 - (1 + T^2)) = R (1 - T^2)/(1 + T^2) = R cos and entry k of the
+    second half 2 s T = 2 R T/(1 + T^2) = R sin: exact in law, with no
+    rejection and no sine, which numpy does not vectorize for float64.
+    The one temporary holds 1 + T^2, half of u.
+    """
+    h = u.size // 2
+    r, t = u[:h], u[h:]
+    np.log(np.subtract(1.0, r, out=r), out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)  # R
+    np.tan(np.multiply(np.subtract(t, 0.5, out=t), np.pi, out=t), out=t)  # T
+    w = np.square(t)
+    w += 1.0
+    r /= w  # s
+    t *= r
+    t += t  # 2 s T
+    r *= np.subtract(2.0, w, out=w)  # s (2 - (1 + T^2))
+    return u
 
 
 def sample_integral(f: Tensor, n_samples: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Draws of I_n(f) on fresh normals, in blocks of _blocked_draws."""
+    """Draws of I_n(f), in blocks of _blocked_draws.
+
+    Each (d, block) fill of uniforms becomes normals in place, paired by
+    _box_muller across the two halves of the flat buffer, and draw i is
+    eval_integral on its column.  An odd-sized buffer (block 1 at an odd
+    d > _DRAW_BLOCK / 2) pairs all but its last entry, which is the first
+    normal of one more pair, rng.random(2), drawn after the block's fill.
+    """
     f = f if isinstance(f, SymTensor) else symmetrize(f)  # once, not per block
     d = f.dim if f.dim is not None else 1
-    return _blocked_draws(lambda x: eval_integral(f, x.T), rng.standard_normal,
-                          d, n_samples)
+
+    def evaluate(x):
+        u = x.reshape(-1)
+        if u.size % 2:
+            u[-1] = _box_muller(rng.random(2))[0]
+            u = u[:-1]
+        _box_muller(u)
+        return eval_integral(f, x.T)
+
+    return _blocked_draws(evaluate, rng, d, n_samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,4 +473,4 @@ def sample_integral2_spectral(op: HSOperator, n_samples: int,
         np.divide(e, q, out=q)  # q
         return a @ e + d2 @ q - total
 
-    return _blocked_draws(evaluate, rng.random, 2 * m, n_samples)
+    return _blocked_draws(evaluate, rng, 2 * m, n_samples)

@@ -7,11 +7,12 @@ with a 128-bit key hashed from both, so streams are independent of each
 other and of the order in which the program creates them.  Re-running
 with the same seed reproduces every variate bit for bit, threads or not
 (tasks never share a stream), and every draw at one BLAS thread count.
-Monte Carlo columns spend most of their time drawing variates.  Order-n
-draws take normals, about 17 ns each from this generator against 20 ns
-from numpy's counter-based one, and spectral draws take uniforms, about
-2.4 ns each; a whole spectral draw costs about 4.7 ns per eigenvalue at
-rank 512, transforms included (one AVX-512 Xeon core, numpy 2.4).
+Monte Carlo columns spend most of their time drawing variates.  Every
+sampler takes uniforms, about 2.2 ns each from this generator: order-n
+draws make their normals from them by Box-Muller, about 6 ns per normal
+against 12-15 ns from standard_normal, and a whole spectral draw costs
+about 4.7 ns per eigenvalue at rank 512, transforms included (one
+AVX-512 Xeon core, numpy 2.4).
 """
 
 from __future__ import annotations

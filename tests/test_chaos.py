@@ -21,6 +21,7 @@ from chaoskit.chaos import (
     sample_integral2_spectral,
     second_moment_exact,
 )
+from chaoskit.diagnostics import ks_against_std_normal
 from chaoskit.rng import stream
 from chaoskit.tensors import (
     SymTensor,
@@ -461,31 +462,41 @@ def test_sample_integral_draws_do_not_depend_on_n_samples(order):
         np.testing.assert_array_equal(draws, longest[:n])
 
 
+def _paired_normals(u):
+    # the documented pairing, out of place: radii from the first half of
+    # the flat uniforms, half-angle tangents from the second, s = R/(1 + T^2)
+    h = u.size // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:h]))
+    t = np.tan((u[h:] - 0.5) * np.pi)
+    w = t * t + 1.0
+    s = r / w
+    return np.concatenate([s * (2.0 - w), 2.0 * (t * s)])
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_sample_integral_evaluates_one_column_per_draw(order):
     # draw i is eval_integral on column i % block of the whole (d, block)
-    # normal fill i // block, 4096 columns at d = 5; 7000 draws end inside
-    # the second block, whose extra columns are dropped
+    # uniform fill i // block put through the pairing, 4096 columns at
+    # d = 5; 7000 draws end inside the second block, whose extra columns
+    # are dropped
     f = sym(stream(71, f"chaos:cols:{order}").standard_normal((5,) * order))
     block = 1 << max((chaos._DRAW_BLOCK // 5).bit_length() - 1, 0)
     draws = sample_integral(f, 7000, stream(71, "chaos:cols:draws"))
     rng = stream(71, "chaos:cols:draws")
-    ref = [eval_integral(f, rng.standard_normal((5, block)).T) for _ in range(2)]
+    ref = [eval_integral(f, _paired_normals(rng.random(5 * block)).reshape(5, block).T)
+           for _ in range(2)]
     np.testing.assert_array_equal(draws, np.concatenate(ref)[:7000])
 
 
 class _RecordingFills:
-    """A generator whose fills record the (width, block) buffer they fill."""
+    """A generator that records the shape of every uniform fill, and the
+    extra pairs drawn without a buffer; it has no normal fill."""
 
     def __init__(self, gen):
-        self.gen, self.sizes = gen, []
+        self.gen, self.sizes, self.extra = gen, [], []
 
-    def standard_normal(self, size, out):
-        self.sizes.append(size)
-        return self.gen.standard_normal(size, out=out)
-
-    def random(self, size, out):
-        self.sizes.append(size)
+    def random(self, size, out=None):
+        (self.sizes if out is not None else self.extra).append(size)
         return self.gen.random(size, out=out)
 
 
@@ -495,8 +506,9 @@ class _RecordingFills:
                          ids=["1-1024", "above-8190"])
 def test_every_width_fills_blocks_of_the_largest_power_of_two(widths):
     # one rule at every width: a block is the largest power of two of draws
-    # within chaos._DRAW_BLOCK variates, at least 1, for the normals of
-    # sample_integral and the uniforms of the spectral sampler alike
+    # within chaos._DRAW_BLOCK variates, at least 1, for the uniforms of
+    # sample_integral and of the spectral sampler alike; an odd buffer
+    # (block 1 at an odd width) takes one more pair of uniforms per block
     for width in widths:
         block = 1
         while 2 * block * width <= chaos._DRAW_BLOCK:
@@ -504,10 +516,40 @@ def test_every_width_fills_blocks_of_the_largest_power_of_two(widths):
         f = sym(np.full(width, 1.0 / math.sqrt(width)))
         rng = _RecordingFills(stream(73, f"chaos:widths:{width}"))
         sample_integral(f, 2, rng)
+        assert rng.extra == [2] * len(rng.sizes) * (width * block % 2)
         if width % 2 == 0:
             op = HSOperator(np.full(width, 1.0 / math.sqrt(2.0 * width)))
             sample_integral2_spectral(op, 2, rng)
         assert rng.sizes and all(size == (width, block) for size in rng.sizes)
+
+
+def test_sample_integral_normals_are_standard_and_paired_independently():
+    # I_1 of the unit kernel at d = 1 reads the normals themselves: a block
+    # is 2^15 of them, entry k paired with entry k + 2^14
+    n = 10**6
+    z = sample_integral(sym(np.ones(1)), n, stream(83, "chaos:normals"))
+    for power, want in ((1, 0.0), (2, 1.0), (4, 3.0)):
+        zp = z**power
+        assert abs(zp.mean() - want) <= 4.0 * zp.std(ddof=1) / math.sqrt(n)
+    assert ks_against_std_normal(z).passed
+    whole = n - n % chaos._DRAW_BLOCK
+    pairs = z[:whole].reshape(-1, 2, chaos._DRAW_BLOCK // 2)
+    prod = (pairs[:, 0] * pairs[:, 1]).ravel()
+    assert abs(prod.mean()) <= 4.0 * prod.std(ddof=1) / math.sqrt(prod.size)
+
+
+@pytest.mark.parametrize("kernel", ["sum", "last"])
+def test_sample_integral_odd_buffer_draws_do_not_depend_on_n_samples(kernel):
+    # at d = 16385 a block is one draw of 16385 normals: 8192 pairs and,
+    # last, the first normal of one more pair ("last" reads it alone)
+    d = 16385
+    f = (np.full(d, 1.0 / math.sqrt(d)) if kernel == "sum"
+         else np.eye(1, d, d - 1)[0])
+    longest = sample_integral(sym(f), 8, stream(89, "chaos:odd:draws"))
+    assert np.all(np.isfinite(longest))
+    for n in (1, 3, 5):
+        draws = sample_integral(sym(f), n, stream(89, "chaos:odd:draws"))
+        np.testing.assert_array_equal(draws, longest[:n])
 
 
 def test_sample_integral_symmetrizes_a_plain_tensor_once(monkeypatch):
