@@ -270,13 +270,14 @@ def _blocked_draws(evaluate, rng, width: int, n_samples: int) -> np.ndarray:
     it leaves no hole below the output in the heap, is refilled in place
     with uniforms, rng.random(x.shape, out=x), for every block, and
     evaluate may overwrite it.  block is the largest power of two
-    <= _DRAW_BLOCK / width, at least 1, so the buffer holds between
-    _DRAW_BLOCK / 2 and _DRAW_BLOCK variates at every width up to
-    _DRAW_BLOCK.  It depends on width only; every block is whole and the
-    last one's extra draws are dropped.  So draw i is column i % block of
-    block i // block: the same bits at any n_samples, in any thread.
+    <= _DRAW_BLOCK / width, at least 2, so the buffer holds an even
+    number of variates (Box-Muller pairs them), between _DRAW_BLOCK / 2
+    and _DRAW_BLOCK at every width up to _DRAW_BLOCK / 2.  It depends on
+    width only; every block is whole and the last one's extra draws are
+    dropped.  So draw i is column i % block of block i // block: the same
+    bits at any n_samples, in any thread.
     """
-    block = 1 << max((_DRAW_BLOCK // max(width, 1)).bit_length() - 1, 0)
+    block = 1 << max((_DRAW_BLOCK // max(width, 1)).bit_length() - 1, 1)
     out, x = np.empty(n_samples), np.empty((width, block))
     for start in range(0, n_samples, block):
         take = min(block, n_samples - start)
@@ -318,19 +319,13 @@ def sample_integral(f: Tensor, n_samples: int,
 
     Each (d, block) fill of uniforms becomes normals in place, paired by
     _box_muller across the two halves of the flat buffer, and draw i is
-    eval_integral on its column.  An odd-sized buffer (block 1 at an odd
-    d > _DRAW_BLOCK / 2) pairs all but its last entry, which is the first
-    normal of one more pair, rng.random(2), drawn after the block's fill.
+    eval_integral on its column.  The buffer's size is even at every d.
     """
     f = f if isinstance(f, SymTensor) else symmetrize(f)  # once, not per block
     d = f.dim if f.dim is not None else 1
 
     def evaluate(x):
-        u = x.reshape(-1)
-        if u.size % 2:
-            u[-1] = _box_muller(rng.random(2))[0]
-            u = u[:-1]
-        _box_muller(u)
+        _box_muller(x.reshape(-1))
         return eval_integral(f, x.T)
 
     return _blocked_draws(evaluate, rng, d, n_samples)
@@ -436,8 +431,9 @@ def sample_integral2_spectral(op: HSOperator, n_samples: int,
     I_2(F) equals sum_k lambda_k (eta_k^2 - 1) in distribution with eta
     i.i.d. standard normal, which costs O(rank) per draw instead of O(d^2)
     work and is the workhorse for the large sweep grids.  op is the
-    kernel's HSOperator (hs_operator of a dense kernel); it draws only for
-    the eigenvalues it holds, so structural zeros it omits cost nothing.
+    kernel's HSOperator (hs_operator of a dense kernel, or a closed form);
+    it draws only for the eigenvalues it holds, so structural zeros it
+    omits cost nothing.
 
     The squares come two at a time from uniforms (Box-Muller): for a pair
     (a, b), E = (eta_a^2 + eta_b^2)/2 is Exp(1), independent of the angle

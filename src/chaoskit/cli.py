@@ -40,14 +40,8 @@ from .acceptance import (_BETA_SCHEDULE, _EPS_SCHEDULE, _FBM_CELLS, _HURST,
                          _KS_DRAWS, _MC_DRAWS, _PAIR_SCHEDULE, _SHEET_CELLS,
                          _SHEET_OCTAVES, CRITERION_NAMES, format_criterion,
                          parallel_map, run_criteria)
-from .chaos import hs_operator, sample_integral2_spectral
-from .diagnostics import (
-    disjoint_pair_kernel,
-    gaussian_limit_report,
-    ks_against_std_normal,
-    paired_product_kernel,
-    summarize,
-)
+from .chaos import HSOperator, sample_integral2_spectral
+from .diagnostics import gaussian_limit_report, ks_against_std_normal, summarize
 from .embeddings import _MAX_EMBED_DIM, _check_capacity
 from .functionals import (
     FbmPowerVariation,
@@ -58,7 +52,6 @@ from .functionals import (
     sheet_power_variance_exact,
 )
 from .rng import stream
-from .tensors import SymTensor
 
 __all__ = ["main"]
 
@@ -92,13 +85,15 @@ def _float_list(text: str):
 
 
 def _pairs(k):
-    """clt-pairs at k, refused before its 2k x 2k kernel is allocated."""
+    """clt-pairs at k: +-1/(2 sqrt(k)), k times each, ascending, the spectrum
+    of the averaged disjoint-pair kernel, refused past the dense cap."""
     if k < 1 or not float(k).is_integer():
         raise UsageError(f"clt-pairs k must be an integer >= 1, got {k:g}")
     if 2 * k > _MAX_EMBED_DIM:
         raise UsageError(f"clt-pairs k = {k:g} needs {2 * k:g} coordinates, "
                          f"above the dense cap of {_MAX_EMBED_DIM}")
-    return disjoint_pair_kernel(int(k))
+    c = 0.5 / math.sqrt(k)
+    return HSOperator(np.repeat((-c, c), int(k)))
 
 
 _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
@@ -106,14 +101,15 @@ _SHEET_SCHEDULE = (-0.9, -0.95, -0.99, -0.995)  # per-axis beta
 # family -> its parameter (the flag sample reads; None for a constant
 # kernel, whose schedule sets only the repeat count), the flag that sets
 # its process (hurst for fBm, dims for the sheet, None for a kernel), its
-# default schedule, and its kernel or functional at parameter p
+# default schedule, and its functional at parameter p or, for a kernel
+# family, the HSOperator of the kernel's closed-form spectrum
 _Family = namedtuple("_Family", "param model schedule make")
 _FAMILIES = {
     "clt-pairs": _Family("k", None, _PAIR_SCHEDULE, lambda a, p: _pairs(p)),
     "constant-cross": _Family(None, None, (1, 2, 3, 4),
-                              lambda a, p: paired_product_kernel()),
-    "rank-one": _Family(None, None, (1, 2, 3, 4), lambda a, p: SymTensor(
-        np.array([[1.0 / math.sqrt(2.0)]]))),
+                              lambda a, p: HSOperator(np.array([-0.5, 0.5]))),
+    "rank-one": _Family(None, None, (1, 2, 3, 4), lambda a, p: HSOperator(
+        np.array([1.0 / math.sqrt(2.0)]))),
     "fbm-power": _Family("beta", "hurst", _BETA_SCHEDULE,
                          lambda a, p: FbmPowerVariation(a.hurst, p)),
     "fbm-singular": _Family("eps", "hurst", _EPS_SCHEDULE,
@@ -161,7 +157,7 @@ def _read_flags(args):
 
 
 def _build(args, p):
-    """The family's kernel at p, or its functional embedded on the grid."""
+    """The family's HSOperator at p, or its functional embedded on the grid."""
     fam = _FAMILIES[args.family]
     if fam.model is None:
         return fam.make(args, p)
@@ -344,7 +340,7 @@ def _cmd_sample(args) -> int:
         draws = built.sample_statistic(args.samples, rng)
         ks = ks_against_std_normal(draws / math.sqrt(built.variance_exact()))
     else:  # a kernel family's draws are at unit variance already
-        draws = sample_integral2_spectral(hs_operator(built), args.samples, rng)
+        draws = sample_integral2_spectral(built, args.samples, rng)
         ks = ks_against_std_normal(draws)
     su = summarize(draws)
     columns = [

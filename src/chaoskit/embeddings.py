@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 # the dense cap on cells^ndim (a k x k node factor, Gram and eigvalsh per
-# axis, a cells^ndim product spectrum) and on clt-pairs' 2k coordinates
+# axis, a cells^ndim product spectrum) and on clt-pairs' 2k eigenvalues
 _MAX_EMBED_DIM = 8192
 # rows of one block of a per-axis Gram (_lower_correlation) and of the
 # factor's residual check; a block is _GRAM_ROWS x k doubles, 512 KB at

@@ -59,18 +59,18 @@ def _axis_mass(expo: float, cutoff: float, hurst: float):
     times X(u)^2.  The closed forms keep their exact operations: 1/q and
     sqrt(q) at cutoff 0, log(1/cutoff) where q is zero (-log(cutoff)
     where 1/cutoff overflows, below 2^-1024), else -expm1(q log cutoff)/q.
-    m is inf where the integral diverges, nan where cutoff is outside
-    [0, 1).
+    m is inf where the integral diverges, nan where q is nan or cutoff is
+    outside [0, 1).
     """
     q = 2.0 * expo + 2.0 * hurst + 1.0
     # q is 0 below the rounding of its terms: a singular weight's exponent
     # is formed from H, so its q can round to +-2^-52 instead of 0
     if abs(q) <= 2.0**-52 * (2.0 * abs(expo) + 2.0 * hurst + 1.0) < math.inf:
         q = 0.0
+    if math.isnan(q) or not 0.0 <= cutoff < 1.0:
+        return math.nan, math.nan
     if cutoff == 0.0:
         return (1.0 / q, math.sqrt(q)) if q > 0.0 else (math.inf, 0.0)
-    if not 0.0 < cutoff < 1.0:
-        return math.nan, math.nan
     if q == 0.0:
         inv = 1.0 / cutoff
         m = math.log(inv) if inv < math.inf else -math.log(cutoff)

@@ -489,8 +489,8 @@ def test_sample_integral_evaluates_one_column_per_draw(order):
 
 
 class _RecordingFills:
-    """A generator that records the shape of every uniform fill, and the
-    extra pairs drawn without a buffer; it has no normal fill."""
+    """A generator that records the shape of every uniform fill, and of
+    every draw made outside the buffer; it has no normal fill."""
 
     def __init__(self, gen):
         self.gen, self.sizes, self.extra = gen, [], []
@@ -506,17 +506,17 @@ class _RecordingFills:
                          ids=["1-1024", "above-8190"])
 def test_every_width_fills_blocks_of_the_largest_power_of_two(widths):
     # one rule at every width: a block is the largest power of two of draws
-    # within chaos._DRAW_BLOCK variates, at least 1, for the uniforms of
-    # sample_integral and of the spectral sampler alike; an odd buffer
-    # (block 1 at an odd width) takes one more pair of uniforms per block
+    # within chaos._DRAW_BLOCK variates, at least 2, for the uniforms of
+    # sample_integral and of the spectral sampler alike; every buffer is
+    # even, so no uniform is drawn outside it
     for width in widths:
-        block = 1
+        block = 2
         while 2 * block * width <= chaos._DRAW_BLOCK:
             block *= 2
         f = sym(np.full(width, 1.0 / math.sqrt(width)))
         rng = _RecordingFills(stream(73, f"chaos:widths:{width}"))
         sample_integral(f, 2, rng)
-        assert rng.extra == [2] * len(rng.sizes) * (width * block % 2)
+        assert rng.extra == []
         if width % 2 == 0:
             op = HSOperator(np.full(width, 1.0 / math.sqrt(2.0 * width)))
             sample_integral2_spectral(op, 2, rng)
@@ -540,8 +540,8 @@ def test_sample_integral_normals_are_standard_and_paired_independently():
 
 @pytest.mark.parametrize("kernel", ["sum", "last"])
 def test_sample_integral_odd_buffer_draws_do_not_depend_on_n_samples(kernel):
-    # at d = 16385 a block is one draw of 16385 normals: 8192 pairs and,
-    # last, the first normal of one more pair ("last" reads it alone)
+    # at d = 16385 a block is two draws, 32770 normals paired across the
+    # halves of the buffer ("last" reads the last coordinate alone)
     d = 16385
     f = (np.full(d, 1.0 / math.sqrt(d)) if kernel == "sum"
          else np.eye(1, d, d - 1)[0])

@@ -25,13 +25,15 @@ import pytest
 
 import chaoskit.cli as cli
 from chaoskit import embeddings
-from chaoskit.acceptance import Check, CriterionResult
-from chaoskit.diagnostics import ks_against_std_normal
+from chaoskit.acceptance import _PAIR_SCHEDULE, Check, CriterionResult
+from chaoskit.chaos import hs_operator
+from chaoskit.diagnostics import (disjoint_pair_kernel, ks_against_std_normal,
+                                  paired_product_kernel)
 from chaoskit.functionals import (FbmPowerVariation, FbmSingularVariation,
                                   embed_on_grid)
 from chaoskit.reference import tail_mass_kernel2
 from chaoskit.rng import stream
-from chaoskit.tensors import norm_sq
+from chaoskit.tensors import SymTensor, norm_sq
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -333,6 +335,49 @@ def test_sample_summary_statistics(tmp_path):
     # product of independent gaussians: kurtosis 9, far from normal
     assert res["kurtosis"] > 6.0
     assert res["ks_pass"] is False
+
+
+# each kernel family's dense kernel at k, the tensor route's maker
+_DENSE_KERNELS = {
+    "clt-pairs": disjoint_pair_kernel,
+    "constant-cross": lambda k: paired_product_kernel(),
+    "rank-one": lambda k: SymTensor(np.array([[1.0 / math.sqrt(2.0)]])),
+}
+
+
+@pytest.mark.parametrize("family, k", [
+    *(("clt-pairs", k) for k in sorted({*_PAIR_SCHEDULE, 1, 3, 100, 1000})),
+    ("constant-cross", None), ("rank-one", None)])
+def test_kernel_families_are_the_spectra_of_their_dense_kernels(family, k):
+    # the closed form is eigvalsh of the dense kernel, bit for bit and in
+    # its ascending order, so every output reads the same spectrum
+    got = cli._FAMILIES[family].make(None, k).eigenvalues
+    want = hs_operator(_DENSE_KERNELS[family](k)).eigenvalues
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--family", "clt-pairs", "--schedule", "4096"],
+    ["sample", "--family", "clt-pairs", "--k", "4096", "--samples", "100"]])
+def test_clt_pairs_at_the_cap_forms_no_dense_kernel(argv, monkeypatch,
+                                                    tmp_path):
+    # k = 4096 is 2k = 8192 coordinates, exactly the cap: its dense kernel
+    # would be 512 MB and one 8192 x 8192 eigvalsh, the spectrum is 64 KB
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and calls == [] and peak < 8e6
 
 
 # the model flags each family reads under sample, and a value for each
@@ -644,8 +689,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
          "--out", str(tmp_path)],
         ["diagnose", "--family", "clt-pairs", "--schedule", "1.5,2.9",
          "--out", str(tmp_path)],
-        # a clt-pairs k past the dense cap is refused before its kernel is
-        # allocated: 2k = 2e8 and 2e30 coordinates against 8192
+        # a clt-pairs k past the dense cap is refused before its spectrum is
+        # formed: 2k = 8194, 2e8 and 2e30 eigenvalues against 8192
+        ["sample", "--family", "clt-pairs", "--k", "4097",
+         "--out", str(tmp_path)],
         ["sample", "--family", "clt-pairs", "--k", "100000000",
          "--out", str(tmp_path)],
         ["diagnose", "--schedule", "1e30", "--out", str(tmp_path)],

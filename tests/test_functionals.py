@@ -51,8 +51,9 @@ def test_fbm_power_parameter_domain():
         FbmPowerVariation(0.75, -1.25)
     with pytest.raises(ValueError):
         FbmPowerVariation(1.2, 0.0)
-    for beta in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="beta"):
+    # a NaN exponent has a NaN mass, not the inf of a diverging integral
+    for beta, mass in ((math.inf, "0.0"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"beta={beta}.* has {mass}$"):
             FbmPowerVariation(0.75, beta)
 
 
@@ -74,8 +75,8 @@ def test_sheet_power_parameter_domain():
         SheetPowerVariation((-1.0,))
     with pytest.raises(ValueError):
         SheetPowerVariation(())
-    for beta in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="beta"):
+    for beta, mass in ((math.inf, "0.0"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"beta.* axis 1 has {mass}$"):
             SheetPowerVariation((0.0, beta))
     # the continuum variance refuses what the family refuses
     for betas in ((-1.0,), (math.inf,), ()):
