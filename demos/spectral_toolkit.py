@@ -4,12 +4,10 @@
 An order-2 kernel is a symmetric matrix; I_2(f) equals
 sum_i lambda_i (eta_i^2 - 1) for its eigenvalues lambda_i and iid
 standard normals eta_i.  That single fact yields, in closed form, every
-cumulant, the characteristic function, and an O(d) sampler.  The script
-exercises each of these on one kernel and cross-checks them against
-independent routes:
+cumulant and an O(d) sampler.  The script exercises both on one kernel
+and cross-checks them against independent routes:
 
   * cumulants from the spectrum vs moments from general-order formulas,
-  * the characteristic function vs an empirical average of exp(iuX),
   * the spectral sampler vs the generic coordinate-wise evaluator.
 
 Run:  python3 demos/spectral_toolkit.py
@@ -18,7 +16,6 @@ Run:  python3 demos/spectral_toolkit.py
 import numpy as np
 
 from chaoskit import (
-    char_function,
     contraction_norm_sq,
     cumulant,
     fourth_moment_exact,
@@ -58,16 +55,6 @@ print(f"E I_2(f)^4 - 3 (E I_2(f)^2)^2       = "
 print(f"48 ||f (x)_1 f||^2                  = "
       f"{48 * contraction_norm_sq(f, 1):.6f}")
 print("(three independent routes to the fourth cumulant)")
-
-print()
-print("== characteristic function vs empirical average ==")
-rng = stream(31, "demo:spectral:cf")
-draws = sample_integral2_spectral(op, 200000, rng)
-for u in (0.5, 1.0, 2.0):
-    phi = char_function(op, u)
-    emp = np.exp(1j * u * draws).mean()
-    print(f"  u = {u:3.1f}: exact {phi.real:+.5f}{phi.imag:+.5f}i   "
-          f"empirical {emp.real:+.5f}{emp.imag:+.5f}i")
 
 print()
 print("== two samplers, one law ==")

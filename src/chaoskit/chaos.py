@@ -32,7 +32,6 @@ from .tensors import (
 )
 
 __all__ = [
-    "hermite",
     "eval_integral",
     "ChaosElement",
     "eval_chaos_element",
@@ -45,23 +44,8 @@ __all__ = [
     "HSOperator",
     "hs_operator",
     "cumulant",
-    "char_function",
     "sample_integral2_spectral",
 ]
-
-
-def hermite(k: int, x):
-    """Probabilists' Hermite polynomial He_k evaluated elementwise.
-
-    He_0 = 1, He_1 = x, He_{k+1} = x*He_k - k*He_{k-1}.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError("degree must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    prev, he = np.zeros_like(x), np.ones_like(x)
-    for j in range(int(k)):
-        prev, he = he, x * he - j * prev
-    return he
 
 
 _ROW_BLOCK = 1 << 20  # entries of the d^m x rows working array
@@ -409,19 +393,6 @@ def _unit_variance(f, scale: float = 1.0) -> tuple:
     with np.errstate(over="ignore"):
         var = float(np.ldexp(v * (m * m), 2 * (k + e)))
     return var, g, m2, m4, excess, norms
-
-
-def char_function(op: HSOperator, freq):
-    """E[exp(i u I_2)] = prod_k exp(-i u lam_k) / sqrt(1 - 2 i u lam_k).
-
-    Evaluated in log space; 1 - 2iul has positive real part so the
-    principal branch is the right one.  Vectorized over freq.
-    """
-    u = np.asarray(freq, dtype=float)
-    z = 1.0 - 2.0j * np.multiply.outer(u, op.eigenvalues)
-    logphi = np.sum(-1.0j * np.multiply.outer(u, op.eigenvalues) - 0.5 * np.log(z), axis=-1)
-    out = np.exp(logphi)
-    return complex(out) if np.isscalar(freq) or np.asarray(freq).ndim == 0 else out
 
 
 def sample_integral2_spectral(op: HSOperator, n_samples: int,

@@ -14,7 +14,6 @@ from chaoskit.chaos import (
     eval_integral,
     excess_kurtosis_exact,
     fourth_moment_exact,
-    hermite,
     hs_operator,
     product_formula,
     sample_integral,
@@ -33,15 +32,6 @@ from chaoskit.tensors import (
     symmetrize,
     tensor,
 )
-
-
-def test_hermite_low_orders():
-    x = np.linspace(-3.0, 3.0, 7)
-    np.testing.assert_allclose(hermite(0, x), np.ones_like(x))
-    np.testing.assert_allclose(hermite(1, x), x)
-    np.testing.assert_allclose(hermite(2, x), x * x - 1.0)
-    np.testing.assert_allclose(hermite(3, x), x**3 - 3.0 * x)
-    np.testing.assert_allclose(hermite(4, x), x**4 - 6.0 * x * x + 3.0)
 
 
 def test_eval_integral_order1():
@@ -593,10 +583,6 @@ _SCALAR, _EYE2 = sym(np.array(1.0)), sym(np.eye(2))
 
 
 @pytest.mark.parametrize("call, error, message", [
-    pytest.param(lambda: hermite(-1, 0.5), ValueError,
-                 "degree must be a nonnegative integer", id="hermite-negative"),
-    pytest.param(lambda: hermite(1.5, 0.5), ValueError,
-                 "degree must be a nonnegative integer", id="hermite-fractional"),
     pytest.param(lambda: eval_integral(_EYE2, np.zeros((1, 2, 2))), ValueError,
                  r"xi must have shape \(d,\) or \(N, d\)", id="eval-3d-xi"),
     pytest.param(lambda: eval_integral(_EYE2, np.zeros(3)), ValueError,

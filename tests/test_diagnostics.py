@@ -9,12 +9,10 @@ import pytest
 
 from chaoskit import chaos, diagnostics, reference, tensors
 from chaoskit.chaos import (
-    char_function,
     cumulant,
     excess_kurtosis_exact,
     fourth_moment_exact,
     hs_operator,
-    sample_integral2_spectral,
     second_moment_exact,
 )
 from chaoskit.diagnostics import (
@@ -357,35 +355,6 @@ def test_spectral_bridge_small():
     assert fourth_moment_exact(f) - 3 * v * v == pytest.approx(48.0 * lam4,
                                                                rel=1e-9)
     assert contraction_norm_sq(f, 1) == pytest.approx(lam4, rel=1e-9)
-
-
-# ------------------------------------------------------ char function
-
-
-def test_char_function_at_zero_is_one():
-    op = hs_operator(sym(stream(3, "diag:cf0").standard_normal((3, 3))))
-    assert char_function(op, 0.0) == pytest.approx(1.0)
-
-
-def test_char_function_matches_empirical():
-    f = sym(stream(3, "diag:cfmc").standard_normal((4, 4)) * 0.4)
-    op = hs_operator(f)
-    draws = sample_integral2_spectral(op, 200000, stream(3, "diag:cfmc:d"))
-    for u in (0.5, 1.0, 2.0):
-        want = char_function(op, u)
-        z = np.exp(1j * u * draws)
-        for part, arr in (("re", z.real), ("im", z.imag)):
-            se = arr.std(ddof=1) / math.sqrt(arr.size)
-            got = arr.mean()
-            ref = want.real if part == "re" else want.imag
-            assert abs(got - ref) <= 4.0 * se, (u, part)
-
-
-def test_char_function_vectorized():
-    op = hs_operator(sym(np.eye(2)))
-    out = char_function(op, np.array([0.0, 0.5]))
-    assert out.shape == (2,)
-    assert out[0] == pytest.approx(1.0)
 
 
 # -------------------------------------------------------- trend reports
